@@ -53,7 +53,7 @@ def _load_config(path):
 
 
 def _check_flow_geometry(config, geom):
-    if config.flow.flow_kind is FlowKind.NKRF and geom.kind == "torus" and not geom.is_flat:
+    if config.flow.flow_kind is FlowKind.NKRF and geom.lambda_ke is None:
         raise ConfigValidationError(
             "flow.kind", "NKRF needs an Einstein reference (round sphere or flat torus)")
 
@@ -108,7 +108,7 @@ def _cmd_resume(args):
 def _cmd_crosscheck(args):
     config = _load_config(args.config)
     geom = build_geometry(config)
-    if geom.kind == "torus" and not geom.is_flat:
+    if geom.lambda_ke is None:
         raise ConfigValidationError(
             "geometry.kind", "crosscheck needs an Einstein reference "
                              "(round sphere or flat torus)")

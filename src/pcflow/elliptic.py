@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .kahler import laplacian_phi, rbar, scalar_curvature, trace_ric0
+from .kahler import rbar, scalar_curvature, trace_ric0
 
 DEFAULT_POISSON_TOL = 1e-10
 
@@ -79,21 +79,8 @@ def solve_ricci_potential(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
     Needs an Einstein reference: the round sphere (lambda = 1) or a flat torus
     (lambda = 0); curved-reference tori have no Ricci potential in this gauge.
     """
-    if geom.kind == "sphere":
-        lam = geom.lambda_ke
-    elif geom.is_flat:
-        lam = 0.0
-    else:
+    if geom.lambda_ke is None:
         raise ValueError("Ricci potential needs an Einstein reference "
                          "(round sphere or flat torus)")
-    rhs = scalar_curvature(geom, state) - lam
-    solution = solve_poisson_phi(geom, state, rhs, Normalization.EXP_MASS, poisson_tol)
-    return solution
-
-
-def residual_check(geom, state, solution, rhs):
-    """Max |Delta_phi(field) - projected rhs|; exposed for the test oracles."""
-    rho = state.rho
-    vol_phi = geom.integrate(np.ones(geom.shape), weight=rho)
-    projected = rhs - geom.integrate(rhs, weight=rho) / vol_phi
-    return float(np.max(np.abs(laplacian_phi(geom, state, solution.field) - projected)))
+    rhs = scalar_curvature(geom, state) - geom.lambda_ke
+    return solve_poisson_phi(geom, state, rhs, Normalization.EXP_MASS, poisson_tol)

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .elliptic import DEFAULT_POISSON_TOL, solve_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
@@ -125,39 +124,6 @@ def _implicit_coefficient(state):
     return 1.0 / float(np.min(state.rho))
 
 
-def _solve_semi_implicit_torus(geom, b, dt_c):
-    """Solve (Id - dt_c * mixed/sigma0) u = b.
-
-    Diagonal in Fourier space when sigma0 is constant; otherwise the flat
-    operator with the strongest damping (1/min sigma0) preconditions a
-    defect-correction iteration that converges geometrically because it
-    over-damps every mode.
-    """
-    inv_sigma_max = 1.0 / float(np.min(geom.sigma0))
-    multiplier = 1.0 - (dt_c * inv_sigma_max) * geom._mixed_symbol
-    u = np.fft.irfft2(np.fft.rfft2(b) / multiplier, s=geom.shape)
-    if geom.is_flat:
-        return u
-    for _ in range(200):
-        defect = b - (u - dt_c * geom.ref_laplacian(u))
-        if float(np.max(np.abs(defect))) <= 1e-13 * (1.0 + float(np.max(np.abs(b)))):
-            break
-        u = u + np.fft.irfft2(np.fft.rfft2(defect) / multiplier, s=geom.shape)
-    return u
-
-
-def _solve_semi_implicit_sphere(geom, b, dt_c):
-    """Solve (Id - dt_c * 0.5 * flux divergence) u = b, a tridiagonal system."""
-    n = geom.nmu
-    scale = 0.5 * dt_c / (geom.h * geom.h)
-    c = geom.face_coeff
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -scale * c[1:n]
-    ab[1, :] = 1.0 + scale * (c[:n] + c[1:])
-    ab[2, :-1] = -scale * c[1:n]
-    return scipy.linalg.solve_banded((1, 1), ab, b)
-
-
 def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
                        poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None):
     """First-order step, implicit in c*ref_laplacian with c = 1/min(rho).
@@ -171,10 +137,7 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     c = _implicit_coefficient(state)
     rhs = rhs_fn(geom, state)
     b = state.phi + dt * (rhs - c * geom.ref_laplacian(state.phi))
-    if geom.kind == "torus":
-        phi_new = _solve_semi_implicit_torus(geom, b, dt * c)
-    else:
-        phi_new = _solve_semi_implicit_sphere(geom, b, dt * c)
+    phi_new = geom.solve_shifted(b, dt * c)
     return validate_kahler(geom, phi_new, state.time + dt, rho_floor)
 
 
@@ -216,12 +179,19 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
     records = []
     record(state, min(base_dt(state), config.t_end - start_time))
     step_index = 0
+    step_dt = None  # the dt of the step that produced state
     terminated = Termination.REACHED_T_END
 
     while state.time < config.t_end:
         remaining = config.t_end - state.time
-        dt = min(base_dt(state), remaining)
-        final_step = dt >= remaining
+        dt = base_dt(state)
+        # each t + dt rounds by at most eps*t_end and a run takes about
+        # t_end/dt steps: a gap between remaining and dt within that bound is
+        # rounding, so a full step ends the run and t snaps to t_end
+        rounding = np.finfo(float).eps * config.t_end * (config.t_end / dt)
+        final_step = remaining - dt <= rounding
+        if remaining < dt - rounding:
+            dt = remaining
         new_state = None
         for _ in range(config.max_halvings + 1):
             try:
@@ -239,10 +209,11 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         if final_step:
             new_state = replace(new_state, time=config.t_end)
         state = new_state
+        step_dt = dt
         step_index += 1
         if step_index % config.record_every == 0 or state.time >= config.t_end:
             record(state, dt)
 
-    if records and records[-1].time < state.time:
-        record(state, records[-1].dt)
+    if records[-1].time < state.time:
+        record(state, step_dt)
     return Trajectory(states=states, records=records, config=config, terminated=terminated)

@@ -2,24 +2,20 @@
 
 Conventions (complex dimension 1): entropy = int F omega_phi; J_chi is the
 path integral of its variational formula delta J = int dphi (tr_phi chi -
-chibar) omega_phi along t*phi; K = entropy + J_{-Ric(omega0)};
+chibar) omega_phi along t*phi, in closed form; K = entropy + J_{-Ric(omega0)};
 I = (1/2) int phi (rho + 1) omega0; dissipation = int |grad_phi(F+P)|^2
 omega_phi = dirichlet_energy(F + P); Calabi energy = int (R - rbar)^2
 omega_phi. The L^p probes are raw monitors, never asserted against constants.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import DEFAULT_POISSON_TOL, solve_P
 from .errors import NotKahler
-from .kahler import rbar, scalar_curvature
+from .kahler import ma_density, rbar, scalar_curvature
 
-logger = logging.getLogger(__name__)
-
-DEFAULT_QUAD_POINTS = 16
 DEFAULT_P_LIST = (1.0, 2.0, 4.0)
 
 
@@ -48,31 +44,24 @@ def entropy(geom, state):
     return geom.integrate(state.big_f, weight=state.rho)
 
 
-def j_chi_path(geom, chi, phi, quad_points=DEFAULT_QUAD_POINTS):
-    """J_chi(phi) by Gauss-Legendre quadrature of the variational formula
-    along the segment t*phi, J_chi(0) = 0.
+def j_chi_path(geom, chi, phi):
+    """J_chi(phi): the variational formula integrated along the segment t*phi,
+    J_chi(0) = 0, in closed form.
 
-    The integrand g(t) = int phi (tr_{t phi} chi - chibar) omega_{t phi}
-    collapses in the chart to a t-independent pairing minus chibar times an
-    affine function of t, so the quadrature is exact for every node count.
+    In the chart tr_{t phi} chi * omega_{t phi} = chi_density * (chart
+    measure), so the integrand g(t) = int phi (tr_{t phi} chi - chibar)
+    omega_{t phi} is the fixed pairing <phi, chi>_chart minus chibar * int phi
+    rho_t omega0. rho_t = 1 + t*(rho_1 - 1) is affine in t, so the integral
+    over [0, 1] is <phi, chi>_chart - chibar * I(phi), and the segment stays
+    in the Kahler cone iff rho_1 does.
     """
-    phi = geom.check_field(phi)
-    mixed_ratio = geom.mixed_second_derivative(phi) / geom.sigma0
-    # tr_{t phi} chi * omega_{t phi} = chi_density * (chart measure): the
-    # sigma0*rho_t factors cancel, leaving a fixed chart pairing
+    rho = ma_density(geom, phi)
+    min_rho = float(rho.min())
+    if min_rho <= 1e-06:
+        raise NotKahler(min_rho, message=f"path end t = 1 leaves the Kahler cone "
+                                         f"(min rho = {min_rho:.6g})")
     pairing = geom.chart_integral(phi * chi.density)
-
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    total = 0.0
-    for x, w in zip(nodes, weights):
-        t = 0.5 * (x + 1.0)
-        rho_t = 1.0 + t * mixed_ratio
-        min_rho = float(rho_t.min())
-        if min_rho <= 1e-06:
-            raise NotKahler(min_rho, message=f"path node t = {t:.6f} leaves the Kahler cone "
-                                             f"(min rho = {min_rho:.6g})")
-        total += 0.5 * w * (pairing - chi.mean * geom.integrate(phi, weight=rho_t))
-    return total
+    return pairing - chi.mean * (0.5 * geom.integrate(phi * (rho + 1.0)))
 
 
 def j_chi_closed_form(geom, chi, phi):
@@ -81,16 +70,16 @@ def j_chi_closed_form(geom, chi, phi):
     return 0.5 * geom.dirichlet_energy(phi)
 
 
-def k_energy_parts(geom, state, quad_points=DEFAULT_QUAD_POINTS):
+def k_energy_parts(geom, state):
     """(entropy, J_{-Ric}) so callers can record both without recomputation."""
     ent = entropy(geom, state)
-    j = j_chi_path(geom, neg_ricci_form(geom), state.phi, quad_points)
+    j = j_chi_path(geom, neg_ricci_form(geom), state.phi)
     return ent, j
 
 
-def k_energy(geom, state, quad_points=DEFAULT_QUAD_POINTS):
+def k_energy(geom, state):
     """K(phi) = entropy + J_{-Ric(omega0)}: its variation is int dphi (Rbar - R) w_phi."""
-    ent, j = k_energy_parts(geom, state, quad_points)
+    ent, j = k_energy_parts(geom, state)
     return ent + j
 
 
@@ -115,23 +104,20 @@ def grad_phi_sq(geom, state, u):
     return geom.grad_chart_sq(u) / (geom.sigma0 * state.rho)
 
 
-def estimate_probes(geom, state, P, p_list=DEFAULT_P_LIST):
-    """Smoothing-rate monitors: p -> int |grad_phi F|^{2p} omega_phi,
-    p -> int (tr_phi omega0)^{p+1} omega_phi, p -> int |grad_phi P|^{2p} omega_phi."""
+def estimate_probes(geom, state, p_list=DEFAULT_P_LIST):
+    """Smoothing-rate monitors: p -> int |grad_phi F|^{2p} omega_phi and
+    p -> int (tr_phi omega0)^{p+1} omega_phi."""
     for p in p_list:
         if not 1.0 <= p <= 8.0:
             raise ValueError(f"probe exponent {p} outside [1, 8]")
     gF = grad_phi_sq(geom, state, state.big_f)
-    gP = grad_phi_sq(geom, state, P)
     inv_rho = 1.0 / state.rho
     lp_grad_F = {}
     lp_trace0 = {}
-    lp_grad_P = {}
     for p in p_list:
         lp_grad_F[p] = geom.integrate(gF ** p, weight=state.rho)
         lp_trace0[p] = geom.integrate(inv_rho ** (p + 1.0), weight=state.rho)
-        lp_grad_P[p] = geom.integrate(gP ** p, weight=state.rho)
-    return lp_grad_F, lp_trace0, lp_grad_P
+    return lp_grad_F, lp_trace0
 
 
 @dataclass(frozen=True)
@@ -157,14 +143,13 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST,
-                      poisson_tol=DEFAULT_POISSON_TOL, p_solution=None,
-                      quad_points=DEFAULT_QUAD_POINTS):
+                      poisson_tol=DEFAULT_POISSON_TOL, p_solution=None):
     """Evaluate every monitored quantity at one state (solves P once)."""
     if p_solution is None:
         p_solution = solve_P(geom, state, poisson_tol)
     P = p_solution.field
-    ent, j = k_energy_parts(geom, state, quad_points)
-    lp_grad_F, lp_trace0, _ = estimate_probes(geom, state, P, p_list)
+    ent, j = k_energy_parts(geom, state)
+    lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list)
     return TraceRecord(
         time=state.time,
         dt=float(dt),

@@ -6,14 +6,11 @@ chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
 curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0).
 """
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotKahler
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -24,7 +21,6 @@ class MetricState:
     rho: np.ndarray
     big_f: np.ndarray
     time: float = 0.0
-    geometry: object = field(default=None, repr=False, compare=False)
 
 
 def ma_density(geom, phi):
@@ -40,7 +36,7 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
     min_rho = float(rho.min())
     if min_rho <= rho_floor:
         raise NotKahler(min_rho, stage=stage)
-    return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time), geometry=geom)
+    return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time))
 
 
 def laplacian_phi(geom, state, f):
@@ -60,10 +56,10 @@ def scalar_curvature_forms(geom, state):
 
     Primary: R = -Delta_phi(F) + tr_phi Ric(omega0). Alternative: the full
     chart density log, R = -Delta_phi(log(sigma0*rho)) computed in one sweep.
-    Returns (primary, alternative, max pointwise discrepancy).
+    Returns (primary, alternative, max pointwise discrepancy); the test
+    oracle for scalar_curvature, which computes only the primary.
     """
-    trace = trace_ric0(geom, state)
-    primary = -laplacian_phi(geom, state, state.big_f) + trace
+    primary = scalar_curvature(geom, state)
     if geom.kind == "sphere":
         # The reduced chart density sigma0 = 2 mu (1-mu) vanishes at the poles,
         # so differencing log(sigma0 * rho) directly is singular there. The
@@ -77,35 +73,18 @@ def scalar_curvature_forms(geom, state):
 
 
 def scalar_curvature(geom, state):
-    """Scalar curvature of omega_phi via the trace identity.
-
-    The equivalent single-sweep form -Delta_phi(log(sigma0*rho)) is computed
-    alongside and the max pointwise discrepancy logged; the trace-identity
-    form is the output because it reuses the flow's own operators.
-    """
-    primary, _, discrepancy = scalar_curvature_forms(geom, state)
-    logger.debug("scalar curvature form discrepancy %.3e", discrepancy)
-    return primary
+    """Scalar curvature of omega_phi via the trace identity
+    R = -Delta_phi(F) + tr_phi Ric(omega0), reusing the flow's own operators."""
+    return -laplacian_phi(geom, state, state.big_f) + trace_ric0(geom, state)
 
 
 def rbar(geom):
     """Volume average of R(omega0); cohomological, so phi-independent.
 
-    Exactly 0.0 on a flat torus by construction; 1 on the round sphere and 0
-    on curved-reference tori up to quadrature rounding.
+    0 on a flat torus, 1 on the round sphere and 0 on curved-reference tori
+    up to quadrature rounding; the backend computes it once at construction.
     """
-    cached = getattr(geom, "_rbar_cache", None)
-    if cached is not None:
-        return cached
-    if geom.is_flat:
-        value = 0.0
-    else:
-        zero_state = validate_kahler(geom, np.zeros(geom.shape))
-        trace = trace_ric0(geom, zero_state)
-        curv = -laplacian_phi(geom, zero_state, zero_state.big_f) + trace
-        value = geom.integrate(curv) / geom.volume
-    geom._rbar_cache = value
-    return value
+    return geom.rbar
 
 
 def average_against_state(geom, state, f):

@@ -1,10 +1,23 @@
-"""Shared helpers: reproducible smooth random fields on both backends."""
+"""Shared helpers: reproducible smooth random fields on both backends, and the
+environment for subprocesses that import pcflow."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 import pcflow as pf
 
 TWO_PI = 2.0 * np.pi
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env(base=None):
+    """A copy of base (default: os.environ) with the absolute src path first on
+    PYTHONPATH, so `python -m pcflow.cli` imports this tree from any cwd."""
+    env = dict(os.environ if base is None else base)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 def random_torus_phi(geom, rng, amp=0.1, kmax=4):

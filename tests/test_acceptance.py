@@ -17,7 +17,7 @@ import pytest
 
 import pcflow as pf
 from pcflow.kahler import average_against_state
-from conftest import random_valid_state
+from conftest import random_valid_state, subprocess_env
 from test_flow import rk4_global_order_ratios
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -193,7 +193,7 @@ def test_criterion_7_operator_and_solver_correctness():
 
 
 def test_criterion_8_determinism(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "PCFLOW_THREADS"}
+    env = subprocess_env({k: v for k, v in os.environ.items() if k != "PCFLOW_THREADS"})
 
     def run_preset_in(directory, preset, command="run", extra=()):
         directory.mkdir(exist_ok=True)

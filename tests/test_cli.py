@@ -10,6 +10,7 @@ import pytest
 import pcflow as pf
 from pcflow import cli as cli_mod
 from pcflow.csvout import emit_csv, header_line
+from conftest import subprocess_env
 
 TWO_PI = 2.0 * np.pi
 DYADIC = 2.0 ** -8
@@ -417,7 +418,8 @@ def test_cli_thread_cap_does_not_change_results(tmp_path, monkeypatch, capsys):
 def test_cli_module_entry_point(tmp_path):
     path = write_cfg(tmp_path, QUICK_RUN)
     proc = subprocess.run([sys.executable, "-m", "pcflow.cli", "run", path],
-                          cwd=tmp_path, capture_output=True, text=True)
+                          cwd=tmp_path, env=subprocess_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 0, proc.stderr
     assert "ReachedTEnd" in proc.stdout
     assert (tmp_path / "trace.csv").exists()
@@ -426,6 +428,7 @@ def test_cli_module_entry_point(tmp_path):
 def test_cli_module_entry_point_error_path(tmp_path):
     path = write_cfg(tmp_path, "geometry.kind = klein_bottle\n")
     proc = subprocess.run([sys.executable, "-m", "pcflow.cli", "run", path],
-                          cwd=tmp_path, capture_output=True, text=True)
+                          cwd=tmp_path, env=subprocess_env(), capture_output=True,
+                          text=True)
     assert proc.returncode == 3
     assert "invalid configuration" in proc.stderr

@@ -1,6 +1,7 @@
 """Time integration: right-hand sides, steppers, the run loop, checkpoints."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,6 +310,63 @@ def test_run_step_floor_hit(monkeypatch):
     assert len(attempts) == 4  # dt_init plus max_halvings halvings
     assert attempts[-1] == DYADIC / 8.0
     assert len(trajectory.records) == 1  # the initial record remains
+
+
+def test_run_step_floor_record_carries_last_step_dt(monkeypatch):
+    # step 1 is taken with dt_init, step 2 only after one halving, and every
+    # attempt at step 3 fails: the terminal record is the state of step 2
+    geom = flat64()
+    real_step = flow_mod.semi_implicit_step
+    attempts = []
+
+    def flaky(geom_, state_, dt, *args, **kwargs):
+        attempts.append(dt)
+        if len(attempts) == 2 or len(attempts) > 3:
+            raise pf.ToleranceNotMet("forced")
+        return real_step(geom_, state_, dt, *args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "semi_implicit_step", flaky)
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC, t_end=1.0,
+                           max_halvings=2, record_every=10)
+    trajectory = pf.run(geom, 0.1 * np.cos(geom.x), config)
+    assert trajectory.terminated is pf.Termination.STEP_FLOOR_HIT
+    assert [r.time for r in trajectory.records] == [0.0, 1.5 * DYADIC]
+    assert trajectory.records[-1].dt == 0.5 * DYADIC
+
+
+def test_run_takes_no_sliver_step(tmp_path):
+    # 300 additions of 0.005 stop 1e-14 short of 1.5; that remainder is
+    # rounding and must not become a 301st step
+    geom = flat64()
+    phi0 = 0.3 * np.cos(geom.x) + 0.1 * np.cos(2.0 * geom.y)
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=0.005, t_end=1.5,
+                           record_every=1)
+    full = pf.run(geom, phi0, config)
+    assert full.terminated is pf.Termination.REACHED_T_END
+    assert len(full.records) == 301
+    assert all(r.dt == 0.005 for r in full.records)
+    assert full.states[-1].time == 1.5
+
+    half = pf.run(geom, phi0, replace(config, t_end=0.75, record_every=150))
+    path = tmp_path / "half.ckpt"
+    pf.write_checkpoint(path, geom, half.states[-1])
+    meta = pf.read_checkpoint(path)
+    resumed = pf.run(geom, meta["phi"], replace(config, record_every=150),
+                     start_time=meta["time"])
+    assert resumed.states[-1].time == 1.5
+    assert np.all(resumed.states[-1].phi == full.states[-1].phi)
+
+
+def test_run_halves_step_when_shifted_solve_fails():
+    # sigma0 in [0.1, 1.9]: the shifted solve runs out of sweeps at
+    # dt*c = 0.5 and converges after halvings, so the first step is shorter
+    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.9)])
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=0.5, t_end=0.5,
+                           record_every=1)
+    trajectory = pf.run(geom, 0.05 * np.cos(geom.x), config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    assert trajectory.records[1].dt < 0.5
+    assert trajectory.states[-1].time == 0.5
 
 
 # ---------------------------------------------------------------------------

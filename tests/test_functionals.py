@@ -113,14 +113,27 @@ def test_j_chi_path_matches_closed_form_for_omega0():
     assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
+def j_chi_quadrature(geom, chi, phi, nodes):
+    """Oracle: Gauss-Legendre quadrature of the variational formula
+    int phi (tr_{t phi} chi - chibar) omega_{t phi} over t in [0, 1]."""
+    total = 0.0
+    for x, w in zip(*np.polynomial.legendre.leggauss(nodes)):
+        rho_t = pf.ma_density(geom, 0.5 * (x + 1.0) * phi)
+        integrand = phi * (chi.density / (geom.sigma0 * rho_t) - chi.mean)
+        total += 0.5 * w * geom.integrate(integrand, weight=rho_t)
+    return total
+
+
 def test_j_chi_quadrature_converged():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
-    chi = pf.neg_ricci_form(geom)
     rng = np.random.default_rng(43)
-    phi = random_valid_state(geom, rng).phi
-    a = pf.j_chi_path(geom, chi, phi, quad_points=16)
-    b = pf.j_chi_path(geom, chi, phi, quad_points=32)
-    assert abs(a - b) <= 1e-10
+    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.build_sphere_geometry(128)):
+        chi = pf.neg_ricci_form(geom)
+        phi = random_valid_state(geom, rng).phi
+        got = pf.j_chi_path(geom, chi, phi)
+        for nodes in (16, 32):
+            oracle = j_chi_quadrature(geom, chi, phi, nodes)
+            assert abs(got - oracle) <= 1e-12 * (1.0 + abs(oracle))
 
 
 def test_j_chi_path_rejects_invalid_segment():
@@ -128,6 +141,13 @@ def test_j_chi_path_rejects_invalid_segment():
     chi = pf.omega0_form(geom)
     with pytest.raises(pf.NotKahler):
         pf.j_chi_path(geom, chi, 9.0 * np.cos(geom.x))
+    # min rho = 1 - amp/4 is just below the 1e-6 cone floor at t = 1 only;
+    # every interior quadrature node still sees min rho_t > 5e-3
+    phi = 4.0 * (1.0 - 9e-7) * np.cos(geom.x)
+    assert 0.0 < float(np.min(pf.ma_density(geom, phi))) < 1e-6
+    assert np.isfinite(j_chi_quadrature(geom, chi, phi, 16))
+    with pytest.raises(pf.NotKahler):
+        pf.j_chi_path(geom, chi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +295,16 @@ def test_calabi_energy_cosine_oracle():
 def test_probes_zero_potential():
     geom = flat64()
     state = pf.validate_kahler(geom, np.zeros(geom.shape))
-    P = pf.solve_P(geom, state).field
-    gF, tr0, gP = pf.estimate_probes(geom, state, P)
+    gF, tr0 = pf.estimate_probes(geom, state)
     for p in (1.0, 2.0, 4.0):
         assert gF[p] == 0.0
-        assert gP[p] == 0.0
         assert abs(tr0[p] - geom.volume) <= 1e-10
 
 
 def test_probes_cosine_oracle():
     geom = flat64()
     state = cos_state(geom)
-    P = pf.solve_P(geom, state).field
-    gF, tr0, _ = pf.estimate_probes(geom, state, P, p_list=(2.0,))
+    gF, tr0 = pf.estimate_probes(geom, state, p_list=(2.0,))
     rho = 1.0 - 0.125 * np.cos(XS)
     fx = 0.125 * np.sin(XS) / rho
     grad_sq = 0.25 * fx * fx / rho
@@ -299,8 +316,7 @@ def test_probes_lp_monotone():
     geom = flat64()
     rng = np.random.default_rng(47)
     state = random_valid_state(geom, rng)
-    P = pf.solve_P(geom, state).field
-    gF, _, _ = pf.estimate_probes(geom, state, P, p_list=(1.0, 2.0, 4.0))
+    gF, _ = pf.estimate_probes(geom, state, p_list=(1.0, 2.0, 4.0))
     vol = geom.volume
     norms = [(gF[p] / vol) ** (1.0 / (2.0 * p)) for p in (1.0, 2.0, 4.0)]
     assert norms[0] <= norms[1] + 1e-12
@@ -310,10 +326,9 @@ def test_probes_lp_monotone():
 def test_probes_reject_bad_exponents():
     geom = flat64()
     state = cos_state(geom)
-    P = pf.solve_P(geom, state).field
     for bad in (0.5, 9.0):
         with pytest.raises(ValueError):
-            pf.estimate_probes(geom, state, P, p_list=(bad,))
+            pf.estimate_probes(geom, state, p_list=(bad,))
 
 
 # ---------------------------------------------------------------------------

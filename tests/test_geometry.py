@@ -15,6 +15,7 @@ def test_flat_torus_build_and_volume():
     geom = pf.build_torus_geometry(256, 256, TWO_PI, ())
     assert np.all(geom.sigma0 == 1.0)
     assert geom.is_flat
+    assert geom.lambda_ke == 0.0
     # volume of the flat reference: int 2 dx dy over [0, 2pi)^2 = 8 pi^2
     assert abs(geom.volume - 8.0 * np.pi ** 2) <= 1e-10
     ones = np.ones(geom.shape)
@@ -25,6 +26,7 @@ def test_torus_volume_tracks_mean_density():
     geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     oracle = 2.0 * geom.length ** 2 * float(np.mean(geom.sigma0))
     assert abs(geom.volume - oracle) <= 1e-12 * abs(oracle)
+    assert geom.lambda_ke is None  # a curved reference is not Einstein
 
 
 def test_torus_negative_density_rejected():
@@ -281,3 +283,38 @@ def test_reference_poisson_roundtrip_sphere():
     # the solver pins the last node; compare after matching constants
     got = got - got[-1] + u[-1]
     assert np.max(np.abs(got - u)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# shifted solve of the semi-implicit step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: pf.build_torus_geometry(64, 64, TWO_PI, ()),
+    lambda: pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+    lambda: pf.build_sphere_geometry(128),
+], ids=["flat_torus", "curved_torus", "sphere"])
+def test_solve_shifted_meets_tolerance(build):
+    geom = build()
+    rng = np.random.default_rng(30)
+    if geom.kind == "torus":
+        b = random_torus_phi(geom, rng, amp=1.0)
+    else:
+        b = random_sphere_phi(geom, rng, amp=1.0)
+    # the curved torus sweeps until the defect is below 1e-13 * (1 + max|b|);
+    # the direct solves reach it too while dt_c stays within the presets'
+    # range (the sphere's defect sits at the rounding floor of its flux-form
+    # operator, which grows like dt_c / h^2 and reaches 3e-13 at dt_c = 1)
+    for dt_c in (1e-3, 1e-1):
+        u = geom.solve_shifted(b, dt_c)
+        defect = b - (u - dt_c * geom.ref_laplacian(u))
+        assert float(np.max(np.abs(defect))) <= 1e-13 * (1.0 + float(np.max(np.abs(b))))
+
+
+def test_solve_shifted_raises_when_sweeps_run_out():
+    # sigma0 in [0.1, 1.9]: the preconditioner damps some modes 19x too
+    # strongly, and 200 defect-correction sweeps stop far above the target
+    geom = pf.build_torus_geometry(256, 256, TWO_PI, [(1, 0, 0.9)])
+    b = np.cos(geom.x) + 0.5 * np.sin(2.0 * geom.y)
+    with pytest.raises(pf.ToleranceNotMet):
+        geom.solve_shifted(b, 1.0)
