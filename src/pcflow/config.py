@@ -57,9 +57,12 @@ def _parse_int(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigValidationError(key, f"expected a number, got {raw!r}") from None
+    if not np.isfinite(value):
+        raise ConfigValidationError(key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_bool(key, raw):
@@ -295,7 +298,7 @@ def _random_draw(geom, spec):
 
 
 def _rescale_to_target(geom, phi, target):
-    """Scale phi so sup|F| hits the target within 1% (bisection on the scale)."""
+    """Scale phi so sup|F| hits the target within 0.5% (bisection on the scale)."""
     mixed_ratio = geom.mixed_second_derivative(phi) / geom.sigma0
 
     def sup_f(scale):

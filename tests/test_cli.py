@@ -112,6 +112,11 @@ def test_parse_modes_and_scheme():
     (MINIMAL_TORUS + "output.p_list = 9", "output.p_list"),
     (MINIMAL_TORUS + "geometry.nx = lots", "geometry.nx"),
     (MINIMAL_TORUS + "initial.modes = (1,0)", "initial.modes"),
+    (MINIMAL_TORUS + "flow.poisson_tol = nan", "flow.poisson_tol"),
+    (MINIMAL_TORUS + "flow.poisson_tol = 0", "flow.poisson_tol"),
+    (MINIMAL_TORUS + "flow.poisson_tol = -1", "flow.poisson_tol"),
+    (MINIMAL_TORUS + "flow.poisson_tol = inf", "flow.poisson_tol"),
+    (MINIMAL_TORUS + "geometry.sigma0_modes = (1,0,nan)", "geometry.sigma0_modes"),
 ])
 def test_parse_rejects_invalid_values(snippet, key):
     with pytest.raises(pf.ConfigValidationError) as err:

@@ -301,20 +301,30 @@ def test_solve_shifted_meets_tolerance(build):
         b = random_torus_phi(geom, rng, amp=1.0)
     else:
         b = random_sphere_phi(geom, rng, amp=1.0)
-    # the curved torus sweeps until the defect is below 1e-13 * (1 + max|b|);
-    # the direct solves reach it too while dt_c stays within the presets'
-    # range (the sphere's defect sits at the rounding floor of its flux-form
-    # operator, which grows like dt_c / h^2 and reaches 3e-13 at dt_c = 1)
+    # defect of the operator actually inverted: L0 = f_{z zbar}/min(sigma0) on
+    # the torus, ref_laplacian on the sphere. The sphere's defect sits at the
+    # rounding floor of its flux-form operator, which grows like dt_c / h^2
+    # and reaches 3e-13 at dt_c = 1, so the check stays within the presets'
+    # range of dt_c
+    if geom.kind == "torus":
+        inverted = lambda u: geom.mixed_second_derivative(u) / geom.sigma0.min()
+    else:
+        inverted = geom.ref_laplacian
     for dt_c in (1e-3, 1e-1):
         u = geom.solve_shifted(b, dt_c)
-        defect = b - (u - dt_c * geom.ref_laplacian(u))
+        defect = b - (u - dt_c * inverted(u))
         assert float(np.max(np.abs(defect))) <= 1e-13 * (1.0 + float(np.max(np.abs(b))))
 
 
-def test_solve_shifted_raises_when_sweeps_run_out():
-    # sigma0 in [0.1, 1.9]: the preconditioner damps some modes 19x too
-    # strongly, and 200 defect-correction sweeps stop far above the target
+def test_solve_shifted_strongly_curved_torus_closed_form():
+    # sigma0 in [0.1, 1.9]: L0 = f_{z zbar}/min(sigma0) is diagonal on
+    # cos x (symbol -1/4) and sin 2y (symbol -1), so with a = dt_c/min(sigma0)
+    # the solution is exact; the forward defect would only show the 1e-12
+    # rounding floor of applying L0 at large dt_c
     geom = pf.build_torus_geometry(256, 256, TWO_PI, [(1, 0, 0.9)])
     b = np.cos(geom.x) + 0.5 * np.sin(2.0 * geom.y)
-    with pytest.raises(pf.ToleranceNotMet):
-        geom.solve_shifted(b, 1.0)
+    for dt_c in (1e-3, 0.1, 1.0, 10.0):
+        a = dt_c / geom.sigma0.min()
+        expected = np.cos(geom.x) / (1.0 + a / 4.0) + 0.5 * np.sin(2.0 * geom.y) / (1.0 + a)
+        u = geom.solve_shifted(b, dt_c)
+        assert float(np.max(np.abs(u - expected))) <= 1e-14
