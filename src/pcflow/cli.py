@@ -16,7 +16,8 @@ import numpy as np
 
 from .checkpoint import check_geometry_match, read_checkpoint, write_checkpoint
 from .config import build_geometry, format_config, make_initial, parse_config
-from .csvout import emit_csv, emit_divergence_csv, emit_record_csv
+from .csvout import (emit_csv, emit_divergence_csv, emit_record_csv, header_line,
+                     record_line)
 from .elliptic import solve_P
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, ShapeError, SingularSolve,
@@ -146,14 +147,11 @@ def _cmd_probe(args):
     record = make_trace_record(geom, state, dt, config.p_list,
                                config.flow.poisson_tol, p_solution=p_solution)
     emit_record_csv(record, config.output_path)
-    for name in ("sup_F", "inf_F", "sup_P", "entropy", "j_neg_ric", "k_energy",
-                 "i_functional", "dissipation", "calabi_energy", "rho_min",
-                 "volume", "poisson_residual"):
-        print(f"{name} = {getattr(record, name):.17g}")
-    for p, v in record.lp_grad_F.items():
-        print(f"grad_F_Lp{p:g} = {v:.17g}")
-    for p, v in record.lp_trace0.items():
-        print(f"trace0_Lp{p:g} = {v:.17g}")
+    p_list = tuple(record.lp_grad_F.keys())
+    for name, value in zip(header_line(p_list).split(","),
+                           record_line(record, p_list).split(",")):
+        if name not in ("t", "dt"):
+            print(f"{name} = {value}")
     return EXIT_OK
 
 

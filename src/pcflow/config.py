@@ -4,7 +4,9 @@ Blocks: geometry.* (backend and grid), initial.* (explicit cosine modes on
 the torus, a polynomial in mu on the sphere, or a seeded band-limited random
 draw rescaled to a target sup|F|), flow.* (integrator settings), output.*
 (CSV path, record cadence, optional field snapshots and checkpoint).
-Unknown keys are rejected; print-config output re-parses to an equal config.
+``_KEYS`` is the one list of keys. Defaults and range checks live on the
+dataclasses, so a config built in Python is checked exactly as a parsed file
+is. Unknown keys are rejected; print-config output re-parses to an equal config.
 """
 
 import re
@@ -14,12 +16,17 @@ import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError, NotKahler
 from .flow import FlowConfig, FlowKind, Scheme
+from .functionals import DEFAULT_P_LIST
 from .geometry import build_sphere_geometry, build_torus_geometry
 
 TWO_PI = 2.0 * np.pi
 
 _MODE_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([^\s,()]+)\s*\)")
 _KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*\Z")
+
+# per backend: the ScenarioConfig fields a file must set, and the error if one is missing
+_NEEDS = {"torus": (("nx", "ny", "length"), "geometry.nx", "torus needs nx, ny, and length"),
+          "sphere": (("nmu",), "geometry.nmu", "sphere needs nmu")}
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,17 @@ class RandomInitial:
     modes: int = 8
     decay: float = 2.0
     target_sup_f: float = 0.05
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigValidationError("initial.random.seed", "must be >= 0")
+        if self.modes < 1:
+            raise ConfigValidationError("initial.random.modes", "must be >= 1")
+        if not 0.0 <= self.decay < np.inf:
+            raise ConfigValidationError("initial.random.decay", "must be >= 0 and finite")
+        if not 0.0 < self.target_sup_f <= 1.0:
+            raise ConfigValidationError("initial.random.target_sup_f",
+                                        f"must be in (0, 1], got {self.target_sup_f}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +63,24 @@ class ScenarioConfig:
     output_path: str = "trace.csv"
     emit_fields: bool = False
     checkpoint_path: str = None
-    p_list: tuple = (1.0, 2.0, 4.0)
+    p_list: tuple = DEFAULT_P_LIST
+
+    def __post_init__(self):
+        _parse_kind("geometry.kind", self.geometry_kind)
+        if not self.p_list:
+            raise ConfigValidationError("output.p_list", "needs at least one exponent")
+        for p in self.p_list:
+            if not 1.0 <= p <= 8.0:
+                raise ConfigValidationError("output.p_list", f"exponent {p} outside [1, 8]")
+        if self.random is not None and (self.initial_modes or self.initial_poly_mu):
+            raise ConfigValidationError("initial.random.seed",
+                                        "random initial data excludes explicit modes")
+
+
+def _parse_kind(key, raw):
+    if raw not in _NEEDS:
+        raise ConfigValidationError(key, f"unknown geometry {raw!r}")
+    return raw
 
 
 def _parse_int(key, raw):
@@ -84,12 +119,68 @@ def _parse_modes(key, raw):
     return tuple(modes)
 
 
-def _parse_float_list(key, raw):
+def _parse_floats(key, raw):
     return tuple(_parse_float(key, tok) for tok in raw.split())
 
 
+def _enum(enum_cls, what):
+    """Parser and formatter for a key whose value is the value of an enum member."""
+    def parse(key, raw):
+        try:
+            return enum_cls(raw)
+        except ValueError:
+            raise ConfigValidationError(key, f"unknown {what} {raw!r}") from None
+    return parse, lambda member: member.value
+
+
+def _format_float(x):
+    return repr(float(x))
+
+
+def _format_floats(values):
+    return " ".join(_format_float(x) for x in values)
+
+
+def _format_modes(modes):
+    return " ".join(f"({kx},{ky},{_format_float(a)})" for kx, ky, a in modes)
+
+
+# (key, backend or None for both, owning dataclass, field, parser, formatter)
+_KEYS = (
+    ("geometry.kind", None, ScenarioConfig, "geometry_kind", _parse_kind, str),
+    ("geometry.nx", "torus", ScenarioConfig, "nx", _parse_int, str),
+    ("geometry.ny", "torus", ScenarioConfig, "ny", _parse_int, str),
+    ("geometry.length", "torus", ScenarioConfig, "length", _parse_float, _format_float),
+    ("geometry.sigma0_modes", "torus", ScenarioConfig, "sigma0_modes", _parse_modes,
+     _format_modes),
+    ("geometry.nmu", "sphere", ScenarioConfig, "nmu", _parse_int, str),
+    ("initial.modes", "torus", ScenarioConfig, "initial_modes", _parse_modes, _format_modes),
+    ("initial.poly_mu", "sphere", ScenarioConfig, "initial_poly_mu", _parse_floats,
+     _format_floats),
+    ("initial.random.seed", None, RandomInitial, "seed", _parse_int, str),
+    ("initial.random.modes", None, RandomInitial, "modes", _parse_int, str),
+    ("initial.random.decay", None, RandomInitial, "decay", _parse_float, _format_float),
+    ("initial.random.target_sup_f", None, RandomInitial, "target_sup_f", _parse_float,
+     _format_float),
+    ("flow.scheme", None, FlowConfig, "scheme", *_enum(Scheme, "scheme")),
+    ("flow.kind", None, FlowConfig, "flow_kind", *_enum(FlowKind, "flow kind")),
+    ("flow.dt_init", None, FlowConfig, "dt_init", _parse_float, _format_float),
+    ("flow.cfl", None, FlowConfig, "cfl", _parse_float, _format_float),
+    ("flow.t_end", None, FlowConfig, "t_end", _parse_float, _format_float),
+    ("flow.rho_floor", None, FlowConfig, "rho_floor", _parse_float, _format_float),
+    ("flow.max_halvings", None, FlowConfig, "max_halvings", _parse_int, str),
+    ("flow.poisson_tol", None, FlowConfig, "poisson_tol", _parse_float, _format_float),
+    ("output.path", None, ScenarioConfig, "output_path", lambda key, raw: raw, str),
+    ("output.record_every", None, FlowConfig, "record_every", _parse_int, str),
+    ("output.emit_fields", None, ScenarioConfig, "emit_fields", _parse_bool,
+     lambda flag: "true" if flag else "false"),
+    ("output.checkpoint", None, ScenarioConfig, "checkpoint_path", lambda key, raw: raw, str),
+    ("output.p_list", None, ScenarioConfig, "p_list", _parse_floats, _format_floats),
+)
+
+
 def parse_config(text):
-    """Parse and validate a scenario; defaults fill everything not given."""
+    """Parse and validate a scenario; keys not given keep the dataclass defaults."""
     raw = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -103,160 +194,37 @@ def parse_config(text):
             raise ConfigParseError(line_no, f"malformed key {key!r}")
         raw[key] = value
 
-    def take(key, parser, default):
-        if key not in raw:
-            return default
-        return parser(key, raw.pop(key))
-
-    kind = raw.pop("geometry.kind", None)
+    kind = raw.get("geometry.kind")
     if kind is None:
         raise ConfigValidationError("geometry.kind", "required (torus or sphere)")
-    if kind not in ("torus", "sphere"):
-        raise ConfigValidationError("geometry.kind", f"unknown geometry {kind!r}")
-
-    nx = ny = 0
-    length = 0.0
-    sigma0_modes = ()
-    nmu = 0
-    if kind == "torus":
-        for bad in ("geometry.nmu",):
-            if bad in raw:
-                raise ConfigValidationError(bad, "not applicable to the torus backend")
-        if "geometry.nx" not in raw or "geometry.ny" not in raw or "geometry.length" not in raw:
-            raise ConfigValidationError("geometry.nx", "torus needs nx, ny, and length")
-        nx = take("geometry.nx", _parse_int, None)
-        ny = take("geometry.ny", _parse_int, None)
-        length = take("geometry.length", _parse_float, None)
-        sigma0_modes = take("geometry.sigma0_modes", _parse_modes, ())
-    else:
-        for bad in ("geometry.nx", "geometry.ny", "geometry.length", "geometry.sigma0_modes"):
-            if bad in raw:
-                raise ConfigValidationError(bad, "not applicable to the sphere backend")
-        if "geometry.nmu" not in raw:
-            raise ConfigValidationError("geometry.nmu", "sphere needs nmu")
-        nmu = take("geometry.nmu", _parse_int, None)
-
-    initial_modes = take("initial.modes", _parse_modes, ())
-    initial_poly_mu = take("initial.poly_mu", _parse_float_list, ())
-    if kind == "torus" and initial_poly_mu:
-        raise ConfigValidationError("initial.poly_mu", "not applicable to the torus backend")
-    if kind == "sphere" and initial_modes:
-        raise ConfigValidationError("initial.modes", "not applicable to the sphere backend")
-
-    random = None
-    if any(k.startswith("initial.random.") for k in raw):
-        if "initial.random.seed" not in raw:
-            raise ConfigValidationError("initial.random.seed", "required for random initial data")
-        seed = take("initial.random.seed", _parse_int, None)
-        if seed < 0:
-            raise ConfigValidationError("initial.random.seed", "must be >= 0")
-        modes = take("initial.random.modes", _parse_int, 8)
-        if modes < 1:
-            raise ConfigValidationError("initial.random.modes", "must be >= 1")
-        decay = take("initial.random.decay", _parse_float, 2.0)
-        if decay < 0.0:
-            raise ConfigValidationError("initial.random.decay", "must be >= 0")
-        target = take("initial.random.target_sup_f", _parse_float, 0.05)
-        if not 0.0 < target <= 1.0:
-            raise ConfigValidationError("initial.random.target_sup_f",
-                                        f"must be in (0, 1], got {target}")
-        random = RandomInitial(seed=seed, modes=modes, decay=decay, target_sup_f=target)
-        if initial_modes or initial_poly_mu:
-            raise ConfigValidationError("initial.random.seed",
-                                        "random initial data excludes explicit modes")
-
-    scheme_raw = raw.pop("flow.scheme", Scheme.RK4.value)
-    try:
-        scheme = Scheme(scheme_raw)
-    except ValueError:
-        raise ConfigValidationError("flow.scheme", f"unknown scheme {scheme_raw!r}") from None
-    kind_raw = raw.pop("flow.kind", FlowKind.PCF.value)
-    try:
-        flow_kind = FlowKind(kind_raw)
-    except ValueError:
-        raise ConfigValidationError("flow.kind", f"unknown flow kind {kind_raw!r}") from None
-
-    flow = FlowConfig(
-        scheme=scheme,
-        dt_init=take("flow.dt_init", _parse_float, 1.0),
-        cfl=take("flow.cfl", _parse_float, 0.2),
-        t_end=take("flow.t_end", _parse_float, 1.0),
-        rho_floor=take("flow.rho_floor", _parse_float, 0.05),
-        max_halvings=take("flow.max_halvings", _parse_int, 12),
-        poisson_tol=take("flow.poisson_tol", _parse_float, 1e-10),
-        record_every=take("output.record_every", _parse_int, 10),
-        flow_kind=flow_kind,
-    )
-
-    p_list = take("output.p_list", _parse_float_list, (1.0, 2.0, 4.0))
-    if not p_list:
-        raise ConfigValidationError("output.p_list", "needs at least one exponent")
-    for p in p_list:
-        if not 1.0 <= p <= 8.0:
-            raise ConfigValidationError("output.p_list", f"exponent {p} outside [1, 8]")
-
-    config = ScenarioConfig(
-        geometry_kind=kind,
-        nx=nx, ny=ny, length=length, sigma0_modes=sigma0_modes, nmu=nmu,
-        initial_modes=initial_modes,
-        initial_poly_mu=initial_poly_mu,
-        random=random,
-        flow=flow,
-        output_path=take("output.path", lambda k, v: v, "trace.csv"),
-        emit_fields=take("output.emit_fields", _parse_bool, False),
-        checkpoint_path=take("output.checkpoint", lambda k, v: v, None),
-        p_list=p_list,
-    )
+    kwargs = {ScenarioConfig: {}, RandomInitial: {}, FlowConfig: {}}
+    for key, backend, owner, name, parse, _ in _KEYS:  # row 1 rejects an unknown kind
+        if key in raw:
+            if backend not in (None, kind):
+                raise ConfigValidationError(key, f"not applicable to the {kind} backend")
+            kwargs[owner][name] = parse(key, raw.pop(key))
+    needed, key, message = _NEEDS[kind]
+    if not all(name in kwargs[ScenarioConfig] for name in needed):
+        raise ConfigValidationError(key, message)
+    random = kwargs[RandomInitial]
+    if random and "seed" not in random:
+        raise ConfigValidationError("initial.random.seed", "required for random initial data")
+    config = ScenarioConfig(**kwargs[ScenarioConfig],
+                            random=RandomInitial(**random) if random else None,
+                            flow=FlowConfig(**kwargs[FlowConfig]))
     if raw:
-        key = sorted(raw)[0]
-        raise ConfigValidationError(key, "unknown key")
+        raise ConfigValidationError(min(raw), "unknown key")
     return config
-
-
-def _format_float(x):
-    return repr(float(x))
-
-
-def _format_modes(modes):
-    return " ".join(f"({kx},{ky},{_format_float(a)})" for kx, ky, a in modes)
 
 
 def format_config(config):
     """Render the effective config; parse_config(format_config(c)) == c."""
-    lines = [f"geometry.kind = {config.geometry_kind}"]
-    if config.geometry_kind == "torus":
-        lines.append(f"geometry.nx = {config.nx}")
-        lines.append(f"geometry.ny = {config.ny}")
-        lines.append(f"geometry.length = {_format_float(config.length)}")
-        if config.sigma0_modes:
-            lines.append(f"geometry.sigma0_modes = {_format_modes(config.sigma0_modes)}")
-    else:
-        lines.append(f"geometry.nmu = {config.nmu}")
-    if config.initial_modes:
-        lines.append(f"initial.modes = {_format_modes(config.initial_modes)}")
-    if config.initial_poly_mu:
-        lines.append("initial.poly_mu = "
-                     + " ".join(_format_float(c) for c in config.initial_poly_mu))
-    if config.random is not None:
-        lines.append(f"initial.random.seed = {config.random.seed}")
-        lines.append(f"initial.random.modes = {config.random.modes}")
-        lines.append(f"initial.random.decay = {_format_float(config.random.decay)}")
-        lines.append(f"initial.random.target_sup_f = {_format_float(config.random.target_sup_f)}")
-    flow = config.flow
-    lines.append(f"flow.scheme = {flow.scheme.value}")
-    lines.append(f"flow.kind = {flow.flow_kind.value}")
-    lines.append(f"flow.dt_init = {_format_float(flow.dt_init)}")
-    lines.append(f"flow.cfl = {_format_float(flow.cfl)}")
-    lines.append(f"flow.t_end = {_format_float(flow.t_end)}")
-    lines.append(f"flow.rho_floor = {_format_float(flow.rho_floor)}")
-    lines.append(f"flow.max_halvings = {flow.max_halvings}")
-    lines.append(f"flow.poisson_tol = {_format_float(flow.poisson_tol)}")
-    lines.append(f"output.path = {config.output_path}")
-    lines.append(f"output.record_every = {flow.record_every}")
-    lines.append(f"output.emit_fields = {'true' if config.emit_fields else 'false'}")
-    if config.checkpoint_path is not None:
-        lines.append(f"output.checkpoint = {config.checkpoint_path}")
-    lines.append("output.p_list = " + " ".join(_format_float(p) for p in config.p_list))
+    owners = {ScenarioConfig: config, RandomInitial: config.random, FlowConfig: config.flow}
+    lines = []
+    for key, backend, owner, name, _, format_value in _KEYS:
+        value = getattr(owners[owner], name, None)
+        if backend in (None, config.geometry_kind) and value is not None and value != ():
+            lines.append(f"{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -44,23 +44,24 @@ def record_line(record, p_list):
     return ",".join(cells)
 
 
+def _write_records(records, path):
+    p_list = tuple(records[0].lp_grad_F.keys())
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header_line(p_list) + "\n")
+        for record in records:
+            fh.write(record_line(record, p_list) + "\n")
+
+
 def emit_csv(trajectory, path):
     """One header plus one row per TraceRecord, in record order."""
     if not trajectory.records:
         raise ValueError("trajectory has no records to emit")
-    p_list = tuple(trajectory.records[0].lp_grad_F.keys())
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header_line(p_list) + "\n")
-        for record in trajectory.records:
-            fh.write(record_line(record, p_list) + "\n")
+    _write_records(trajectory.records, path)
 
 
 def emit_record_csv(record, path):
     """Single-record variant (the probe command)."""
-    p_list = tuple(record.lp_grad_F.keys())
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header_line(p_list) + "\n")
-        fh.write(record_line(record, p_list) + "\n")
+    _write_records((record,), path)
 
 
 def emit_divergence_csv(times, divergences, path):

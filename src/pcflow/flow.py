@@ -53,14 +53,17 @@ class FlowConfig:
     flow_kind: FlowKind = FlowKind.PCF
 
     def __post_init__(self):
-        if not self.dt_init > 0.0:
-            raise ConfigValidationError("flow.dt_init", f"must be > 0, got {self.dt_init}")
+        if not 0.0 < self.dt_init < np.inf:
+            raise ConfigValidationError("flow.dt_init",
+                                        f"must be > 0 and finite, got {self.dt_init}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigValidationError("flow.cfl", f"must be in (0, 1], got {self.cfl}")
-        if not self.t_end > 0.0:
-            raise ConfigValidationError("flow.t_end", f"must be > 0, got {self.t_end}")
-        if not self.rho_floor > 0.0:
-            raise ConfigValidationError("flow.rho_floor", f"must be > 0, got {self.rho_floor}")
+        if not 0.0 < self.t_end < np.inf:
+            raise ConfigValidationError("flow.t_end",
+                                        f"must be > 0 and finite, got {self.t_end}")
+        if not 0.0 < self.rho_floor < np.inf:
+            raise ConfigValidationError("flow.rho_floor",
+                                        f"must be > 0 and finite, got {self.rho_floor}")
         if self.max_halvings < 0:
             raise ConfigValidationError("flow.max_halvings",
                                         f"must be >= 0, got {self.max_halvings}")

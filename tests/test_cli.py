@@ -1,5 +1,6 @@
 """Scenario parsing, initial-data construction, CSV output, CLI behavior."""
 
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -124,6 +125,41 @@ def test_parse_rejects_invalid_values(snippet, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("build,text,key", [
+    (lambda: pf.RandomInitial(seed=-3),
+     MINIMAL_TORUS + "initial.random.seed = -3", "initial.random.seed"),
+    (lambda: pf.RandomInitial(seed=1, modes=0),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.modes = 0",
+     "initial.random.modes"),
+    (lambda: pf.RandomInitial(seed=1, decay=-1.0),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.decay = -1",
+     "initial.random.decay"),
+    (lambda: pf.RandomInitial(seed=1, target_sup_f=1.5),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.target_sup_f = 1.5",
+     "initial.random.target_sup_f"),
+    (lambda: pf.ScenarioConfig("torus", p_list=(0.5,)),
+     MINIMAL_TORUS + "output.p_list = 0.5", "output.p_list"),
+    (lambda: pf.ScenarioConfig("torus", p_list=(9.0,)),
+     MINIMAL_TORUS + "output.p_list = 9", "output.p_list"),
+    (lambda: pf.ScenarioConfig("torus", p_list=()),
+     MINIMAL_TORUS + "output.p_list =", "output.p_list"),
+    (lambda: pf.ScenarioConfig("klein_bottle"),
+     "geometry.kind = klein_bottle", "geometry.kind"),
+    (lambda: pf.ScenarioConfig("torus", initial_modes=((1, 0, 0.1),),
+                               random=pf.RandomInitial(seed=1)),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.modes = (1,0,0.1)",
+     "initial.random.seed"),
+], ids=["seed", "modes", "decay", "target_sup_f", "p_below", "p_above", "p_empty",
+        "unknown_kind", "random_and_modes"])
+def test_library_validates_like_parser(build, text, key):
+    with pytest.raises(pf.ConfigValidationError) as err:
+        build()
+    assert err.value.key == key
+    with pytest.raises(pf.ConfigValidationError) as err:
+        cfg(text)
+    assert err.value.key == key
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(pf.ConfigParseError) as err:
         cfg("geometry.kind = torus\nno equals sign here\n")
@@ -147,6 +183,51 @@ def test_format_config_round_trips():
     assert pf.parse_config(pf.format_config(rich)) == rich
     sphere = cfg(MINIMAL_SPHERE + "initial.poly_mu = 0.0 0.0 0.1\n")
     assert pf.parse_config(pf.format_config(sphere)) == sphere
+
+    # every field away from its default, so a key print-config omits cannot pass
+    flow_keys = """
+    flow.scheme = SemiImplicit
+    flow.kind = NKRF
+    flow.dt_init = 0.0078125
+    flow.cfl = 0.1
+    flow.t_end = 0.5
+    flow.rho_floor = 0.01
+    flow.max_halvings = 3
+    flow.poisson_tol = 1e-09
+    output.path = out.csv
+    output.record_every = 5
+    output.emit_fields = true
+    output.checkpoint = out.ckpt
+    output.p_list = 1.5 3
+    """
+    torus = cfg(MINIMAL_TORUS.replace("64", "32") + flow_keys + """
+    geometry.sigma0_modes = (1,0,0.2)
+    initial.modes = (1,0,0.1)
+    """)
+    sphere = cfg(MINIMAL_SPHERE + flow_keys + """
+    initial.random.seed = 3
+    initial.random.modes = 5
+    initial.random.decay = 1.5
+    initial.random.target_sup_f = 0.1
+    """)
+    for config, same in ((torus, {"nmu", "initial_poly_mu", "random"}),
+                         (sphere, {"nx", "ny", "length", "sigma0_modes", "initial_modes",
+                                   "initial_poly_mu"})):
+        assert pf.parse_config(pf.format_config(config)) == config
+        assert defaulted_fields(config) == same
+        assert defaulted_fields(config.flow) == set()
+    assert defaulted_fields(sphere.random) == set()
+
+
+def defaulted_fields(obj):
+    """Names of the dataclass fields of obj that hold their default value."""
+    names = set()
+    for f in dataclasses.fields(obj):
+        default = (f.default if f.default_factory is dataclasses.MISSING
+                   else f.default_factory())
+        if getattr(obj, f.name) == default:
+            names.add(f.name)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +374,18 @@ def test_cli_probe_reports_functionals(tmp_path, monkeypatch, capsys):
     assert values["entropy"] == pf.entropy(geom, state)
     assert values["volume"] == geom.volume
     assert (tmp_path / "trace.csv").exists()
+
+
+def test_cli_probe_names_match_csv_header(tmp_path, monkeypatch, capsys):
+    # exponents that {p:g} would print as 2 twice and as 3.14159
+    monkeypatch.chdir(tmp_path)
+    p_list = (2.0, 2.0000001, 3.14159265)
+    scenario = QUICK_RUN + "output.p_list = 2 2.0000001 3.14159265\n"
+    assert cli_mod.main(["probe", write_cfg(tmp_path, scenario)]) == 0
+    names = [line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+    csv_header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert csv_header == header_line(p_list)
+    assert names == csv_header.split(",")[2:]
 
 
 def test_cli_crosscheck_sphere(tmp_path, monkeypatch, capsys):

@@ -295,6 +295,15 @@ def test_flow_config_rejects_invalid_poisson_tol(tol):
     assert err.value.key == "flow.poisson_tol"
 
 
+@pytest.mark.parametrize("name", ["dt_init", "t_end", "rho_floor"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_flow_config_rejects_non_finite(name, value):
+    # t_end = inf used to run one step to t = inf and report ReachedTEnd
+    with pytest.raises(pf.ConfigValidationError) as err:
+        pf.FlowConfig(**{name: value})
+    assert err.value.key == f"flow.{name}"
+
+
 def test_run_rejects_initial_below_flow_floor():
     geom = flat64()
     phi0 = 0.96 * np.cos(2.0 * geom.x)  # min rho = 0.04, below the 0.05 floor
