@@ -18,7 +18,6 @@ from .checkpoint import check_geometry_match, read_checkpoint, write_checkpoint
 from .config import build_geometry, format_config, make_initial, parse_config
 from .csvout import (emit_csv, emit_divergence_csv, emit_record_csv, header_line,
                      record_line)
-from .elliptic import solve_P
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, ShapeError, SingularSolve,
                      ToleranceNotMet)
@@ -142,10 +141,8 @@ def _cmd_probe(args):
     geom = build_geometry(config)
     phi0 = make_initial(geom, config)
     state = validate_kahler(geom, phi0, rho_floor=config.flow.rho_floor)
-    p_solution = solve_P(geom, state, config.flow.poisson_tol)
     dt = min(config.flow.dt_init, suggest_dt(geom, state, config.flow.cfl))
-    record = make_trace_record(geom, state, dt, config.p_list,
-                               config.flow.poisson_tol, p_solution=p_solution)
+    record = make_trace_record(geom, state, dt, config.p_list, config.flow.poisson_tol)
     emit_record_csv(record, config.output_path)
     p_list = tuple(record.lp_grad_F.keys())
     for name, value in zip(header_line(p_list).split(","),

@@ -10,7 +10,7 @@ is. Unknown keys are rejected; print-config output re-parses to an equal config.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -66,7 +66,12 @@ class ScenarioConfig:
     p_list: tuple = DEFAULT_P_LIST
 
     def __post_init__(self):
-        _parse_kind("geometry.kind", self.geometry_kind)
+        kind = _parse_kind("geometry.kind", self.geometry_kind)
+        defaults = {f.name: f.default for f in fields(self)}
+        for key, backend, owner, name, _, _ in _KEYS:
+            if (owner is ScenarioConfig and backend not in (None, kind)
+                    and getattr(self, name) != defaults[name]):
+                raise ConfigValidationError(key, f"not applicable to the {kind} backend")
         if not self.p_list:
             raise ConfigValidationError("output.p_list", "needs at least one exponent")
         for p in self.p_list:

@@ -4,7 +4,8 @@ Every solve first projects the right-hand side onto the compatible range of
 Delta_phi (its mean against omega_phi is removed), then inverts the chart
 equation u_{z zbar} = rhs*sigma0*rho with the backend's direct solver, and
 finally applies the requested normalization as a constant shift. The constant
-nullspace is never pinned inside the linear algebra.
+nullspace is never pinned inside the linear algebra. solve_poisson_phi is the
+only code that checks a residual and refines; the backends solve once.
 """
 
 import enum

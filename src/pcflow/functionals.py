@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DEFAULT_POISSON_TOL, solve_P
-from .errors import NotKahler
-from .kahler import ma_density, rbar, scalar_curvature
+from .kahler import rbar, scalar_curvature, validate_kahler
 
 DEFAULT_P_LIST = (1.0, 2.0, 4.0)
 
@@ -44,6 +43,11 @@ def entropy(geom, state):
     return geom.integrate(state.big_f, weight=state.rho)
 
 
+def _j_chi(geom, chi, state):
+    """J_chi at a validated state: <phi, chi>_chart - chibar * I(phi)."""
+    return geom.chart_integral(state.phi * chi.density) - chi.mean * i_functional(geom, state)
+
+
 def j_chi_path(geom, chi, phi):
     """J_chi(phi): the variational formula integrated along the segment t*phi,
     J_chi(0) = 0, in closed form.
@@ -53,15 +57,9 @@ def j_chi_path(geom, chi, phi):
     omega_{t phi} is the fixed pairing <phi, chi>_chart minus chibar * int phi
     rho_t omega0. rho_t = 1 + t*(rho_1 - 1) is affine in t, so the integral
     over [0, 1] is <phi, chi>_chart - chibar * I(phi), and the segment stays
-    in the Kahler cone iff rho_1 does.
+    in the Kahler cone iff rho_1 does (validate_kahler, floor 1e-6).
     """
-    rho = ma_density(geom, phi)
-    min_rho = float(rho.min())
-    if min_rho <= 1e-06:
-        raise NotKahler(min_rho, message=f"path end t = 1 leaves the Kahler cone "
-                                         f"(min rho = {min_rho:.6g})")
-    pairing = geom.chart_integral(phi * chi.density)
-    return pairing - chi.mean * (0.5 * geom.integrate(phi * (rho + 1.0)))
+    return _j_chi(geom, chi, validate_kahler(geom, phi, rho_floor=1e-06))
 
 
 def j_chi_closed_form(geom, chi, phi):
@@ -71,10 +69,8 @@ def j_chi_closed_form(geom, chi, phi):
 
 
 def k_energy_parts(geom, state):
-    """(entropy, J_{-Ric}) so callers can record both without recomputation."""
-    ent = entropy(geom, state)
-    j = j_chi_path(geom, neg_ricci_form(geom), state.phi)
-    return ent, j
+    """(entropy, J_{-Ric}) from a validated state; validate_kahler owns the cone check."""
+    return entropy(geom, state), _j_chi(geom, neg_ricci_form(geom), state)
 
 
 def k_energy(geom, state):
@@ -143,10 +139,9 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST,
-                      poisson_tol=DEFAULT_POISSON_TOL, p_solution=None):
+                      poisson_tol=DEFAULT_POISSON_TOL):
     """Evaluate every monitored quantity at one state (solves P once)."""
-    if p_solution is None:
-        p_solution = solve_P(geom, state, poisson_tol)
+    p_solution = solve_P(geom, state, poisson_tol)
     P = p_solution.field
     ent, j = k_energy_parts(geom, state)
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list)

@@ -195,6 +195,12 @@ class SphereGeometry(GridGeometry):
         # flux coefficient mu*(1-mu) vanishes exactly at the pole faces,
         # which is the zero-flux regularity closure
         self.face_coeff = mu_face * (1.0 - mu_face)
+        # h^2 * (flux divergence) as a banded (upper, diagonal, lower) matrix
+        c = self.face_coeff
+        self._band = np.zeros((3, self.nmu))
+        self._band[0, 1:] = c[1:-1]
+        self._band[1, :] = -(c[:-1] + c[1:])
+        self._band[2, :-1] = c[1:-1]
         self.sigma0 = 2.0 * self.mu * (1.0 - self.mu)
         self.volume = self.quad_weight * self.nmu
         self.ric0_density = self.lambda_ke * self.sigma0
@@ -254,35 +260,25 @@ class SphereGeometry(GridGeometry):
 
     # -- solves and step control ---------------------------------------------
 
-    def solve_reference_poisson(self, g):
-        """Solve ref_laplacian(u) = g with the last node pinned to zero.
-
-        Tridiagonal flux-form system; the dropped last equation is implied by
-        the compatibility of g (sums to zero). One iterative-refinement pass
-        keeps the residual at the rounding floor.
-        """
-        n = self.nmu
-        m = n - 1
-        c = self.face_coeff
-        ab = np.zeros((3, m))
-        ab[0, 1:] = c[1:m]
-        ab[1, :] = -(c[:m] + c[1 : m + 1])
-        ab[2, :-1] = c[1:m]
-        d = 2.0 * self.h * self.h * g[:m]
-
-        def tridiag_apply(v):
-            out = ab[1] * v
-            out[:-1] += c[1:m] * v[1:]
-            out[1:] += c[1:m] * v[:-1]
-            return out
-
+    def _solve_band(self, ab, b):
+        """Tridiagonal solve; failures and non-finite results raise SingularSolve."""
         try:
-            u = scipy.linalg.solve_banded((1, 1), ab, d)
-            u += scipy.linalg.solve_banded((1, 1), ab, d - tridiag_apply(u))
+            u = scipy.linalg.solve_banded((1, 1), ab, b)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise SingularSolve(str(exc)) from exc
         if not np.isfinite(u).all():
             raise SingularSolve("tridiagonal solve produced non-finite values")
+        return u
+
+    def solve_reference_poisson(self, g):
+        """Solve ref_laplacian(u) = g with the last node pinned to zero.
+
+        One direct solve of the leading block of the flux-form band; the
+        dropped last equation is implied by the compatibility of g (sums to
+        zero). The caller, elliptic.solve_poisson_phi, checks the residual.
+        """
+        m = self.nmu - 1
+        u = self._solve_band(self._band[:, :m], 2.0 * self.h * self.h * g[:m])
         return np.append(u, 0.0)
 
     def solve_shifted(self, b, dt_c):
@@ -291,19 +287,13 @@ class SphereGeometry(GridGeometry):
         Direct, so no tolerance is checked: the forward defect sits at the
         rounding floor of the flux-form operator, which grows like dt_c/h^2.
         """
-        n = self.nmu
-        scale = 0.5 * dt_c / (self.h * self.h)
-        c = self.face_coeff
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -scale * c[1:n]
-        ab[1, :] = 1.0 + scale * (c[:n] + c[1:])
-        ab[2, :-1] = -scale * c[1:n]
-        return scipy.linalg.solve_banded((1, 1), ab, b)
+        ab = -(0.5 * dt_c / (self.h * self.h)) * self._band
+        ab[1] += 1.0
+        return self._solve_band(ab, b)
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of the flux-form Delta_phi (Gershgorin bound)."""
-        csum = self.face_coeff[:-1] + self.face_coeff[1:]
-        return 2.0 * self.h * self.h * float(np.min(rho / csum))
+        return 2.0 * self.h * self.h * float(np.min(rho / -self._band[1]))
 
 
 def build_torus_geometry(nx, ny, length, sigma0_modes=()):

@@ -149,8 +149,16 @@ def test_parse_rejects_invalid_values(snippet, key):
                                random=pf.RandomInitial(seed=1)),
      MINIMAL_TORUS + "initial.random.seed = 1\ninitial.modes = (1,0,0.1)",
      "initial.random.seed"),
+    (lambda: pf.ScenarioConfig("sphere", nmu=64, initial_modes=((1, 0, 0.3),)),
+     MINIMAL_SPHERE + "initial.modes = (1,0,0.3)", "initial.modes"),
+    (lambda: pf.ScenarioConfig("sphere", nmu=64, initial_modes=((1, 0, 0.3),), nx=32),
+     MINIMAL_SPHERE + "initial.modes = (1,0,0.3)\ngeometry.nx = 32", "geometry.nx"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               initial_poly_mu=(0.0, 0.1)),
+     MINIMAL_TORUS + "initial.poly_mu = 0 0.1", "initial.poly_mu"),
 ], ids=["seed", "modes", "decay", "target_sup_f", "p_below", "p_above", "p_empty",
-        "unknown_kind", "random_and_modes"])
+        "unknown_kind", "random_and_modes", "torus_modes_on_sphere", "torus_nx_on_sphere",
+        "sphere_poly_on_torus"])
 def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         build()

@@ -242,3 +242,26 @@ def test_ricci_potential_needs_einstein_reference():
     state = random_valid_state(geom, rng)
     with pytest.raises(ValueError):
         pf.solve_ricci_potential(geom, state)
+
+
+def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch):
+    # the backend solves once and solve_poisson_phi refines only on a missed
+    # tolerance; at nmu 1024 these smooth states never need the second solve
+    geom = pf.build_sphere_geometry(1024)
+    calls = []
+    direct = geom.solve_reference_poisson
+
+    def counted(g):
+        calls.append(1)
+        return direct(g)
+
+    monkeypatch.setattr(geom, "solve_reference_poisson", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        c = rng.uniform(-0.1, 0.1, 6)
+        phi = sum(c[k] * geom.mu ** (k + 1) for k in range(6))
+        state = pf.validate_kahler(geom, phi)
+        for solve in (pf.solve_P, pf.solve_ricci_potential):
+            before = len(calls)
+            solve(geom, state)
+            assert len(calls) - before == 1

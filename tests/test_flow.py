@@ -313,6 +313,18 @@ def test_run_rejects_initial_below_flow_floor():
     assert trajectory.records == []
 
 
+def test_run_records_honour_configured_rho_floor():
+    # min rho = 5e-7 lies between the configured floor and the 1e-6 floor of
+    # the public j_chi_path; the trace records must use the run's own floor
+    geom = pf.build_torus_geometry(32, 32, TWO_PI, ())
+    phi0 = 4.0 * (1.0 - 5e-7) * np.cos(geom.x)
+    config = pf.FlowConfig(rho_floor=1e-7, t_end=1e-9, dt_init=1e-10)
+    trajectory = pf.run(geom, phi0, config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    assert trajectory.records
+    assert all(record.rho_min < 1e-6 for record in trajectory.records)
+
+
 def test_run_step_floor_hit(monkeypatch):
     geom = flat64()
     attempts = []

@@ -316,6 +316,16 @@ def test_solve_shifted_meets_tolerance(build):
         assert float(np.max(np.abs(defect))) <= 1e-13 * (1.0 + float(np.max(np.abs(b))))
 
 
+def test_sphere_solves_raise_singular_solve_on_nan():
+    geom = pf.build_sphere_geometry(128)
+    b = np.zeros(geom.shape)
+    b[5] = np.nan
+    with pytest.raises(pf.SingularSolve):
+        geom.solve_shifted(b, 0.1)
+    with pytest.raises(pf.SingularSolve):
+        geom.solve_reference_poisson(b)
+
+
 def test_solve_shifted_strongly_curved_torus_closed_form():
     # sigma0 in [0.1, 1.9]: L0 = f_{z zbar}/min(sigma0) is diagonal on
     # cos x (symbol -1/4) and sin 2y (symbol -1), so with a = dt_c/min(sigma0)
