@@ -6,8 +6,8 @@ as omega0 = i*sigma0 dz^dzbar, with i dz^dzbar = 2 dx^dy, so that
     rho_phi   = 1 + (mixed derivative of phi)/sigma0,
     Delta_phi = (mixed derivative)/(sigma0*rho)   (the dbar-Laplacian).
 
-Torus: uniform periodic grid, pseudo-spectral differentiation, exact for all
-represented modes. Sphere (S^1-invariant): momentum coordinate
+Torus: uniform periodic grid, pseudo-spectral differentiation (scipy.fft),
+exact for all represented modes. Sphere (S^1-invariant): momentum coordinate
 mu = |z|^2/(1+|z|^2) on a cell-centered uniform grid; in the cylinder chart
 w = log z the reference density is sigma0 = 2*mu*(1-mu) and the mixed
 derivative becomes mu*(1-mu)*d/dmu(mu*(1-mu)*d/dmu), discretized in
@@ -15,6 +15,7 @@ conservative flux form with zero flux at the boundary faces (pole regularity).
 """
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 
 from .errors import BadGrid, NonPositiveDensity, ShapeError, SingularSolve
@@ -32,6 +33,10 @@ class GridGeometry:
     Each backend also carries lambda_ke, the Einstein constant of omega0
     (Ric(omega0) = lambda_ke * omega0), or None when omega0 is not Einstein,
     and rbar, the volume average of R(omega0).
+
+    The steppers work in coefficient space: to_coeffs/from_coeffs map a real
+    field there and back, truncate filters coefficients, and the *_from_coeffs
+    operators return real fields. Sphere coefficients are the field itself.
     """
 
     def check_field(self, f):
@@ -47,7 +52,9 @@ class TorusGeometry(GridGeometry):
     """Flat-chart torus [0, L)^2 with reference density sigma0(x, y).
 
     Fields live on an (nx, ny) grid, x along axis 0. sigma0 is a finite sum
-    of cosine modes so oracles have closed forms.
+    of cosine modes so oracles have closed forms. Coefficients are rfft2
+    arrays of shape (nx, ny//2 + 1): to_coeffs is one forward transform, and
+    from_coeffs and each *_from_coeffs operator one inverse transform.
     """
 
     kind = "torus"
@@ -74,11 +81,16 @@ class TorusGeometry(GridGeometry):
         self.sigma0 = sigma0
 
         # spectral tables on the rfft2 layout (full axis 0, half axis 1)
-        mx = np.fft.fftfreq(self.nx, d=1.0 / self.nx)
-        my = np.fft.rfftfreq(self.ny, d=1.0 / self.ny)
+        mx = scipy.fft.fftfreq(self.nx, d=1.0 / self.nx)
+        my = scipy.fft.rfftfreq(self.ny, d=1.0 / self.ny)
         kx = (TWO_PI / self.length) * mx[:, None]
         ky = (TWO_PI / self.length) * my[None, :]
         self._mixed_symbol = -0.25 * (kx * kx + ky * ky)
+        # 0 at the zero mode; numpy divides complex by real as a product with
+        # 1/real, so multiplying by this is bitwise that division
+        with np.errstate(divide="ignore"):
+            inverse = 1.0 / self._mixed_symbol
+        self._inverse_symbol = np.where(self._mixed_symbol != 0.0, inverse, 0.0)
         # first-derivative symbols zero the Nyquist mode (odd derivative of a
         # real signal has no consistent Nyquist phase)
         kx_d = kx.copy()
@@ -99,12 +111,31 @@ class TorusGeometry(GridGeometry):
         self.lambda_ke = 0.0 if self.is_flat else None
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
-    # -- chart operators -----------------------------------------------------
+    # -- coefficient space and chart operators -------------------------------
+
+    def to_coeffs(self, f):
+        return scipy.fft.rfft2(f)
+
+    def from_coeffs(self, fh):
+        return scipy.fft.irfft2(fh, s=self.shape)
+
+    def truncate(self, fh):
+        """Zero all modes outside the 2/3 ball (stepper stabilization)."""
+        return fh * self._keep_mask
+
+    def mixed_from_coeffs(self, fh):
+        """f_{z zbar} = (f_xx + f_yy)/4, spectrally: one inverse transform."""
+        return scipy.fft.irfft2(self._mixed_symbol * fh, s=self.shape)
+
+    def ref_laplacian_from_coeffs(self, fh):
+        return self.mixed_from_coeffs(fh) / self.sigma0
 
     def mixed_second_derivative(self, f):
         """f_{z zbar} = (f_xx + f_yy)/4, spectrally."""
-        f = self.check_field(f)
-        return np.fft.irfft2(self._mixed_symbol * np.fft.rfft2(f), s=self.shape)
+        # the forward transform is freed before the inverse one allocates;
+        # keeping it alive through the pair cost page faults
+        product = self._mixed_symbol * self.to_coeffs(self.check_field(f))
+        return scipy.fft.irfft2(product, s=self.shape)
 
     def ref_laplacian(self, f):
         """Laplacian of the reference metric: f_{z zbar}/sigma0."""
@@ -112,16 +143,10 @@ class TorusGeometry(GridGeometry):
 
     def grad_chart_sq(self, f):
         """|f_z|^2 = (f_x^2 + f_y^2)/4."""
-        f = self.check_field(f)
-        fh = np.fft.rfft2(f)
-        fx = np.fft.irfft2(self._dx_symbol * fh, s=self.shape)
-        fy = np.fft.irfft2(self._dy_symbol * fh, s=self.shape)
+        fh = self.to_coeffs(self.check_field(f))
+        fx = self.from_coeffs(self._dx_symbol * fh)
+        fy = self.from_coeffs(self._dy_symbol * fh)
         return 0.25 * (fx * fx + fy * fy)
-
-    def dealias(self, f):
-        """Zero all modes outside the 2/3 ball (stepper stabilization)."""
-        fh = np.fft.rfft2(f)
-        return np.fft.irfft2(np.where(self._keep_mask, fh, 0.0), s=self.shape)
 
     # -- measures ------------------------------------------------------------
 
@@ -143,17 +168,13 @@ class TorusGeometry(GridGeometry):
     # -- solves and step control ---------------------------------------------
 
     def solve_reference_poisson(self, g):
-        """Solve ref_laplacian(u) = g for the zero-chart-mean u.
+        """Coefficients of the zero-chart-mean u with ref_laplacian(u) = g.
 
-        Direct spectral inversion of u_{z zbar} = g*sigma0; the zero mode of
-        the right side must vanish (guaranteed by the caller's compatibility
-        projection) and is discarded.
+        Direct spectral inversion of u_{z zbar} = g*sigma0 (one forward
+        transform); the zero mode of the right side must vanish (guaranteed
+        by the caller's compatibility projection) and is discarded.
         """
-        gh = np.fft.rfft2(g * self.sigma0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            uh = gh / self._mixed_symbol
-        uh[0, 0] = 0.0
-        return np.fft.irfft2(uh, s=self.shape)
+        return self.to_coeffs(g * self.sigma0) * self._inverse_symbol
 
     def solve_shifted(self, b, dt_c):
         """Solve (Id - dt_c * L0) u = b with L0 f = f_{z zbar} / min(sigma0).
@@ -163,7 +184,7 @@ class TorusGeometry(GridGeometry):
         division in Fourier space, exact to rounding for any dt_c >= 0.
         """
         multiplier = 1.0 - (dt_c / float(np.min(self.sigma0))) * self._mixed_symbol
-        return np.fft.irfft2(np.fft.rfft2(b) / multiplier, s=self.shape)
+        return self.from_coeffs(self.to_coeffs(b) / multiplier)
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of Delta_phi: 4 * h^2 * min(sigma0*rho)."""
@@ -207,7 +228,7 @@ class SphereGeometry(GridGeometry):
         self.is_flat = False
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
-    # -- chart operators -----------------------------------------------------
+    # -- coefficient space and chart operators -------------------------------
 
     def _flux_divergence(self, f):
         """d/dmu of mu*(1-mu)*df/dmu in conservative form, zero end fluxes."""
@@ -215,15 +236,27 @@ class SphereGeometry(GridGeometry):
         flux[1:-1] = self.face_coeff[1:-1] * (f[1:] - f[:-1]) / self.h
         return (flux[1:] - flux[:-1]) / self.h
 
-    def mixed_second_derivative(self, f):
+    def to_coeffs(self, f):
+        """Identity: the finite-difference backend steps nodal values."""
+        return f
+
+    from_coeffs = truncate = to_coeffs
+
+    def mixed_from_coeffs(self, f):
         """f_{w wbar} in the cylinder chart: mu*(1-mu)*(flux divergence)."""
-        f = self.check_field(f)
         return self.mu * (1.0 - self.mu) * self._flux_divergence(f)
 
-    def ref_laplacian(self, f):
+    def ref_laplacian_from_coeffs(self, f):
         """Laplacian of the round reference metric: (1/2)*(flux divergence)."""
-        f = self.check_field(f)
         return 0.5 * self._flux_divergence(f)
+
+    def mixed_second_derivative(self, f):
+        """f_{w wbar} of a checked field."""
+        return self.mixed_from_coeffs(self.check_field(f))
+
+    def ref_laplacian(self, f):
+        """Laplacian of the round reference metric of a checked field."""
+        return self.ref_laplacian_from_coeffs(self.check_field(f))
 
     def grad_chart_sq(self, f):
         """|f_w|^2 = (mu*(1-mu)*df/dmu)^2, centered differences inside."""
@@ -234,10 +267,6 @@ class SphereGeometry(GridGeometry):
         d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * self.h)
         s = self.mu * (1.0 - self.mu) * d
         return s * s
-
-    def dealias(self, f):
-        """No-op: the finite-difference backend needs no spectral truncation."""
-        return f
 
     # -- measures ------------------------------------------------------------
 
@@ -271,7 +300,8 @@ class SphereGeometry(GridGeometry):
         return u
 
     def solve_reference_poisson(self, g):
-        """Solve ref_laplacian(u) = g with the last node pinned to zero.
+        """Solve ref_laplacian(u) = g with the last node pinned to zero; u is
+        its own coefficient array.
 
         One direct solve of the leading block of the flux-form band; the
         dropped last equation is implied by the compatibility of g (sums to

@@ -6,7 +6,7 @@ chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
 curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,12 +15,14 @@ from .errors import NotKahler
 
 @dataclass(frozen=True)
 class MetricState:
-    """A validated Kahler potential with its cached pointwise densities."""
+    """A validated Kahler potential with its cached pointwise densities and
+    its coefficients, which run() drops from recorded states."""
 
     phi: np.ndarray
     rho: np.ndarray
     big_f: np.ndarray
     time: float = 0.0
+    coeffs: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def ma_density(geom, phi):
@@ -29,14 +31,24 @@ def ma_density(geom, phi):
     return 1.0 + geom.mixed_second_derivative(phi) / geom.sigma0
 
 
-def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
-    """Build a MetricState, raising NotKahler when min(rho) <= rho_floor."""
+def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None, keep_coeffs=True):
+    """Build a MetricState, raising NotKahler when min(rho) <= rho_floor; it
+    keeps phi's coefficients for an RK4 step to start from if keep_coeffs."""
     phi = geom.check_field(phi)
-    rho = ma_density(geom, phi)
+    phi_hat = geom.to_coeffs(phi)
+    return state_from_coeffs(geom, phi_hat, time, rho_floor, stage, phi,
+                             phi_hat if keep_coeffs else None)
+
+
+def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
+                      coeffs=None):
+    """validate_kahler from coefficients; the state keeps the phi and coeffs
+    given (an RK4 stage keeps neither)."""
+    rho = 1.0 + geom.mixed_from_coeffs(phi_hat) / geom.sigma0
     min_rho = float(rho.min())
     if min_rho <= rho_floor:
         raise NotKahler(min_rho, stage=stage)
-    return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time))
+    return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time), coeffs=coeffs)
 
 
 def laplacian_phi(geom, state, f):
