@@ -11,7 +11,8 @@ Every run is `python3 perfbench/run.py --workload W --seed S --seconds T
 own benchmark code and source. For every repeat, workload, seed and trace
 mode the trees run one after another, and the order of the trees alternates
 from one repeat to the next. The file keeps, per run, the final JSON line of
-run.py and its `env` line, and a summary of wall_s per workload and tree
+run.py, its `env` line and its report lines (which also give the raw,
+uncalibrated medians), and a summary of wall_s per workload and tree
 with the pairwise wins. --append adds runs to an existing file.
 """
 
@@ -26,7 +27,8 @@ WORKLOADS = ("torus_rk4_curved", "torus_semi_flat", "sphere_crosscheck", "torus_
 
 
 def run_once(root, workload, seed, seconds, trace):
-    """One run.py run in root; returns (exit code, env dict, final JSON)."""
+    """One run.py run in root; returns (exit code, env dict, final JSON, the
+    report lines with raw and calibrated medians)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -37,7 +39,7 @@ def run_once(root, workload, seed, seconds, trace):
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "error": (proc.stderr.strip().splitlines() or [""])[-1]}
-    return proc.returncode, env, result
+    return proc.returncode, env, result, [line for line in lines if line.startswith("  ")]
 
 
 def quartiles(values):
@@ -103,12 +105,13 @@ def main(argv=None):
             for seed in args.seeds:
                 for trace in args.traces:
                     for label in order:
-                        code, env, result = run_once(trees[label], workload, seed,
-                                                     args.seconds, trace)
+                        code, env, result, lines = run_once(trees[label], workload, seed,
+                                                            args.seconds, trace)
                         bench["runs"].append({
                             "tree": label, "workload": workload, "seed": seed,
                             "trace": trace, "repeat": repeat, "seconds": args.seconds,
-                            "exit_code": code, "env": env, "result": result})
+                            "exit_code": code, "env": env, "result": result,
+                            "report": lines})
                         wall = result.get("metrics", {}).get("wall_s", {}).get("value")
                         print(f"repeat {repeat} {workload} seed {seed} trace {trace} "
                               f"{label}: exit {code}"

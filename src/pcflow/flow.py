@@ -9,10 +9,11 @@ constant-coefficient operator implicitly with one direct solve per step (a
 diagonal division in Fourier space on the torus, a tridiagonal solve on the
 sphere); it has no linear stability limit, so it takes dt_init as given.
 
-Checks: validate_kahler (finite field, cone) at the start and end of every
-step, state_from_coeffs (cone) at each RK4 stage, check_field on every stage
-right-hand side, and solve_poisson_phi on every residual. run() halves the
-step on NotKahler and ToleranceNotMet.
+Checks: check_field (finite field) and the cone check of state_from_coeffs
+on the real phi that starts and ends every step (validate_kahler, or its two
+parts at the end of rk4_step), the cone check at each RK4 stage, check_field
+on every stage right-hand side, and solve_poisson_phi on every residual.
+run() halves the step on NotKahler and ToleranceNotMet.
 """
 
 import enum
@@ -117,11 +118,13 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     its rho. Each right-hand side is truncated by one forward transform and
     the 2/3 mask, which restores the heat-limit cap of suggest_dt (RK4 does
     not damp the corner modes the nonlinearity injects). The increment goes
-    back to real space and the step ends with validate_kahler of the real
-    phi, so checkpoints resume bitwise. rhs1 is the stage-1 right-hand side
-    when the caller has it. A curved 256^2 torus step makes 22 transforms
-    (4 P solves of 3, 4 truncations, 3 stage densities, 3 to finish), a flat
-    one 10.
+    back to real space and the step ends with the checks of validate_kahler
+    on the real phi, so checkpoints resume bitwise; the new state keeps phi's
+    coefficients for the next step. rhs1 is the stage-1 right-hand side when
+    the caller has it. A curved 256^2 torus step makes 22 transforms (4 P
+    solves of 3, 4 truncations, 3 stage densities, 3 to finish), a flat one
+    10; a step from a state without coefficients (the first of a run) makes
+    one more.
     """
     if rhs_fn is None:
         rhs_fn = _rhs_for(flow_kind, poisson_tol)
@@ -140,7 +143,10 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     k3 = truncated(stage(0.5 * dt, k2, 3))
     k4 = truncated(stage(dt, k3, 4))
     increment = geom.from_coeffs((dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-    return validate_kahler(geom, state.phi + increment, t + dt, rho_floor)
+    phi_new = geom.check_field(state.phi + increment)
+    phi_hat_new = geom.to_coeffs(phi_new)
+    return state_from_coeffs(geom, phi_hat_new, t + dt, rho_floor, phi=phi_new,
+                             coeffs=phi_hat_new)
 
 
 def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
@@ -160,10 +166,7 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
         rhs1 = (rhs_fn or _rhs_for(flow_kind, poisson_tol))(geom, state)
     c = 1.0 / float(np.min(state.rho))
     phi_new = state.phi + geom.solve_shifted(dt * rhs1, dt * c)
-    # this step reads no coefficients: keeping them into the next step made
-    # glibc trim and regrow the heap (290 instead of 180 page faults per flat
-    # 256^2 step)
-    return validate_kahler(geom, phi_new, state.time + dt, rho_floor, keep_coeffs=False)
+    return validate_kahler(geom, phi_new, state.time + dt, rho_floor)
 
 
 def suggest_dt(geom, state, cfl=0.2):
@@ -180,8 +183,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
     or the end time reached.
     """
     try:
-        state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor,
-                                keep_coeffs=config.scheme is Scheme.RK4)
+        state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
     except NotKahler as exc:
         logger.warning("initial state rejected: %s", exc)
         return Trajectory(states=[], records=[], config=config,

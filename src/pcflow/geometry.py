@@ -39,6 +39,14 @@ class GridGeometry:
     operators return real fields. Sphere coefficients are the field itself.
     """
 
+    def mixed_second_derivative(self, f):
+        """f_{z zbar} of a checked field (f_{w wbar} in the sphere's chart)."""
+        return self.mixed_from_coeffs(self.to_coeffs(self.check_field(f)))
+
+    def ref_laplacian(self, f):
+        """Laplacian of the reference metric of a checked field, f_{z zbar}/sigma0."""
+        return self.ref_laplacian_from_coeffs(self.to_coeffs(self.check_field(f)))
+
     def check_field(self, f):
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
@@ -129,17 +137,6 @@ class TorusGeometry(GridGeometry):
 
     def ref_laplacian_from_coeffs(self, fh):
         return self.mixed_from_coeffs(fh) / self.sigma0
-
-    def mixed_second_derivative(self, f):
-        """f_{z zbar} = (f_xx + f_yy)/4, spectrally."""
-        # the forward transform is freed before the inverse one allocates;
-        # keeping it alive through the pair cost page faults
-        product = self._mixed_symbol * self.to_coeffs(self.check_field(f))
-        return scipy.fft.irfft2(product, s=self.shape)
-
-    def ref_laplacian(self, f):
-        """Laplacian of the reference metric: f_{z zbar}/sigma0."""
-        return self.mixed_second_derivative(f) / self.sigma0
 
     def grad_chart_sq(self, f):
         """|f_z|^2 = (f_x^2 + f_y^2)/4."""
@@ -249,14 +246,6 @@ class SphereGeometry(GridGeometry):
     def ref_laplacian_from_coeffs(self, f):
         """Laplacian of the round reference metric: (1/2)*(flux divergence)."""
         return 0.5 * self._flux_divergence(f)
-
-    def mixed_second_derivative(self, f):
-        """f_{w wbar} of a checked field."""
-        return self.mixed_from_coeffs(self.check_field(f))
-
-    def ref_laplacian(self, f):
-        """Laplacian of the round reference metric of a checked field."""
-        return self.ref_laplacian_from_coeffs(self.check_field(f))
 
     def grad_chart_sq(self, f):
         """|f_w|^2 = (mu*(1-mu)*df/dmu)^2, centered differences inside."""

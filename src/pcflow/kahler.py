@@ -15,8 +15,9 @@ from .errors import NotKahler
 
 @dataclass(frozen=True)
 class MetricState:
-    """A validated Kahler potential with its cached pointwise densities and
-    its coefficients, which run() drops from recorded states."""
+    """A validated Kahler potential with its cached pointwise densities; a
+    state made by rk4_step also keeps phi's coefficients for the next step,
+    and run() drops them from recorded states."""
 
     phi: np.ndarray
     rho: np.ndarray
@@ -25,26 +26,26 @@ class MetricState:
     coeffs: np.ndarray = field(default=None, repr=False, compare=False)
 
 
+def _density(geom, phi_hat):
+    return 1.0 + geom.mixed_from_coeffs(phi_hat) / geom.sigma0
+
+
 def ma_density(geom, phi):
     """Monge-Ampere density rho = 1 + phi_{z zbar}/sigma0."""
-    phi = geom.check_field(phi)
-    return 1.0 + geom.mixed_second_derivative(phi) / geom.sigma0
+    return _density(geom, geom.to_coeffs(geom.check_field(phi)))
 
 
-def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None, keep_coeffs=True):
-    """Build a MetricState, raising NotKahler when min(rho) <= rho_floor; it
-    keeps phi's coefficients for an RK4 step to start from if keep_coeffs."""
+def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
+    """Build a MetricState, raising NotKahler when min(rho) <= rho_floor."""
     phi = geom.check_field(phi)
-    phi_hat = geom.to_coeffs(phi)
-    return state_from_coeffs(geom, phi_hat, time, rho_floor, stage, phi,
-                             phi_hat if keep_coeffs else None)
+    return state_from_coeffs(geom, geom.to_coeffs(phi), time, rho_floor, stage, phi)
 
 
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
                       coeffs=None):
     """validate_kahler from coefficients; the state keeps the phi and coeffs
     given (an RK4 stage keeps neither)."""
-    rho = 1.0 + geom.mixed_from_coeffs(phi_hat) / geom.sigma0
+    rho = _density(geom, phi_hat)
     min_rho = float(rho.min())
     if min_rho <= rho_floor:
         raise NotKahler(min_rho, stage=stage)
