@@ -18,19 +18,17 @@ from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidatio
                      SingularSolve, ToleranceNotMet)
 from .flow import (FlowConfig, FlowKind, Scheme, Termination, Trajectory, nkrf_rhs,
                    pcf_rhs, rk4_step, run, semi_implicit_step, suggest_dt)
-from .functionals import (ClosedForm11, TraceRecord, calabi_energy, dissipation, entropy,
-                          estimate_probes, i_functional, j_chi_closed_form, j_chi_path,
-                          k_energy, k_energy_parts, make_trace_record, neg_ricci_form,
-                          omega0_form)
+from .functionals import (TraceRecord, calabi_energy, dissipation, entropy, estimate_probes,
+                          i_functional, k_energy, k_energy_parts, make_trace_record)
 from .geometry import (SphereGeometry, TorusGeometry, build_sphere_geometry,
                        build_torus_geometry)
-from .kahler import (MetricState, laplacian_phi, ma_density, rbar, scalar_curvature,
-                     scalar_curvature_forms, trace_ric0, validate_kahler)
+from .kahler import (MetricState, laplacian_phi, ma_density, scalar_curvature, trace_ric0,
+                     validate_kahler)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadGrid", "CheckpointError", "ClosedForm11", "ConfigParseError",
+    "BadGrid", "CheckpointError", "ConfigParseError",
     "ConfigValidationError", "FlowConfig", "FlowKind", "MetricState",
     "NonPositiveDensity", "Normalization", "NotKahler", "PcflowError",
     "PoissonSolution", "RandomInitial", "ScenarioConfig", "Scheme", "ShapeError",
@@ -38,11 +36,10 @@ __all__ = [
     "TorusGeometry", "TraceRecord", "Trajectory", "build_geometry",
     "build_sphere_geometry", "build_torus_geometry", "calabi_energy", "dissipation",
     "emit_csv", "entropy", "estimate_probes", "format_config", "i_functional",
-    "j_chi_closed_form", "j_chi_path", "k_energy", "k_energy_parts", "laplacian_phi",
-    "ma_density",
-    "make_initial", "make_trace_record", "neg_ricci_form", "nkrf_rhs", "omega0_form",
-    "parse_config", "pcf_rhs", "rbar", "read_checkpoint", "rk4_step", "run",
-    "scalar_curvature", "scalar_curvature_forms", "semi_implicit_step",
+    "k_energy", "k_energy_parts", "laplacian_phi", "ma_density",
+    "make_initial", "make_trace_record", "nkrf_rhs",
+    "parse_config", "pcf_rhs", "read_checkpoint", "rk4_step", "run",
+    "scalar_curvature", "semi_implicit_step",
     "solve_P", "solve_poisson_phi", "solve_ricci_potential", "suggest_dt",
     "trace_ric0", "validate_kahler", "write_checkpoint",
 ]

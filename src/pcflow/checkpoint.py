@@ -5,34 +5,31 @@ Layout (all little-endian): magic "PCF1"; version u32; geometry kind u8
 sphere: nmu u64); time f64; phi as row-major float64; CRC32 (u32) of every
 byte after the magic and before the checksum. The reference density modes are
 not stored — the resuming run supplies them through its config, which must
-describe the same geometry.
+describe the same geometry. The kind byte and the params are each backend's
+checkpoint_tag, grid_params and grid_format.
 """
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .errors import CheckpointError
+from .geometry import BACKENDS
 
 MAGIC = b"PCF1"
 VERSION = 1
-_KIND_TORUS = 0
-_KIND_SPHERE = 1
 
 
 def write_checkpoint(path, geom, state):
     """Serialize (geometry dims, time, phi) with a trailing CRC32."""
-    parts = [struct.pack("<I", VERSION)]
-    if geom.kind == "torus":
-        parts.append(struct.pack("<B", _KIND_TORUS))
-        parts.append(struct.pack("<QQd", geom.nx, geom.ny, geom.length))
-    else:
-        parts.append(struct.pack("<B", _KIND_SPHERE))
-        parts.append(struct.pack("<Q", geom.nmu))
-    parts.append(struct.pack("<d", state.time))
-    parts.append(np.ascontiguousarray(state.phi, dtype="<f8").tobytes())
-    payload = b"".join(parts)
+    payload = b"".join([
+        struct.pack("<IB", VERSION, geom.checkpoint_tag),
+        struct.pack(geom.grid_format, *(getattr(geom, name) for name in geom.grid_params)),
+        struct.pack("<d", state.time),
+        np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
+    ])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(payload)
@@ -48,33 +45,27 @@ def read_checkpoint(path):
     payload, (crc_stored,) = blob[4:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError(f"{path}: checksum mismatch")
-    off = 0
-    (version,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    version, tag = struct.unpack_from("<IB", payload)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (kind_byte,) = struct.unpack_from("<B", payload, off)
-    off += 1
-    if kind_byte == _KIND_TORUS:
-        nx, ny, length = struct.unpack_from("<QQd", payload, off)
-        off += 24
-        kind, params, count = "torus", {"nx": nx, "ny": ny, "length": length}, nx * ny
-        shape = (nx, ny)
-    elif kind_byte == _KIND_SPHERE:
-        (nmu,) = struct.unpack_from("<Q", payload, off)
-        off += 8
-        kind, params, count = "sphere", {"nmu": nmu}, nmu
-        shape = (nmu,)
-    else:
-        raise CheckpointError(f"{path}: unknown geometry kind {kind_byte}")
-    (time,) = struct.unpack_from("<d", payload, off)
-    off += 8
-    expected = off + 8 * count
+    backend = next((cls for cls in BACKENDS if cls.checkpoint_tag == tag), None)
+    if backend is None:
+        raise CheckpointError(f"{path}: unknown geometry kind {tag}")
+    header_format = backend.grid_format + "d"  # the params, then the time
+    off = 5 + struct.calcsize(header_format)
+    if len(payload) < off:
+        raise CheckpointError(f"{path}: truncated header "
+                              f"({len(payload)} bytes, expected at least {off})")
+    *values, time = struct.unpack_from(header_format, payload, 5)
+    # the integer params are the grid's axis lengths
+    shape = tuple(v for v in values if isinstance(v, int))
+    expected = off + 8 * math.prod(shape)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: truncated field data "
                               f"({len(payload)} bytes, expected {expected})")
-    phi = np.frombuffer(payload, dtype="<f8", count=count, offset=off).reshape(shape)
-    return {"kind": kind, "params": params, "time": float(time), "phi": phi.copy()}
+    phi = np.frombuffer(payload, dtype="<f8", offset=off).reshape(shape)
+    return {"kind": backend.kind, "params": dict(zip(backend.grid_params, values)),
+            "time": float(time), "phi": phi.copy()}
 
 
 def check_geometry_match(geom, meta):
@@ -82,10 +73,5 @@ def check_geometry_match(geom, meta):
     params = meta["params"]
     if geom.kind != meta["kind"]:
         raise CheckpointError(f"checkpoint geometry is {meta['kind']}, config says {geom.kind}")
-    if geom.kind == "torus":
-        same = (geom.nx == params["nx"] and geom.ny == params["ny"]
-                and geom.length == params["length"])
-    else:
-        same = geom.nmu == params["nmu"]
-    if not same:
+    if any(getattr(geom, name) != params[name] for name in geom.grid_params):
         raise CheckpointError(f"checkpoint geometry {params} does not match config")

@@ -17,16 +17,12 @@ import numpy as np
 from .errors import ConfigParseError, ConfigValidationError, NotKahler
 from .flow import FlowConfig, FlowKind, Scheme
 from .functionals import DEFAULT_P_LIST
-from .geometry import build_sphere_geometry, build_torus_geometry
+from .geometry import BACKENDS
 
-TWO_PI = 2.0 * np.pi
+_BACKENDS = {backend.kind: backend for backend in BACKENDS}
 
 _MODE_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([^\s,()]+)\s*\)")
 _KEY_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.]*\Z")
-
-# per backend: the ScenarioConfig fields a file must set, and the error if one is missing
-_NEEDS = {"torus": (("nx", "ny", "length"), "geometry.nx", "torus needs nx, ny, and length"),
-          "sphere": (("nmu",), "geometry.nmu", "sphere needs nmu")}
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class ScenarioConfig:
 
 
 def _parse_kind(key, raw):
-    if raw not in _NEEDS:
+    if raw not in _BACKENDS:
         raise ConfigValidationError(key, f"unknown geometry {raw!r}")
     return raw
 
@@ -208,9 +204,9 @@ def parse_config(text):
             if backend not in (None, kind):
                 raise ConfigValidationError(key, f"not applicable to the {kind} backend")
             kwargs[owner][name] = parse(key, raw.pop(key))
-    needed, key, message = _NEEDS[kind]
+    needed = _BACKENDS[kind].grid_params
     if not all(name in kwargs[ScenarioConfig] for name in needed):
-        raise ConfigValidationError(key, message)
+        raise ConfigValidationError(f"geometry.{needed[0]}", f"{kind} needs {', '.join(needed)}")
     random = kwargs[RandomInitial]
     if random and "seed" not in random:
         raise ConfigValidationError("initial.random.seed", "required for random initial data")
@@ -234,40 +230,10 @@ def format_config(config):
 
 
 def build_geometry(config):
-    """Construct the backend the config describes."""
-    if config.geometry_kind == "torus":
-        return build_torus_geometry(config.nx, config.ny, config.length, config.sigma0_modes)
-    return build_sphere_geometry(config.nmu)
-
-
-def _cosine_sum(geom, modes):
-    phi = np.zeros(geom.shape)
-    for kx, ky, amp in modes:
-        phi = phi + amp * np.cos(TWO_PI * (kx * geom.x + ky * geom.y) / geom.length)
-    return phi
-
-
-def _random_draw(geom, spec):
-    """Seeded band-limited field with |k|^(-decay) spectral envelope."""
-    rng = np.random.default_rng(spec.seed)
-    if geom.kind == "torus":
-        phi = np.zeros(geom.shape)
-        for ky in range(0, spec.modes + 1):
-            for kx in range(-spec.modes, spec.modes + 1):
-                if ky == 0 and kx <= 0:
-                    continue  # one representative per conjugate pair
-                norm = float(np.hypot(kx, ky))
-                if norm > spec.modes:
-                    continue
-                amp = rng.standard_normal() * norm ** (-spec.decay)
-                phase = rng.uniform(0.0, TWO_PI)
-                phi += amp * np.cos(TWO_PI * (kx * geom.x + ky * geom.y) / geom.length + phase)
-        return phi
-    coeffs = rng.standard_normal(spec.modes)
-    phi = np.zeros(geom.shape)
-    for k in range(1, spec.modes + 1):
-        phi += coeffs[k - 1] * float(k) ** (-spec.decay) * np.cos(k * np.pi * geom.mu)
-    return phi
+    """Construct the backend the config describes from its geometry.* keys."""
+    backend = _BACKENDS[config.geometry_kind]
+    return backend(**{name: getattr(config, name) for key, kind, _, name, _, _ in _KEYS
+                      if kind == backend.kind and key.startswith("geometry.")})
 
 
 def _rescale_to_target(geom, phi, target):
@@ -309,12 +275,9 @@ def _rescale_to_target(geom, phi, target):
 
 def make_initial(geom, config):
     """Initial potential from explicit modes, a mu-polynomial, or a seeded draw."""
-    if config.random is not None:
-        phi = _random_draw(geom, config.random)
-        return _rescale_to_target(geom, phi, config.random.target_sup_f)
-    if config.geometry_kind == "torus":
-        return _cosine_sum(geom, config.initial_modes)
-    phi = np.zeros(geom.shape)
-    for power, coeff in enumerate(config.initial_poly_mu):
-        phi += coeff * geom.mu ** power
-    return phi
+    spec = config.random
+    if spec is not None:
+        phi = geom.random_initial(np.random.default_rng(spec.seed), spec.modes, spec.decay)
+        return _rescale_to_target(geom, phi, spec.target_sup_f)
+    # ScenarioConfig leaves the other backend's explicit data empty
+    return geom.explicit_initial(config.initial_modes or config.initial_poly_mu)

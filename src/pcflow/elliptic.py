@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotMet
-from .kahler import rbar, scalar_curvature, trace_ric0
+from .kahler import scalar_curvature, trace_ric0
 
 DEFAULT_POISSON_TOL = 1e-10
 
@@ -74,7 +74,7 @@ def solve_P(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
 
     On a flat torus the RHS is identically zero and P is the exact zero field.
     """
-    rhs = rbar(geom) - trace_ric0(geom, state)
+    rhs = geom.rbar - trace_ric0(geom, state)
     return solve_poisson_phi(geom, state, rhs, Normalization.MEAN_ZERO, poisson_tol)
 
 

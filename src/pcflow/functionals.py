@@ -1,11 +1,13 @@
 """Scalar functionals and monitored norms along the flow.
 
-Conventions (complex dimension 1): entropy = int F omega_phi; J_chi is the
-path integral of its variational formula delta J = int dphi (tr_phi chi -
-chibar) omega_phi along t*phi, in closed form; K = entropy + J_{-Ric(omega0)};
-I = (1/2) int phi (rho + 1) omega0; dissipation = int |grad_phi(F+P)|^2
-omega_phi = dirichlet_energy(F + P); Calabi energy = int (R - rbar)^2
-omega_phi. The L^p probes are raw monitors, never asserted against constants.
+Conventions (complex dimension 1): entropy = int F omega_phi; K = entropy +
+J_{-Ric(omega0)}, where J_chi integrates its variational formula delta J =
+int dphi (tr_phi chi - chibar) omega_phi along t*phi: rho is affine in t, so
+J_chi = <phi, chi>_chart - chibar * I, and for chi = -Ric(omega0) (chibar =
+-rbar) J_{-Ric} = <phi, -Ric0>_chart + rbar * I; I = (1/2) int phi (rho + 1)
+omega0; dissipation = int |grad_phi(F+P)|^2 omega_phi = dirichlet_energy(F +
+P); Calabi energy = int (R - rbar)^2 omega_phi. The L^p probes are raw
+monitors, never asserted against constants.
 """
 
 from dataclasses import dataclass
@@ -13,29 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import DEFAULT_POISSON_TOL, solve_P
-from .kahler import rbar, scalar_curvature, validate_kahler
+from .kahler import scalar_curvature
 
 DEFAULT_P_LIST = (1.0, 2.0, 4.0)
-
-
-@dataclass(frozen=True)
-class ClosedForm11:
-    """A closed (1,1)-form: chart density relative to i dz^dzbar, and its
-    trace mean chibar = (chart integral of density)/Volume."""
-
-    density: np.ndarray
-    mean: float
-
-
-def omega0_form(geom):
-    """The reference form omega0 as a ClosedForm11 (chibar = 1)."""
-    density = geom.sigma0.copy()
-    return ClosedForm11(density=density, mean=geom.chart_integral(density) / geom.volume)
-
-
-def neg_ricci_form(geom):
-    """chi = -Ric(omega0), the K-energy pairing form (chibar = -rbar)."""
-    return ClosedForm11(density=-geom.ric0_density, mean=-rbar(geom))
 
 
 def entropy(geom, state):
@@ -43,34 +25,12 @@ def entropy(geom, state):
     return geom.integrate(state.big_f, weight=state.rho)
 
 
-def _j_chi(geom, chi, state):
-    """J_chi at a validated state: <phi, chi>_chart - chibar * I(phi)."""
-    return geom.chart_integral(state.phi * chi.density) - chi.mean * i_functional(geom, state)
-
-
-def j_chi_path(geom, chi, phi):
-    """J_chi(phi): the variational formula integrated along the segment t*phi,
-    J_chi(0) = 0, in closed form.
-
-    In the chart tr_{t phi} chi * omega_{t phi} = chi_density * (chart
-    measure), so the integrand g(t) = int phi (tr_{t phi} chi - chibar)
-    omega_{t phi} is the fixed pairing <phi, chi>_chart minus chibar * int phi
-    rho_t omega0. rho_t = 1 + t*(rho_1 - 1) is affine in t, so the integral
-    over [0, 1] is <phi, chi>_chart - chibar * I(phi), and the segment stays
-    in the Kahler cone iff rho_1 does (validate_kahler, floor 1e-6).
-    """
-    return _j_chi(geom, chi, validate_kahler(geom, phi, rho_floor=1e-06))
-
-
-def j_chi_closed_form(geom, chi, phi):
-    """The dimension-1 closed form (1/2) int i d(phi)^dbar(phi): a cross-check
-    value, chi-independent by construction (see j_chi_path for the primary)."""
-    return 0.5 * geom.dirichlet_energy(phi)
-
-
 def k_energy_parts(geom, state):
     """(entropy, J_{-Ric}) from a validated state; validate_kahler owns the cone check."""
-    return entropy(geom, state), _j_chi(geom, neg_ricci_form(geom), state)
+    # this operand order keeps a flat torus's J_{-Ric} at +0.0, not -0.0
+    j_neg_ric = (geom.chart_integral(state.phi * -geom.ric0_density)
+                 + geom.rbar * i_functional(geom, state))
+    return entropy(geom, state), j_neg_ric
 
 
 def k_energy(geom, state):
@@ -91,7 +51,7 @@ def i_functional(geom, state):
 
 def calabi_energy(geom, state):
     """int (R(omega_phi) - rbar)^2 omega_phi >= 0; zero iff cscK on the grid."""
-    deviation = scalar_curvature(geom, state) - rbar(geom)
+    deviation = scalar_curvature(geom, state) - geom.rbar
     return geom.integrate(deviation * deviation, weight=state.rho)
 
 

@@ -12,6 +12,11 @@ mu = |z|^2/(1+|z|^2) on a cell-centered uniform grid; in the cylinder chart
 w = log z the reference density is sigma0 = 2*mu*(1-mu) and the mixed
 derivative becomes mu*(1-mu)*d/dmu(mu*(1-mu)*d/dmu), discretized in
 conservative flux form with zero flux at the boundary faces (pole regularity).
+
+Each backend class describes itself, so no other module decides what a
+backend is: kind, checkpoint_tag, grid_params (what a config sets and a
+checkpoint stores, packed as grid_format), explicit_initial and
+random_initial. BACKENDS lists the backend classes.
 """
 
 import numpy as np
@@ -66,24 +71,27 @@ class TorusGeometry(GridGeometry):
     """
 
     kind = "torus"
+    checkpoint_tag = 0
+    grid_params = ("nx", "ny", "length")
+    grid_format = "<QQd"
 
     def __init__(self, nx, ny, length, sigma0_modes):
         if not (_is_pow2(nx) and _is_pow2(ny)) or nx < 16 or ny < 16:
             raise BadGrid(f"torus sizes must be powers of two >= 16, got {nx} x {ny}")
-        if not (length > 0.0):
-            raise BadGrid(f"torus length must be > 0, got {length}")
+        if not (0.0 < length < np.inf):
+            raise BadGrid(f"torus length must be finite and > 0, got {length}")
         self.nx = int(nx)
         self.ny = int(ny)
         self.length = float(length)
         self.sigma0_modes = tuple((int(kx), int(ky), float(a)) for kx, ky, a in sigma0_modes)
+        if not np.isfinite([amp for _, _, amp in self.sigma0_modes]).all():
+            raise BadGrid(f"sigma0 amplitudes must be finite, got {self.sigma0_modes}")
         self.shape = (self.nx, self.ny)
 
         x = np.arange(self.nx) * (self.length / self.nx)
         y = np.arange(self.ny) * (self.length / self.ny)
         self.x, self.y = np.meshgrid(x, y, indexing="ij")
-        sigma0 = np.ones(self.shape)
-        for kx, ky, amp in self.sigma0_modes:
-            sigma0 = sigma0 + amp * np.cos(TWO_PI * (kx * self.x + ky * self.y) / self.length)
+        sigma0 = self._cosine_sum(np.ones(self.shape), self.sigma0_modes)
         if sigma0.min() <= 0.0:
             raise NonPositiveDensity(f"min sigma0 = {sigma0.min():.6g} <= 0")
         self.sigma0 = sigma0
@@ -115,9 +123,34 @@ class TorusGeometry(GridGeometry):
         # Ricci density of omega0 in the chart: r0 = -(log sigma0)_{z zbar};
         # exact zeros when sigma0 == 1
         self.ric0_density = -self.mixed_second_derivative(np.log(self.sigma0))
-        self.is_flat = not self.sigma0_modes
-        self.lambda_ke = 0.0 if self.is_flat else None
+        self.lambda_ke = None if self.sigma0_modes else 0.0
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
+
+    # -- initial data --------------------------------------------------------
+
+    def _cosine_sum(self, total, modes):
+        for kx, ky, amp in modes:
+            total = total + amp * np.cos(TWO_PI * (kx * self.x + ky * self.y) / self.length)
+        return total
+
+    def explicit_initial(self, modes):
+        """The cosine sum of (k_x, k_y, amplitude) modes, built like sigma0."""
+        return self._cosine_sum(np.zeros(self.shape), modes)
+
+    def random_initial(self, rng, modes, decay):
+        """Seeded band-limited field with |k|^(-decay) spectral envelope."""
+        phi = np.zeros(self.shape)
+        for ky in range(0, modes + 1):
+            for kx in range(-modes, modes + 1):
+                if ky == 0 and kx <= 0:
+                    continue  # one representative per conjugate pair
+                norm = float(np.hypot(kx, ky))
+                if norm > modes:
+                    continue
+                amp = rng.standard_normal() * norm ** (-decay)
+                phase = rng.uniform(0.0, TWO_PI)
+                phi += amp * np.cos(TWO_PI * (kx * self.x + ky * self.y) / self.length + phase)
+        return phi
 
     # -- coefficient space and chart operators -------------------------------
 
@@ -199,6 +232,9 @@ class SphereGeometry(GridGeometry):
     """
 
     kind = "sphere"
+    checkpoint_tag = 1
+    grid_params = ("nmu",)
+    grid_format = "<Q"
 
     def __init__(self, nmu):
         if nmu < 32:
@@ -222,8 +258,24 @@ class SphereGeometry(GridGeometry):
         self.sigma0 = 2.0 * self.mu * (1.0 - self.mu)
         self.volume = self.quad_weight * self.nmu
         self.ric0_density = self.lambda_ke * self.sigma0
-        self.is_flat = False
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
+
+    # -- initial data --------------------------------------------------------
+
+    def explicit_initial(self, coeffs):
+        """The polynomial sum of coeffs[k] * mu^k."""
+        phi = np.zeros(self.shape)
+        for power, coeff in enumerate(coeffs):
+            phi += coeff * self.mu ** power
+        return phi
+
+    def random_initial(self, rng, modes, decay):
+        """Seeded cosine series in pi*mu with k^(-decay) envelope."""
+        coeffs = rng.standard_normal(modes)
+        phi = np.zeros(self.shape)
+        for k in range(1, modes + 1):
+            phi += coeffs[k - 1] * float(k) ** (-decay) * np.cos(k * np.pi * self.mu)
+        return phi
 
     # -- coefficient space and chart operators -------------------------------
 
@@ -313,6 +365,9 @@ class SphereGeometry(GridGeometry):
     def heat_dt_scale(self, rho):
         """Explicit heat limit of the flux-form Delta_phi (Gershgorin bound)."""
         return 2.0 * self.h * self.h * float(np.min(rho / -self._band[1]))
+
+
+BACKENDS = (TorusGeometry, SphereGeometry)
 
 
 def build_torus_geometry(nx, ny, length, sigma0_modes=()):

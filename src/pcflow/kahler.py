@@ -3,7 +3,8 @@
 A potential phi determines omega_phi = omega0 + i d dbar(phi), whose density
 ratio is rho = omega_phi/omega0 = 1 + (mixed derivative of phi)/sigma0 in the
 chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
-curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0).
+curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0). Its
+volume average rbar is cohomological; each backend stores it as geom.rbar.
 """
 
 from dataclasses import dataclass, field
@@ -58,48 +59,13 @@ def laplacian_phi(geom, state, f):
 
 
 def trace_ric0(geom, state):
-    """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho); zero when flat."""
-    if geom.is_flat:
+    """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho); zero when Ricci-flat."""
+    if geom.lambda_ke == 0.0:
         return np.zeros(geom.shape)
     return geom.ric0_density / (geom.sigma0 * state.rho)
-
-
-def scalar_curvature_forms(geom, state):
-    """Both routes to R(omega_phi): via F and via log sigma0 + F.
-
-    Primary: R = -Delta_phi(F) + tr_phi Ric(omega0). Alternative: the full
-    chart density log, R = -Delta_phi(log(sigma0*rho)) computed in one sweep.
-    Returns (primary, alternative, max pointwise discrepancy); the test
-    oracle for scalar_curvature, which computes only the primary.
-    """
-    primary = scalar_curvature(geom, state)
-    if geom.kind == "sphere":
-        # The reduced chart density sigma0 = 2 mu (1-mu) vanishes at the poles,
-        # so differencing log(sigma0 * rho) directly is singular there. The
-        # reference part is analytic (-(log sigma0)_mixed = sigma0, the round
-        # metric being Einstein); difference only the state-dependent log.
-        alternative = (geom.ric0_density
-                       - geom.mixed_second_derivative(state.big_f)) / (geom.sigma0 * state.rho)
-    else:
-        alternative = -geom.ref_laplacian(np.log(geom.sigma0 * state.rho)) / state.rho
-    return primary, alternative, float(np.max(np.abs(primary - alternative)))
 
 
 def scalar_curvature(geom, state):
     """Scalar curvature of omega_phi via the trace identity
     R = -Delta_phi(F) + tr_phi Ric(omega0), reusing the flow's own operators."""
     return -laplacian_phi(geom, state, state.big_f) + trace_ric0(geom, state)
-
-
-def rbar(geom):
-    """Volume average of R(omega0); cohomological, so phi-independent.
-
-    0 on a flat torus, 1 on the round sphere and 0 on curved-reference tori
-    up to quadrature rounding; the backend computes it once at construction.
-    """
-    return geom.rbar
-
-
-def average_against_state(geom, state, f):
-    """Average of f against omega_phi."""
-    return geom.integrate(f, weight=state.rho) / geom.volume

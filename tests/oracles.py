@@ -1,0 +1,79 @@
+"""Test oracles: second routes to quantities the package computes one way.
+
+J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
+scalar curvature through the full chart density log, and the average against
+omega_phi. Only tests call these.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+import pcflow as pf
+
+
+@dataclass(frozen=True)
+class ClosedForm11:
+    """A closed (1,1)-form: chart density relative to i dz^dzbar, and its
+    trace mean chibar = (chart integral of density)/Volume."""
+
+    density: np.ndarray
+    mean: float
+
+
+def omega0_form(geom):
+    """The reference form omega0 as a ClosedForm11 (chibar = 1)."""
+    density = geom.sigma0.copy()
+    return ClosedForm11(density=density, mean=geom.chart_integral(density) / geom.volume)
+
+
+def neg_ricci_form(geom):
+    """chi = -Ric(omega0), the K-energy pairing form (chibar = -rbar)."""
+    return ClosedForm11(density=-geom.ric0_density, mean=-geom.rbar)
+
+
+def j_chi_path(geom, chi, phi):
+    """J_chi(phi): the variational formula integrated along the segment t*phi,
+    J_chi(0) = 0, in closed form.
+
+    In the chart tr_{t phi} chi * omega_{t phi} = chi_density * (chart
+    measure), so the integrand g(t) = int phi (tr_{t phi} chi - chibar)
+    omega_{t phi} is the fixed pairing <phi, chi>_chart minus chibar * int phi
+    rho_t omega0. rho_t = 1 + t*(rho_1 - 1) is affine in t, so the integral
+    over [0, 1] is <phi, chi>_chart - chibar * I(phi), and the segment stays
+    in the Kahler cone iff rho_1 does (validate_kahler, floor 1e-6).
+    """
+    state = pf.validate_kahler(geom, phi, rho_floor=1e-06)
+    return geom.chart_integral(state.phi * chi.density) - chi.mean * pf.i_functional(geom, state)
+
+
+def j_chi_closed_form(geom, chi, phi):
+    """The dimension-1 closed form (1/2) int i d(phi)^dbar(phi): a cross-check
+    value, chi-independent by construction (see j_chi_path for the primary)."""
+    return 0.5 * geom.dirichlet_energy(phi)
+
+
+def scalar_curvature_forms(geom, state):
+    """Both routes to R(omega_phi): via F and via log sigma0 + F.
+
+    Primary: R = -Delta_phi(F) + tr_phi Ric(omega0). Alternative: the full
+    chart density log, R = -Delta_phi(log(sigma0*rho)) computed in one sweep.
+    Returns (primary, alternative, max pointwise discrepancy); the test
+    oracle for scalar_curvature, which computes only the primary.
+    """
+    primary = pf.scalar_curvature(geom, state)
+    if geom.kind == "sphere":
+        # The reduced chart density sigma0 = 2 mu (1-mu) vanishes at the poles,
+        # so differencing log(sigma0 * rho) directly is singular there. The
+        # reference part is analytic (-(log sigma0)_mixed = sigma0, the round
+        # metric being Einstein); difference only the state-dependent log.
+        alternative = (geom.ric0_density
+                       - geom.mixed_second_derivative(state.big_f)) / (geom.sigma0 * state.rho)
+    else:
+        alternative = -geom.ref_laplacian(np.log(geom.sigma0 * state.rho)) / state.rho
+    return primary, alternative, float(np.max(np.abs(primary - alternative)))
+
+
+def average_against_state(geom, state, f):
+    """Average of f against omega_phi."""
+    return geom.integrate(f, weight=state.rho) / geom.volume

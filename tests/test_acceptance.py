@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import pcflow as pf
-from pcflow.kahler import average_against_state
+from oracles import average_against_state
 from conftest import random_valid_state, subprocess_env
 from test_flow import rk4_global_order_ratios
 
@@ -181,7 +181,7 @@ def test_criterion_7_operator_and_solver_correctness():
     k_plus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi + eps * direction))
     k_minus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi - eps * direction))
     fd = (k_plus - k_minus) / (2.0 * eps)
-    rbar = pf.rbar(geom)
+    rbar = geom.rbar
     curvature = pf.scalar_curvature(geom, state)
     grad = geom.integrate(direction * (rbar - curvature), weight=state.rho)
     assert abs(fd - grad) <= 1e-4 * max(1.0, abs(grad))

@@ -1,6 +1,7 @@
 """Scenario parsing, initial-data construction, CSV output, CLI behavior."""
 
 import dataclasses
+import struct
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import pcflow as pf
 from pcflow import cli as cli_mod
 from pcflow.csvout import emit_csv, header_line
 from conftest import subprocess_env
+from test_flow import pack_checkpoint
 
 TWO_PI = 2.0 * np.pi
 DYADIC = 2.0 ** -8
@@ -493,6 +495,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     garbage = tmp_path / "garbage.ckpt"
     garbage.write_bytes(b"not a checkpoint at all")
     assert cli_mod.main(["resume", str(garbage), write_cfg(tmp_path, QUICK_RUN, "e.cfg")]) == 5
+    for tag in (0, 1):  # CRC-valid, but the header ends 8 bytes after the kind byte
+        short = tmp_path / f"short{tag}.ckpt"
+        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", 1, tag, 64)))
+        assert cli_mod.main(["resume", str(short), str(tmp_path / "e.cfg")]) == 5
+        assert "truncated header" in capsys.readouterr().err
     capsys.readouterr()
 
 

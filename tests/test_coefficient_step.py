@@ -12,7 +12,7 @@ import scipy.fft
 
 import pcflow as pf
 from pcflow import flow as flow_mod
-from pcflow.kahler import rbar, scalar_curvature, trace_ric0
+from pcflow.kahler import scalar_curvature, trace_ric0
 from conftest import TWO_PI
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
@@ -210,7 +210,7 @@ def test_coefficient_residual_matches_transform_residual(name):
     # coefficients; applying ref_laplacian to the returned field again sees
     # the same residual up to the round-trip rounding floor
     geom, state = preset_state(name)
-    cases = [(pf.solve_P, rbar(geom) - trace_ric0(geom, state))]
+    cases = [(pf.solve_P, geom.rbar - trace_ric0(geom, state))]
     if geom.lambda_ke is not None:
         cases.append((pf.solve_ricci_potential,
                       scalar_curvature(geom, state) - geom.lambda_ke))

@@ -1,6 +1,8 @@
 """Time integration: right-hand sides, steppers, the run loop, checkpoints."""
 
 import functools
+import struct
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -424,6 +426,11 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.all(meta["phi"] == state.phi)
 
 
+def pack_checkpoint(payload):
+    """A CRC-valid checkpoint file around a hand-packed payload."""
+    return b"PCF1" + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
 def test_checkpoint_detects_corruption(tmp_path):
     geom = flat64()
     state = pf.validate_kahler(geom, 0.1 * np.cos(geom.x))
@@ -450,6 +457,29 @@ def test_checkpoint_detects_corruption(tmp_path):
     with pytest.raises(pf.CheckpointError):
         pf.read_checkpoint(renamed)
 
+    for tag in (0, 1):  # CRC-valid, but the header ends 8 bytes after the kind byte
+        short = tmp_path / f"short{tag}.ckpt"
+        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", 1, tag, 64)))
+        with pytest.raises(pf.CheckpointError, match="truncated header"):
+            pf.read_checkpoint(short)
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    # the layout of the checkpoint module docstring, packed by hand
+    torus = bumpy64()
+    state = pf.validate_kahler(torus, 0.1 * np.cos(torus.x), time=0.375)
+    expected = pack_checkpoint(struct.pack("<IB", 1, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+                               + struct.pack("<d", 0.375) + state.phi.astype("<f8").tobytes())
+    pf.write_checkpoint(tmp_path / "torus.ckpt", torus, state)
+    assert (tmp_path / "torus.ckpt").read_bytes() == expected
+
+    sphere = pf.build_sphere_geometry(128)
+    state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
+    expected = pack_checkpoint(struct.pack("<IB", 1, 1) + struct.pack("<Q", 128)
+                               + struct.pack("<d", 1.5) + state.phi.astype("<f8").tobytes())
+    pf.write_checkpoint(tmp_path / "sphere.ckpt", sphere, state)
+    assert (tmp_path / "sphere.ckpt").read_bytes() == expected
+
 
 def test_checkpoint_geometry_match(tmp_path):
     from pcflow.checkpoint import check_geometry_match
@@ -463,6 +493,15 @@ def test_checkpoint_geometry_match(tmp_path):
         check_geometry_match(pf.build_torus_geometry(128, 64, TWO_PI, ()), meta)
     with pytest.raises(pf.CheckpointError):
         check_geometry_match(pf.build_sphere_geometry(64), meta)
+    with pytest.raises(pf.CheckpointError):
+        check_geometry_match(pf.build_torus_geometry(64, 64, 2.0 * TWO_PI, ()), meta)
+
+    sphere = pf.build_sphere_geometry(64)
+    pf.write_checkpoint(path, sphere, pf.validate_kahler(sphere, np.zeros(sphere.shape)))
+    meta = pf.read_checkpoint(path)
+    check_geometry_match(sphere, meta)
+    with pytest.raises(pf.CheckpointError):
+        check_geometry_match(pf.build_sphere_geometry(128), meta)
 
 
 def test_resume_is_bitwise(tmp_path):

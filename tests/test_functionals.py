@@ -1,10 +1,13 @@
 """Scalar functionals: entropy, J-energies, K-energy, dissipation, probes."""
 
+import struct
+
 import numpy as np
 import pytest
 
 import pcflow as pf
 from conftest import TWO_PI, random_valid_state
+from oracles import ClosedForm11, j_chi_closed_form, j_chi_path, neg_ricci_form, omega0_form
 
 XS = (np.arange(8192) + 0.5) * TWO_PI / 8192  # 1-D quadrature nodes
 
@@ -55,10 +58,10 @@ def test_entropy_nonnegative_random():
 def test_form_means_match_chart_pairing():
     for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
                  pf.build_sphere_geometry(128)):
-        w = pf.omega0_form(geom)
+        w = omega0_form(geom)
         assert abs(w.mean - geom.chart_integral(w.density) / geom.volume) <= 1e-10
-        nr = pf.neg_ricci_form(geom)
-        assert abs(nr.mean + pf.rbar(geom)) <= 1e-10
+        nr = neg_ricci_form(geom)
+        assert abs(nr.mean + geom.rbar) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -67,19 +70,19 @@ def test_form_means_match_chart_pairing():
 
 def test_j_chi_zero_cases():
     geom = flat64()
-    chi = pf.omega0_form(geom)
-    assert pf.j_chi_path(geom, chi, np.zeros(geom.shape)) == 0.0
-    zero_chi = pf.ClosedForm11(density=np.zeros(geom.shape), mean=0.0)
+    chi = omega0_form(geom)
+    assert j_chi_path(geom, chi, np.zeros(geom.shape)) == 0.0
+    zero_chi = ClosedForm11(density=np.zeros(geom.shape), mean=0.0)
     rng = np.random.default_rng(41)
     phi = random_valid_state(geom, rng).phi
-    assert abs(pf.j_chi_path(geom, zero_chi, phi)) <= 1e-15
+    assert abs(j_chi_path(geom, zero_chi, phi)) <= 1e-15
 
 
 def test_j_chi_path_brute_force_oracle():
     geom = flat64()
-    chi = pf.omega0_form(geom)
+    chi = omega0_form(geom)
     phi = 0.5 * np.cos(geom.x)
-    got = pf.j_chi_path(geom, chi, phi)
+    got = j_chi_path(geom, chi, phi)
 
     # 1000-step midpoint integration of the variational formula along t*phi
     steps = 1000
@@ -95,9 +98,9 @@ def test_j_chi_path_brute_force_oracle():
 
 def test_j_chi_closed_form_values():
     geom = flat64()
-    chi = pf.omega0_form(geom)
-    assert pf.j_chi_closed_form(geom, chi, np.zeros(geom.shape)) == 0.0
-    val = pf.j_chi_closed_form(geom, chi, 0.5 * np.cos(geom.x))
+    chi = omega0_form(geom)
+    assert j_chi_closed_form(geom, chi, np.zeros(geom.shape)) == 0.0
+    val = j_chi_closed_form(geom, chi, 0.5 * np.cos(geom.x))
     assert abs(val - np.pi ** 2 / 8.0) <= 1e-12
 
 
@@ -105,11 +108,11 @@ def test_j_chi_path_matches_closed_form_for_omega0():
     # for chi = omega0 the path integrand is affine in t and the two
     # evaluations agree analytically
     geom = flat64()
-    chi = pf.omega0_form(geom)
+    chi = omega0_form(geom)
     rng = np.random.default_rng(42)
     phi = random_valid_state(geom, rng).phi
-    a = pf.j_chi_path(geom, chi, phi)
-    b = pf.j_chi_closed_form(geom, chi, phi)
+    a = j_chi_path(geom, chi, phi)
+    b = j_chi_closed_form(geom, chi, phi)
     assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
@@ -128,9 +131,9 @@ def test_j_chi_quadrature_converged():
     rng = np.random.default_rng(43)
     for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
                  pf.build_sphere_geometry(128)):
-        chi = pf.neg_ricci_form(geom)
+        chi = neg_ricci_form(geom)
         phi = random_valid_state(geom, rng).phi
-        got = pf.j_chi_path(geom, chi, phi)
+        got = j_chi_path(geom, chi, phi)
         for nodes in (16, 32):
             oracle = j_chi_quadrature(geom, chi, phi, nodes)
             assert abs(got - oracle) <= 1e-12 * (1.0 + abs(oracle))
@@ -138,16 +141,16 @@ def test_j_chi_quadrature_converged():
 
 def test_j_chi_path_rejects_invalid_segment():
     geom = flat64()
-    chi = pf.omega0_form(geom)
+    chi = omega0_form(geom)
     with pytest.raises(pf.NotKahler):
-        pf.j_chi_path(geom, chi, 9.0 * np.cos(geom.x))
+        j_chi_path(geom, chi, 9.0 * np.cos(geom.x))
     # min rho = 1 - amp/4 is just below the 1e-6 cone floor at t = 1 only;
     # every interior quadrature node still sees min rho_t > 5e-3
     phi = 4.0 * (1.0 - 9e-7) * np.cos(geom.x)
     assert 0.0 < float(np.min(pf.ma_density(geom, phi))) < 1e-6
     assert np.isfinite(j_chi_quadrature(geom, chi, phi, 16))
     with pytest.raises(pf.NotKahler):
-        pf.j_chi_path(geom, chi, phi)
+        j_chi_path(geom, chi, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,14 @@ def test_k_energy_sphere_composite():
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     e, j = pf.k_energy_parts(geom, state)
     assert e == pf.entropy(geom, state)
-    assert j == pf.j_chi_path(geom, pf.neg_ricci_form(geom), state.phi)
+    assert j == j_chi_path(geom, neg_ricci_form(geom), state.phi)
+    assert pf.k_energy(geom, state) == e + j
+    # on the flat torus J_{-Ric} is a zero whose sign reaches the CSV: compare bits
+    geom = flat64()
+    state = cos_state(geom)
+    e, j = pf.k_energy_parts(geom, state)
+    oracle = j_chi_path(geom, neg_ricci_form(geom), state.phi)
+    assert struct.pack("<d", j) == struct.pack("<d", oracle)
     assert pf.k_energy(geom, state) == e + j
 
 
@@ -187,7 +197,7 @@ def test_k_gradient_identity():
         minus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi - eps * v))
         fd = (plus - minus) / (2.0 * eps)
         grad = geom.integrate(
-            v * (pf.rbar(geom) - pf.scalar_curvature(geom, state)), weight=state.rho)
+            v * (geom.rbar - pf.scalar_curvature(geom, state)), weight=state.rho)
         assert abs(fd - grad) <= 1e-4 * max(1.0, abs(grad))
 
 
@@ -195,11 +205,11 @@ def test_j_gradient_identity():
     rng = np.random.default_rng(45)
     eps = 1e-4
     geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
-    chi = pf.omega0_form(geom)
+    chi = omega0_form(geom)
     state = random_valid_state(geom, rng)
     v = random_valid_state(geom, rng).phi
-    plus = pf.j_chi_path(geom, chi, state.phi + eps * v)
-    minus = pf.j_chi_path(geom, chi, state.phi - eps * v)
+    plus = j_chi_path(geom, chi, state.phi + eps * v)
+    minus = j_chi_path(geom, chi, state.phi - eps * v)
     fd = (plus - minus) / (2.0 * eps)
     trace = chi.density / (geom.sigma0 * state.rho)
     grad = geom.integrate(v * (trace - chi.mean), weight=state.rho)

@@ -14,7 +14,6 @@ from conftest import TWO_PI, random_sphere_phi, random_torus_phi
 def test_flat_torus_build_and_volume():
     geom = pf.build_torus_geometry(256, 256, TWO_PI, ())
     assert np.all(geom.sigma0 == 1.0)
-    assert geom.is_flat
     assert geom.lambda_ke == 0.0
     # volume of the flat reference: int 2 dx dy over [0, 2pi)^2 = 8 pi^2
     assert abs(geom.volume - 8.0 * np.pi ** 2) <= 1e-10
@@ -46,10 +45,18 @@ def test_torus_density_extremes():
     (8, 16, 1.0),    # below minimum
     (64, 64, 0.0),   # degenerate length
     (64, 64, -2.0),
+    (64, 64, np.inf),
+    (64, 64, np.nan),
 ])
 def test_torus_bad_grid(nx, ny, length):
     with pytest.raises(pf.BadGrid):
         pf.build_torus_geometry(nx, ny, length, ())
+
+
+@pytest.mark.parametrize("modes", [[(1, 0, np.nan)], [(1, 0, 0.2), (0, 1, np.inf)]])
+def test_torus_rejects_non_finite_sigma0_amplitude(modes):
+    with pytest.raises(pf.BadGrid):
+        pf.build_torus_geometry(16, 16, TWO_PI, modes)
 
 
 def test_sphere_build_and_volume():

@@ -5,6 +5,7 @@ import pytest
 
 import pcflow as pf
 from conftest import TWO_PI, random_valid_state
+from oracles import scalar_curvature_forms
 
 
 def flat64():
@@ -164,7 +165,7 @@ def test_scalar_curvature_two_forms_agree():
     for geom in (bumpy64(), pf.build_sphere_geometry(256)):
         for _ in range(5):
             state = random_valid_state(geom, rng)
-            primary, alternative, gap = pf.scalar_curvature_forms(geom, state)
+            primary, alternative, gap = scalar_curvature_forms(geom, state)
             assert gap <= 1e-8
             assert np.max(np.abs(primary - alternative)) <= 1e-8
 
@@ -174,15 +175,15 @@ def test_scalar_curvature_two_forms_agree():
 # ---------------------------------------------------------------------------
 
 def test_rbar_values():
-    assert pf.rbar(flat64()) == 0.0
-    assert abs(pf.rbar(bumpy64())) <= 1e-10
-    assert abs(pf.rbar(pf.build_sphere_geometry(128)) - 1.0) <= 1e-10
+    assert flat64().rbar == 0.0
+    assert abs(bumpy64().rbar) <= 1e-10
+    assert abs(pf.build_sphere_geometry(128).rbar - 1.0) <= 1e-10
 
 
 def test_cohomology_invariance():
     rng = np.random.default_rng(25)
     for geom in (bumpy64(), pf.build_sphere_geometry(256)):
-        rb = pf.rbar(geom)
+        rb = geom.rbar
         vol = geom.integrate(np.ones(geom.shape))
         for _ in range(20):
             state = random_valid_state(geom, rng)
