@@ -74,12 +74,19 @@ def _emit_outputs(config, geom, trajectory):
         write_checkpoint(config.checkpoint_path, geom, trajectory.states[-1])
 
 
-def _finish_run(config, geom, trajectory):
-    _emit_outputs(config, geom, trajectory)
+def _report(trajectory, suffix=""):
+    """Print the terminated line of a run and return its exit code."""
     last_t = trajectory.states[-1].time if trajectory.states else float("nan")
     print(f"terminated: {trajectory.terminated.value} at t = {last_t:.6g} "
-          f"({len(trajectory.records)} records) -> {config.output_path}")
+          f"({len(trajectory.records)} records){suffix}")
     return EXIT_OK if trajectory.terminated is Termination.REACHED_T_END else EXIT_RUNTIME
+
+
+def _finish_run(config, geom, trajectory):
+    if not trajectory.records:  # stopped at its initial state: nothing to write
+        return _report(trajectory)
+    _emit_outputs(config, geom, trajectory)
+    return _report(trajectory, f" -> {config.output_path}")
 
 
 def _cmd_run(args):
@@ -118,6 +125,8 @@ def _cmd_crosscheck(args):
     for kind in (FlowKind.PCF, FlowKind.NKRF):
         flow_config = replace(config.flow, flow_kind=kind)
         trajectory = run(geom, phi0, flow_config, p_list=config.p_list)
+        if not trajectory.records:
+            return _report(trajectory)
         emit_csv(trajectory, f"{stem}.{kind.value.lower()}.csv")
         trajectories[kind] = trajectory
     pcf, nkrf = trajectories[FlowKind.PCF], trajectories[FlowKind.NKRF]

@@ -35,16 +35,18 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO,
                       poisson_tol=DEFAULT_POISSON_TOL):
     """Solve Delta_phi(u) = rhs - mean_phi(rhs) with the given normalization."""
     rhs = geom.check_field(rhs)
+    if not rhs.any():
+        # a zero RHS (P on a Ricci-flat reference): no quadrature, no solve
+        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
     rho = state.rho
-    vol_phi = geom.integrate(np.ones(geom.shape), weight=rho)
+    vol_phi = geom.integrate(rho)
     raw_mass = geom.integrate(rhs, weight=rho)
     compat_defect = abs(raw_mass) / geom.volume
     projected = rhs - raw_mass / vol_phi
 
     if not projected.any():
-        # exactly compatible zero RHS: zero field satisfies both normalizations
-        zero = np.zeros(geom.shape)
-        return PoissonSolution(field=zero, residual_linf=0.0, compat_defect=compat_defect)
+        # a constant RHS projects to zero; the zero field meets both normalizations
+        return PoissonSolution(np.zeros(geom.shape), 0.0, compat_defect)
 
     # the residual is applied to the solve's own coefficients: on the torus
     # one inverse transform, where applying ref_laplacian to u takes two
@@ -72,7 +74,7 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO,
 def solve_P(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
     """PCF potential: Delta_phi(P) = rbar - tr_phi Ric(omega0), mean-zero.
 
-    On a flat torus the RHS is identically zero and P is the exact zero field.
+    On a flat torus the RHS is identically zero: P is the zero field, with no quadrature.
     """
     rhs = geom.rbar - trace_ric0(geom, state)
     return solve_poisson_phi(geom, state, rhs, Normalization.MEAN_ZERO, poisson_tol)

@@ -12,8 +12,6 @@ monitors, never asserted against constants.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .elliptic import DEFAULT_POISSON_TOL, solve_P
 from .kahler import scalar_curvature
 
@@ -119,7 +117,7 @@ def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST,
         dissipation=dissipation(geom, state, P),
         calabi_energy=calabi_energy(geom, state),
         rho_min=float(state.rho.min()),
-        volume=geom.integrate(np.ones(geom.shape), weight=state.rho),
+        volume=geom.integrate(state.rho),
         poisson_residual=p_solution.residual_linf,
         lp_grad_F=lp_grad_F,
         lp_trace0=lp_trace0,

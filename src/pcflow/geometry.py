@@ -21,7 +21,7 @@ random_initial. BACKENDS lists the backend classes.
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
+from scipy.linalg.lapack import dgtsv
 
 from .errors import BadGrid, NonPositiveDensity, ShapeError, SingularSolve
 
@@ -331,13 +331,11 @@ class SphereGeometry(GridGeometry):
     # -- solves and step control ---------------------------------------------
 
     def _solve_band(self, ab, b):
-        """Tridiagonal solve; failures and non-finite results raise SingularSolve."""
-        try:
-            u = scipy.linalg.solve_banded((1, 1), ab, b)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SingularSolve(str(exc)) from exc
-        if not np.isfinite(u).all():
-            raise SingularSolve("tridiagonal solve produced non-finite values")
+        """Tridiagonal solve of band ab (rows upper, diagonal, lower) by one LAPACK dgtsv
+        call; a zero pivot (info > 0) or a non-finite u raises SingularSolve."""
+        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+        if info != 0 or not np.isfinite(u).all():
+            raise SingularSolve(f"tridiagonal solve failed (dgtsv info {info})")
         return u
 
     def solve_reference_poisson(self, g):
@@ -353,7 +351,8 @@ class SphereGeometry(GridGeometry):
         return np.append(u, 0.0)
 
     def solve_shifted(self, b, dt_c):
-        """Solve (Id - dt_c * L0) u = b, L0 = ref_laplacian, as a tridiagonal system.
+        """Solve (Id - dt_c * L0) u = b, L0 = ref_laplacian, by one dgtsv call
+        on the shifted band (_solve_band).
 
         Direct, so no tolerance is checked: the forward defect sits at the
         rounding floor of the flux-form operator, which grows like dt_c/h^2.

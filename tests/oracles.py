@@ -1,13 +1,15 @@
 """Test oracles: second routes to quantities the package computes one way.
 
 J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
-scalar curvature through the full chart density log, and the average against
-omega_phi. Only tests call these.
+scalar curvature through the full chart density log, the average against
+omega_phi, and the sphere's tridiagonal solves through
+scipy.linalg.solve_banded. Only tests call these.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 import pcflow as pf
 
@@ -77,3 +79,30 @@ def scalar_curvature_forms(geom, state):
 def average_against_state(geom, state, f):
     """Average of f against omega_phi."""
     return geom.integrate(f, weight=state.rho) / geom.volume
+
+
+def sphere_flux_band(geom):
+    """h^2 times the sphere's flux divergence in solve_banded layout (upper,
+    diagonal, lower rows), assembled from the face coefficients."""
+    c = geom.face_coeff
+    band = np.zeros((3, geom.nmu))
+    band[0, 1:] = c[1:-1]
+    band[1, :] = -(c[:-1] + c[1:])
+    band[2, :-1] = c[1:-1]
+    return band
+
+
+def banded_solve_shifted(geom, b, dt_c):
+    """(Id - dt_c * ref_laplacian) u = b on the sphere by solve_banded."""
+    ab = -(0.5 * dt_c / (geom.h * geom.h)) * sphere_flux_band(geom)
+    ab[1] += 1.0
+    return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+def banded_solve_reference_poisson(geom, g):
+    """ref_laplacian(u) = g on the sphere, last node pinned to zero, by
+    solve_banded on the leading (nmu - 1) block."""
+    m = geom.nmu - 1
+    u = scipy.linalg.solve_banded((1, 1), sphere_flux_band(geom)[:, :m],
+                                  2.0 * geom.h * geom.h * g[:m])
+    return np.append(u, 0.0)

@@ -503,6 +503,26 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["run", "crosscheck"])
+def test_cli_reports_non_kahler_initial_state(tmp_path, monkeypatch, capsys, command):
+    # rho = 1 - 1.25 cos x: the run stops at its initial state with no record,
+    # so the CLI prints why, writes no CSV and exits 4
+    monkeypatch.chdir(tmp_path)
+    scenario = """
+    geometry.kind = torus
+    geometry.nx = 32
+    geometry.ny = 32
+    geometry.length = 6.283185307179586
+    initial.modes = (1,0,5.0)
+    output.path = out.csv
+    """
+    assert cli_mod.main([command, write_cfg(tmp_path, scenario)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["terminated: NotKahler at t = nan (0 records)"]
+    assert captured.err == ""
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_cli_thread_cap_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, QUICK_RUN)

@@ -103,14 +103,23 @@ def test_unnormalized_linearity_via_mean_zero():
 # solve_P
 # ---------------------------------------------------------------------------
 
-def test_p_flat_torus_identically_zero():
+def test_p_flat_torus_identically_zero(monkeypatch):
+    # on a Ricci-flat reference the RHS of P is exactly zero, so solve_P
+    # returns exact zeros without integrating or solving anything
     geom = flat64()
     rng = np.random.default_rng(34)
-    for _ in range(3):
-        state = random_valid_state(geom, rng)
+    states = [random_valid_state(geom, rng) for _ in range(3)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_P integrated or solved on a Ricci-flat reference")
+
+    monkeypatch.setattr(geom, "solve_reference_poisson", forbidden)
+    monkeypatch.setattr(geom, "integrate", forbidden)
+    for state in states:
         sol = pf.solve_P(geom, state)
         assert np.all(sol.field == 0.0)
         assert sol.residual_linf == 0.0
+        assert sol.compat_defect == 0.0
 
 
 def test_p_sphere_closed_form():

@@ -5,6 +5,7 @@ import pytest
 
 import pcflow as pf
 from conftest import TWO_PI, random_sphere_phi, random_torus_phi
+from oracles import banded_solve_reference_poisson, banded_solve_shifted
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +332,30 @@ def test_sphere_solves_raise_singular_solve_on_nan():
         geom.solve_shifted(b, 0.1)
     with pytest.raises(pf.SingularSolve):
         geom.solve_reference_poisson(b)
+
+
+@pytest.mark.parametrize("nmu", [32, 128, 512, 4096])
+def test_sphere_solves_are_bitwise_solve_banded(nmu):
+    # one dgtsv call is the routine solve_banded((1, 1), ...) ends in, so both
+    # sphere solves return its bytes: smooth and rough right-hand sides, and
+    # dt_c = 0 (the identity) to 10 for the shifted solve
+    geom = pf.build_sphere_geometry(nmu)
+    rng = np.random.default_rng(nmu)
+    for b in (random_sphere_phi(geom, rng, amp=1.0), rng.standard_normal(nmu)):
+        for dt_c in (0.0, 1e-3, 0.1, 1.0, 10.0):
+            got = geom.solve_shifted(b, dt_c)
+            assert got.tobytes() == banded_solve_shifted(geom, b, dt_c).tobytes()
+        g = b - np.mean(b)  # compatible: the dropped last equation is implied
+        got = geom.solve_reference_poisson(g)
+        assert got.tobytes() == banded_solve_reference_poisson(geom, g).tobytes()
+
+
+def test_sphere_band_solve_raises_singular_solve_on_zero_pivot():
+    geom = pf.build_sphere_geometry(64)
+    ab = np.ones((3, geom.nmu))
+    ab[1, 0] = ab[2, 0] = 0.0  # the first column is zero: dgtsv reports info = 1
+    with pytest.raises(pf.SingularSolve, match="info 1"):
+        geom._solve_band(ab, np.ones(geom.nmu))
 
 
 def test_solve_shifted_strongly_curved_torus_closed_form():
