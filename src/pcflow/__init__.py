@@ -11,8 +11,8 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import (RandomInitial, ScenarioConfig, build_geometry, format_config,
                      make_initial, parse_config)
 from .csvout import emit_csv
-from .elliptic import (Normalization, PoissonSolution, solve_P, solve_poisson_phi,
-                       solve_ricci_potential)
+from .elliptic import (Normalization, PoissonSolution, closed_form_P, solve_P,
+                       solve_poisson_phi, solve_ricci_potential)
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, PcflowError, ShapeError,
                      SingularSolve, ToleranceNotMet)
@@ -34,7 +34,8 @@ __all__ = [
     "PoissonSolution", "RandomInitial", "ScenarioConfig", "Scheme", "ShapeError",
     "SingularSolve", "SphereGeometry", "Termination", "ToleranceNotMet",
     "TorusGeometry", "TraceRecord", "Trajectory", "build_geometry",
-    "build_sphere_geometry", "build_torus_geometry", "calabi_energy", "dissipation",
+    "build_sphere_geometry", "build_torus_geometry", "calabi_energy", "closed_form_P",
+    "dissipation",
     "emit_csv", "entropy", "estimate_probes", "format_config", "i_functional",
     "k_energy", "k_energy_parts", "laplacian_phi", "ma_density",
     "make_initial", "make_trace_record", "nkrf_rhs",

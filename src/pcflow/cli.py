@@ -1,13 +1,17 @@
 """Command-line entry points.
 
 Subcommands: run, resume, crosscheck, probe, print-config. Exit codes by
-failure class: 2 parse, 3 validation, 4 runtime, 5 io. PCFLOW_THREADS caps
-internal data parallelism; the reference implementation executes every
-reduction sequentially, so any positive cap gives identical results and the
-variable is validated but otherwise inert.
+failure class: 2 parse, 3 validation, 4 runtime, 5 io. --log-level sets the
+least severe of the package's log records shown on stderr (default WARNING;
+INFO adds run()'s step rejections). PCFLOW_THREADS caps internal data
+parallelism; the reference implementation executes every reduction
+sequentially, so any positive cap gives identical results and the variable is
+validated but otherwise inert.
 """
 
 import argparse
+import contextlib
+import logging
 import os
 import sys
 from dataclasses import replace
@@ -45,6 +49,31 @@ def _thread_cap():
         raise ConfigValidationError("PCFLOW_THREADS",
                                     f"expected a positive integer, got {raw!r}")
     return cap
+
+
+@contextlib.contextmanager
+def _log_level(level):
+    """Within the block, show pcflow's log records at level and above on
+    stderr as bare messages; afterwards the pcflow logger has level NOTSET
+    and no handler.
+
+    Below WARNING a stderr handler is added. At WARNING and above none is:
+    Python's last-resort handler already prints those records in this form,
+    so the default output stays as it is without the option.
+    """
+    logger = logging.getLogger("pcflow")
+    handler = None
+    if logging.getLevelName(level) < logging.WARNING:
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        logger.addHandler(handler)
+    logger.setLevel(level)
+    try:
+        yield
+    finally:
+        logger.setLevel(logging.NOTSET)
+        if handler is not None:
+            logger.removeHandler(handler)
 
 
 def _load_config(path):
@@ -171,6 +200,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pcflow",
         description="Pseudo-Calabi flow laboratory on model geometries")
+    parser.add_argument("--log-level", default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                        help="least severe log record shown on stderr (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a scenario and emit its trace CSV")
     p_run.add_argument("config")
@@ -191,21 +223,22 @@ def main(argv=None):
     p_print.set_defaults(fn=_cmd_print_config)
 
     args = parser.parse_args(argv)
-    try:
-        _thread_cap()
-        return args.fn(args)
-    except ConfigParseError as exc:
-        print(f"pcflow: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigValidationError, BadGrid, NonPositiveDensity) as exc:
-        print(f"pcflow: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NotKahler, ToleranceNotMet, SingularSolve, ShapeError, ValueError) as exc:
-        print(f"pcflow: runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (CheckpointError, OSError) as exc:
-        print(f"pcflow: io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with _log_level(args.log_level):
+        try:
+            _thread_cap()
+            return args.fn(args)
+        except ConfigParseError as exc:
+            print(f"pcflow: parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (ConfigValidationError, BadGrid, NonPositiveDensity) as exc:
+            print(f"pcflow: invalid configuration: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except (NotKahler, ToleranceNotMet, SingularSolve, ShapeError, ValueError) as exc:
+            print(f"pcflow: runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except (CheckpointError, OSError) as exc:
+            print(f"pcflow: io error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

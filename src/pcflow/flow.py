@@ -2,18 +2,22 @@
 Kahler-Ricci flow.
 
 Both flows evolve the potential, PCF by F + P and NKRF by -h_phi; they are
-compared only through rho, the gauge-invariant metric density. The explicit
-scheme is classical RK4 in the backend's coefficient space with one elliptic
-solve per stage and a heat-limit step cap. The semi-implicit scheme treats a
-constant-coefficient operator implicitly with one direct solve per step (a
-diagonal division in Fourier space on the torus, a tridiagonal solve on the
-sphere); it has no linear stability limit, so it takes dt_init as given.
+compared only through rho, the gauge-invariant metric density. On a
+Kahler-Einstein reference (the round sphere, a flat torus) P and h_phi are
+closed forms in phi and F, so a step solves no elliptic equation; on a
+curved torus each right-hand side takes one P solve. The explicit scheme is
+classical RK4 in the backend's coefficient space with a heat-limit step cap.
+The semi-implicit scheme treats a constant-coefficient operator implicitly
+with one direct solve per step (a diagonal division in Fourier space on the
+torus, a tridiagonal solve on the sphere); it has no linear stability limit,
+so it takes dt_init as given.
 
 Checks: check_field (finite field) and the cone check of state_from_coeffs
 on the real phi that starts and ends every step (validate_kahler, or its two
 parts at the end of rk4_step), the cone check at each RK4 stage, check_field
-on every stage right-hand side, and solve_poisson_phi on every residual.
-run() halves the step on NotKahler and ToleranceNotMet.
+on every stage right-hand side, solve_poisson_phi on every residual, and the
+closed forms on the defect of the Einstein identity they rest on. run()
+halves the step on NotKahler and ToleranceNotMet.
 """
 
 import enum
@@ -22,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import DEFAULT_POISSON_TOL, solve_P, solve_ricci_potential
+from .elliptic import DEFAULT_POISSON_TOL, closed_form_P, solve_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
 from .functionals import DEFAULT_P_LIST, make_trace_record
 from .kahler import state_from_coeffs, validate_kahler
@@ -90,8 +94,10 @@ class Trajectory:
 
 
 def pcf_rhs(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
-    """d(phi)/dt for the pseudo-Calabi flow: F + P."""
-    solution = solve_P(geom, state, poisson_tol)
+    """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P
+    on an Einstein reference and from solve_P otherwise."""
+    solve = solve_P if geom.lambda_ke is None else closed_form_P
+    solution = solve(geom, state, poisson_tol)
     return state.big_f + solution.field, solution
 
 
@@ -124,7 +130,9 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     the caller has it. A curved 256^2 torus step makes 22 transforms (4 P
     solves of 3, 4 truncations, 3 stage densities, 3 to finish), a flat one
     10; a step from a state without coefficients (the first of a run) makes
-    one more.
+    one more. A stage state carries phi only where a closed-form right-hand
+    side reads it (lambda_ke != 0: the sphere, whose from_coeffs is the
+    identity).
     """
     if rhs_fn is None:
         rhs_fn = _rhs_for(flow_kind, poisson_tol)
@@ -136,7 +144,9 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
         return geom.truncate(geom.to_coeffs(geom.check_field(rhs)))
 
     def stage(c, k_hat, number):
-        return state_from_coeffs(geom, phi_hat + c * k_hat, t + c, rho_floor, stage=number)
+        stage_hat = phi_hat + c * k_hat
+        return state_from_coeffs(geom, stage_hat, t + c, rho_floor, stage=number,
+                                 phi=geom.from_coeffs(stage_hat) if geom.lambda_ke else None)
 
     k1 = truncated(state, rhs1)
     k2 = truncated(stage(0.5 * dt, k1, 2))
@@ -199,12 +209,17 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         return config.dt_init
 
     def record(current, dt_used):
-        # returns the PCF right-hand side, so the next step reuses this P
+        # a record reports the solved P. Off an Einstein reference that is the
+        # P the next PCF step starts from, so the right-hand side is returned;
+        # on one the steps take the closed form, and reusing the solved P
+        # would make the flow depend on record_every
         p_solution = solve_P(geom, current, config.poisson_tol)
         states.append(replace(current, coeffs=None))
         records.append(make_trace_record(geom, current, dt_used, p_list,
                                          config.poisson_tol, p_solution))
-        return current.big_f + p_solution.field if config.flow_kind is FlowKind.PCF else None
+        if config.flow_kind is FlowKind.PCF and geom.lambda_ke is None:
+            return current.big_f + p_solution.field
+        return None
 
     states = []
     records = []
@@ -212,6 +227,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
     step_index = 0
     step_dt = None  # the dt of the step that produced state
     terminated = Termination.REACHED_T_END
+    eps = np.finfo(float).eps
 
     while state.time < config.t_end:
         remaining = config.t_end - state.time
@@ -219,7 +235,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         # each t + dt rounds by at most eps*t_end and a run takes about
         # t_end/dt steps: a gap between remaining and dt within that bound is
         # rounding, so a full step ends the run and t snaps to t_end
-        rounding = np.finfo(float).eps * config.t_end * (config.t_end / dt)
+        rounding = eps * config.t_end * (config.t_end / dt)
         final_step = remaining - dt <= rounding
         if remaining < dt - rounding:
             dt = remaining

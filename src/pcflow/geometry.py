@@ -95,6 +95,7 @@ class TorusGeometry(GridGeometry):
         if sigma0.min() <= 0.0:
             raise NonPositiveDensity(f"min sigma0 = {sigma0.min():.6g} <= 0")
         self.sigma0 = sigma0
+        self._sigma0_min = float(np.min(sigma0))
 
         # spectral tables on the rfft2 layout (full axis 0, half axis 1)
         mx = scipy.fft.fftfreq(self.nx, d=1.0 / self.nx)
@@ -213,7 +214,7 @@ class TorusGeometry(GridGeometry):
         (the two are equal on the flat torus), so the solve is one diagonal
         division in Fourier space, exact to rounding for any dt_c >= 0.
         """
-        multiplier = 1.0 - (dt_c / float(np.min(self.sigma0))) * self._mixed_symbol
+        multiplier = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol
         return self.from_coeffs(self.to_coeffs(b) / multiplier)
 
     def heat_dt_scale(self, rho):

@@ -45,7 +45,7 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
                       coeffs=None):
     """validate_kahler from coefficients; the state keeps the phi and coeffs
-    given (an RK4 stage keeps neither)."""
+    given (an RK4 stage keeps no coeffs, and phi only on the sphere)."""
     rho = _density(geom, phi_hat)
     min_rho = float(rho.min())
     if min_rho <= rho_floor:

@@ -523,6 +523,46 @@ def test_cli_reports_non_kahler_initial_state(tmp_path, monkeypatch, capsys, com
     assert list(tmp_path.glob("*.csv")) == []
 
 
+def test_cli_log_level_info_shows_step_rejections(tmp_path, monkeypatch, capsys):
+    # the first attempt at the first step is rejected and run() halves dt; the
+    # INFO line that says so reaches stderr only with --log-level INFO
+    monkeypatch.chdir(tmp_path)
+    real_step = pf.flow.rk4_step
+    attempts = []
+
+    def first_attempt_rejected(geom_, state_, dt, *args, **kwargs):
+        attempts.append(dt)
+        if len(attempts) == 1:
+            raise pf.NotKahler(0.01, stage=3)
+        return real_step(geom_, state_, dt, *args, **kwargs)
+
+    monkeypatch.setattr(pf.flow, "rk4_step", first_attempt_rejected)
+    path = write_cfg(tmp_path, QUICK_RUN)
+    assert cli_mod.main(["run", path]) == 0
+    assert capsys.readouterr().err == ""
+    attempts.clear()
+    assert cli_mod.main(["--log-level", "INFO", "run", path]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"step rejected at t = 0 (dt = {DYADIC:.3e}): ")
+    assert "stage 3" in err[0]
+
+
+def test_cli_default_log_level_keeps_output(tmp_path):
+    # the initial-state WARNING reads the same with and without the option;
+    # --log-level ERROR hides it
+    path = write_cfg(tmp_path, MINIMAL_TORUS + "initial.modes = (1,0,9.0)\n")
+    outputs = []
+    for extra in ([], ["--log-level", "WARNING"], ["--log-level", "ERROR"]):
+        proc = subprocess.run([sys.executable, "-m", "pcflow.cli", *extra, "run", path],
+                              cwd=tmp_path, env=subprocess_env(), capture_output=True)
+        assert proc.returncode == 4
+        outputs.append((proc.stdout, proc.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(b"initial state rejected: ")
+    assert outputs[2] == (outputs[0][0], b"")
+
+
 def test_cli_thread_cap_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, QUICK_RUN)

@@ -1,6 +1,7 @@
 """The coefficient-space RK4 step against its real-space predecessor, its
-transform budget, the checks it keeps, and the P solve that run() shares
-between a record and the next step."""
+transform budget, the checks it keeps, the P solve that run() shares
+between a record and the next step off Einstein references, and the
+sphere steps that solve nothing."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -267,10 +268,18 @@ def test_run_shares_p_between_record_and_next_step(monkeypatch):
     assert len(calls) == 4 * 4 + 1
 
 
+def sphere128():
+    return pf.build_sphere_geometry(128)
+
+
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
-def test_record_cadence_does_not_change_the_flow(scheme):
-    geom = bumpy64()
-    phi0 = 0.3 * np.cos(geom.x)
+@pytest.mark.parametrize("build", [bumpy64, sphere128])
+def test_record_cadence_does_not_change_the_flow(build, scheme):
+    # off an Einstein reference the next step reuses the record's solved P;
+    # on the sphere the steps take the closed form and the record's P is not
+    # handed on, so either way the flow is the same bits for any cadence
+    geom = build()
+    phi0 = 0.3 * np.cos(geom.x) if geom.kind == "torus" else 0.1 * geom.mu ** 2
     finals = []
     for record_every in (1, 4):
         config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=4.0 * DYADIC,
@@ -280,6 +289,29 @@ def test_record_cadence_does_not_change_the_flow(scheme):
         finals.append(trajectory.states[-1])
     assert finals[0].time == finals[1].time
     assert np.array_equal(finals[0].phi, finals[1].phi)
+
+
+@pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
+@pytest.mark.parametrize("flow_kind", [pf.FlowKind.PCF, pf.FlowKind.NKRF])
+def test_sphere_steps_solve_no_poisson_equation(monkeypatch, flow_kind, scheme):
+    # P and the Ricci potential are closed forms on the round sphere: the one
+    # reference solve left is the solved P that each record reports
+    geom = sphere128()
+    calls = []
+    direct = geom.solve_reference_poisson
+
+    def counted(g):
+        calls.append(1)
+        return direct(g)
+
+    monkeypatch.setattr(geom, "solve_reference_poisson", counted)
+    config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=8.0 * DYADIC,
+                           record_every=4, flow_kind=flow_kind)
+    trajectory = pf.run(geom, 0.1 * geom.mu ** 2, config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    # 8 semi-implicit steps or 625 heat-capped RK4 steps
+    assert len(trajectory.records) >= 3
+    assert len(calls) == len(trajectory.records)
 
 
 def test_recorded_states_keep_no_coefficients():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pcflow as pf
+from pcflow.kahler import scalar_curvature
 from conftest import TWO_PI, random_sphere_phi, random_valid_state
 
 
@@ -63,6 +64,17 @@ def test_residuals_on_random_states():
             assert np.max(np.abs(back - projected)) <= 1e-10
 
 
+def test_nan_reference_solve_raises_tolerance_not_met(monkeypatch):
+    # a NaN residual fails "<= tol" both times, so the solve raises instead of
+    # returning a NaN field
+    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    state = zero_state(geom)
+    monkeypatch.setattr(geom, "solve_reference_poisson",
+                        lambda g: np.full((geom.nx, geom.ny // 2 + 1), np.nan + 0j))
+    with pytest.raises(pf.ToleranceNotMet):
+        pf.solve_poisson_phi(geom, state, np.cos(geom.x))
+
+
 def test_mean_zero_normalization():
     rng = np.random.default_rng(31)
     geom = pf.build_sphere_geometry(128)
@@ -104,8 +116,8 @@ def test_unnormalized_linearity_via_mean_zero():
 # ---------------------------------------------------------------------------
 
 def test_p_flat_torus_identically_zero(monkeypatch):
-    # on a Ricci-flat reference the RHS of P is exactly zero, so solve_P
-    # returns exact zeros without integrating or solving anything
+    # on a Ricci-flat reference the RHS of P is exactly zero, so solve_P and
+    # closed_form_P return exact zeros without integrating or solving anything
     geom = flat64()
     rng = np.random.default_rng(34)
     states = [random_valid_state(geom, rng) for _ in range(3)]
@@ -116,10 +128,11 @@ def test_p_flat_torus_identically_zero(monkeypatch):
     monkeypatch.setattr(geom, "solve_reference_poisson", forbidden)
     monkeypatch.setattr(geom, "integrate", forbidden)
     for state in states:
-        sol = pf.solve_P(geom, state)
-        assert np.all(sol.field == 0.0)
-        assert sol.residual_linf == 0.0
-        assert sol.compat_defect == 0.0
+        for solve in (pf.solve_P, pf.closed_form_P):
+            sol = solve(geom, state)
+            assert np.all(sol.field == 0.0)
+            assert sol.residual_linf == 0.0
+            assert sol.compat_defect == 0.0
 
 
 def test_p_sphere_closed_form():
@@ -159,6 +172,49 @@ def test_p_compat_defect_small():
                  pf.build_sphere_geometry(256)):
         state = random_valid_state(geom, rng)
         assert pf.solve_P(geom, state).compat_defect < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# closed forms on Einstein references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [lambda: pf.build_sphere_geometry(512), flat64],
+                         ids=["sphere", "flat_torus"])
+def test_closed_forms_match_solver_route(build):
+    # P = lambda*(phi - <phi>_phi) and h = -F - lambda*phi against the Poisson
+    # solves they replace in the flow
+    geom = build()
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        state = random_valid_state(geom, rng)
+        pairs = [(pf.closed_form_P(geom, state), pf.solve_P(geom, state)),
+                 (pf.solve_ricci_potential(geom, state),
+                  pf.solve_poisson_phi(geom, state,
+                                       scalar_curvature(geom, state) - geom.lambda_ke,
+                                       pf.Normalization.EXP_MASS))]
+        for closed, solved in pairs:
+            assert np.max(np.abs(closed.field - solved.field)) <= 1e-12
+            assert closed.residual_linf <= 1e-15
+            assert abs(closed.compat_defect - solved.compat_defect) <= 1e-12
+
+
+def test_closed_forms_check_the_einstein_identity():
+    # a state whose rho misses 1 + ref_laplacian(phi) by 1e-8 is not one the
+    # closed forms describe: both raise instead of returning a field
+    geom = pf.build_sphere_geometry(128)
+    good = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
+    rho = good.rho + 1e-8
+    bad = pf.MetricState(phi=good.phi, rho=rho, big_f=np.log(rho))
+    for solve in (pf.closed_form_P, pf.solve_ricci_potential):
+        assert solve(geom, good).residual_linf <= 1e-15
+        with pytest.raises(pf.ToleranceNotMet):
+            solve(geom, bad)
+
+
+def test_closed_form_p_needs_einstein_reference():
+    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    with pytest.raises(ValueError):
+        pf.closed_form_P(geom, zero_state(geom))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +311,9 @@ def test_ricci_potential_needs_einstein_reference():
 
 def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch):
     # the backend solves once and solve_poisson_phi refines only on a missed
-    # tolerance; at nmu 1024 these smooth states never need the second solve
+    # tolerance; at nmu 1024 these smooth states never need the second solve.
+    # The flow takes the Ricci potential in closed form, so its right-hand
+    # side R - lambda goes to solve_poisson_phi directly
     geom = pf.build_sphere_geometry(1024)
     calls = []
     direct = geom.solve_reference_poisson
@@ -270,7 +328,10 @@ def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch):
         c = rng.uniform(-0.1, 0.1, 6)
         phi = sum(c[k] * geom.mu ** (k + 1) for k in range(6))
         state = pf.validate_kahler(geom, phi)
-        for solve in (pf.solve_P, pf.solve_ricci_potential):
+        ricci_rhs = scalar_curvature(geom, state) - geom.lambda_ke
+        for solve in (pf.solve_P,
+                      lambda g, s: pf.solve_poisson_phi(g, s, ricci_rhs,
+                                                        pf.Normalization.EXP_MASS)):
             before = len(calls)
             solve(geom, state)
             assert len(calls) - before == 1
