@@ -82,7 +82,7 @@ def _load_config(path):
 
 
 def _check_flow_geometry(config, geom):
-    if config.flow.flow_kind is FlowKind.NKRF and geom.lambda_ke is None:
+    if config.flow.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
         raise ConfigValidationError(
             "flow.kind", "NKRF needs an Einstein reference (round sphere or flat torus)")
 
@@ -144,7 +144,7 @@ def _cmd_resume(args):
 def _cmd_crosscheck(args):
     config = _load_config(args.config)
     geom = build_geometry(config)
-    if geom.lambda_ke is None:
+    if geom.ricci_potential0 is not None:
         raise ConfigValidationError(
             "geometry.kind", "crosscheck needs an Einstein reference "
                              "(round sphere or flat torus)")

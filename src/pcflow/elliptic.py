@@ -1,5 +1,5 @@
-"""Normalized Poisson solves on the evolving metric, and their closed forms
-on Kahler-Einstein references.
+"""Normalized Poisson solves on the evolving metric, and the closed forms
+that replace them in the flow.
 
 Every solve first projects the right-hand side onto the compatible range of
 Delta_phi (its mean against omega_phi is removed), then inverts the chart
@@ -8,13 +8,15 @@ finally applies the requested normalization as a constant shift. The constant
 nullspace is never pinned inside the linear algebra. solve_poisson_phi checks
 the residual of a solve and refines once; the backends solve once.
 
-On a Kahler-Einstein reference (Ric(omega0) = lambda*omega0, geom.lambda_ke
-not None) Delta_phi(phi) = 1 - tr_phi(omega0), so P = lambda*(phi -
-<phi>_phi) and the Ricci potential is -F - lambda*phi up to a constant. The
-discrete operators keep that identity up to rounding (rho - 1 =
-ref_laplacian(phi)), so closed_form_P and solve_ricci_potential solve
-nothing: they check the identity's defect against poisson_tol instead of a
-residual.
+In complex dimension 1, Ric(omega0) = lambda*omega0 + i d dbar(h0) on every
+reference (geom.lambda_ke and geom.ricci_potential0, None where omega0 is
+Einstein and h0 = 0). Since Delta_phi(phi) = 1 - tr_phi(omega0), P is
+lambda*phi - h0 up to a constant, and on an Einstein reference the Ricci
+potential is -F - lambda*phi. The discrete operators keep the lambda part up
+to rounding (rho - 1 = ref_laplacian(phi)) and the h0 part by construction
+(ric0_density is mixed(h0)), so closed_form_P and solve_ricci_potential solve
+nothing: they check the lambda part's defect against poisson_tol instead of a
+residual. solve_P, the solver, is left to trace records.
 """
 
 import enum
@@ -85,12 +87,13 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO,
 
 
 def _closed_form(geom, state, u, normalization, poisson_tol):
-    """Normalize a closed-form potential u on an Einstein reference.
+    """Normalize a closed-form potential u.
 
     Its residual_linf is the defect sup|lambda*(rho - 1 - ref_laplacian(phi))/rho|
-    of the identity it rests on, which raises ToleranceNotMet above poisson_tol;
-    its compat_defect is |lambda|*|vol_phi - vol|/vol, that of the solved RHS.
-    On a Ricci-flat reference both are 0.0 and phi is not read.
+    of the identity its lambda*phi part rests on, which raises ToleranceNotMet
+    above poisson_tol; its compat_defect is |lambda|*|vol_phi - vol|/vol, that
+    of the solved RHS. Where lambda = 0 both are 0.0 and phi is not read: the
+    h0 part holds by construction.
     """
     lam = geom.lambda_ke
     rho = state.rho
@@ -107,15 +110,10 @@ def _closed_form(geom, state, u, normalization, poisson_tol):
                            defect_linf, compat_defect)
 
 
-def _require_einstein(geom, what):
-    if geom.lambda_ke is None:
-        raise ValueError(f"{what} needs an Einstein reference (round sphere or flat torus)")
-
-
 def solve_P(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
     """PCF potential by a Poisson solve: Delta_phi(P) = rbar - tr_phi Ric(omega0),
-    mean-zero. The flow calls it off Einstein references, and trace records
-    on every reference.
+    mean-zero. Trace records call it, so each record cross-checks the
+    closed_form_P that the steps take.
 
     On a flat torus the RHS is identically zero: P is the zero field, with no quadrature.
     """
@@ -124,17 +122,21 @@ def solve_P(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
 
 
 def closed_form_P(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
-    """PCF potential on an Einstein reference: lambda*(phi - <phi>_phi), the
-    mean-zero P that solve_P solves for, with no solve.
+    """PCF potential lambda*phi - h0, mean-zero: the P that solve_P solves
+    for, with no solve, on every reference.
 
-    On a flat torus it is the zero field, with no quadrature; elsewhere it
-    checks the identity's defect (see _closed_form).
+    On a torus (lambda = 0) it is log(sigma0) shifted, and reads neither phi
+    nor an operator; on a flat torus it is the zero field, with no
+    quadrature. On the sphere it checks the identity's defect (see
+    _closed_form).
     """
-    _require_einstein(geom, "closed-form P")
-    if geom.lambda_ke == 0.0:
+    lam, h0 = geom.lambda_ke, geom.ricci_potential0
+    if lam == 0.0 and h0 is None:
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
-    return _closed_form(geom, state, geom.lambda_ke * state.phi, Normalization.MEAN_ZERO,
-                        poisson_tol)
+    u = lam * state.phi if lam != 0.0 else 0.0
+    if h0 is not None:
+        u = u - h0
+    return _closed_form(geom, state, u, Normalization.MEAN_ZERO, poisson_tol)
 
 
 def solve_ricci_potential(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
@@ -145,7 +147,9 @@ def solve_ricci_potential(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
     (lambda = 0); curved-reference tori have no Ricci potential in this gauge.
     Off a flat torus it checks the identity's defect (see _closed_form).
     """
-    _require_einstein(geom, "Ricci potential")
+    if geom.ricci_potential0 is not None:
+        raise ValueError("Ricci potential needs an Einstein reference "
+                         "(round sphere or flat torus)")
     u = -state.big_f
     if geom.lambda_ke != 0.0:
         u = u - geom.lambda_ke * state.phi

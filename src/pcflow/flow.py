@@ -2,11 +2,11 @@
 Kahler-Ricci flow.
 
 Both flows evolve the potential, PCF by F + P and NKRF by -h_phi; they are
-compared only through rho, the gauge-invariant metric density. On a
-Kahler-Einstein reference (the round sphere, a flat torus) P and h_phi are
-closed forms in phi and F, so a step solves no elliptic equation; on a
-curved torus each right-hand side takes one P solve. The explicit scheme is
-classical RK4 in the backend's coefficient space with a heat-limit step cap.
+compared only through rho, the gauge-invariant metric density. P is a closed
+form on every reference (lambda*phi - h0, see elliptic.closed_form_P), and
+h_phi one on the Kahler-Einstein references NKRF runs on, so a step solves
+no elliptic equation. The explicit scheme is classical RK4 in the backend's
+coefficient space with a heat-limit step cap.
 The semi-implicit scheme treats a constant-coefficient operator implicitly
 with one direct solve per step (a diagonal division in Fourier space on the
 torus, a tridiagonal solve on the sphere); it has no linear stability limit,
@@ -15,9 +15,9 @@ so it takes dt_init as given.
 Checks: check_field (finite field) and the cone check of state_from_coeffs
 on the real phi that starts and ends every step (validate_kahler, or its two
 parts at the end of rk4_step), the cone check at each RK4 stage, check_field
-on every stage right-hand side, solve_poisson_phi on every residual, and the
-closed forms on the defect of the Einstein identity they rest on. run()
-halves the step on NotKahler and ToleranceNotMet.
+on every stage right-hand side, and the closed forms on the defect of the
+Einstein identity they rest on. run() halves the step on NotKahler and
+ToleranceNotMet.
 """
 
 import enum
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import DEFAULT_POISSON_TOL, closed_form_P, solve_P, solve_ricci_potential
+from .elliptic import DEFAULT_POISSON_TOL, closed_form_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
 from .functionals import DEFAULT_P_LIST, make_trace_record
 from .kahler import state_from_coeffs, validate_kahler
@@ -94,10 +94,8 @@ class Trajectory:
 
 
 def pcf_rhs(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
-    """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P
-    on an Einstein reference and from solve_P otherwise."""
-    solve = solve_P if geom.lambda_ke is None else closed_form_P
-    solution = solve(geom, state, poisson_tol)
+    """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P."""
+    solution = closed_form_P(geom, state, poisson_tol)
     return state.big_f + solution.field, solution
 
 
@@ -117,7 +115,7 @@ def _rhs_for(flow_kind, poisson_tol):
 
 
 def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
-             poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None, rhs1=None):
+             poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None):
     """Classical RK4 step with its stages in the backend's coefficient space.
 
     A stage potential is phi_hat + c*k_hat, and one inverse transform gives
@@ -126,29 +124,26 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     not damp the corner modes the nonlinearity injects). The increment goes
     back to real space and the step ends with the checks of validate_kahler
     on the real phi, so checkpoints resume bitwise; the new state keeps phi's
-    coefficients for the next step. rhs1 is the stage-1 right-hand side when
-    the caller has it. A curved 256^2 torus step makes 22 transforms (4 P
-    solves of 3, 4 truncations, 3 stage densities, 3 to finish), a flat one
-    10; a step from a state without coefficients (the first of a run) makes
-    one more. A stage state carries phi only where a closed-form right-hand
-    side reads it (lambda_ke != 0: the sphere, whose from_coeffs is the
-    identity).
+    coefficients for the next step. A torus step, curved or flat, makes 10
+    transforms (4 truncations, 3 stage densities, 3 to finish); a step from
+    a state without coefficients (the first of a run) makes one more. A
+    stage state carries phi only where a closed-form right-hand side reads
+    it (lambda_ke != 0: the sphere, whose from_coeffs is the identity).
     """
     if rhs_fn is None:
         rhs_fn = _rhs_for(flow_kind, poisson_tol)
     phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
     t = state.time
 
-    def truncated(stage_state, rhs=None):
-        rhs = rhs_fn(geom, stage_state) if rhs is None else rhs
-        return geom.truncate(geom.to_coeffs(geom.check_field(rhs)))
+    def truncated(stage_state):
+        return geom.truncate(geom.to_coeffs(geom.check_field(rhs_fn(geom, stage_state))))
 
     def stage(c, k_hat, number):
         stage_hat = phi_hat + c * k_hat
         return state_from_coeffs(geom, stage_hat, t + c, rho_floor, stage=number,
                                  phi=geom.from_coeffs(stage_hat) if geom.lambda_ke else None)
 
-    k1 = truncated(state, rhs1)
+    k1 = truncated(state)
     k2 = truncated(stage(0.5 * dt, k1, 2))
     k3 = truncated(stage(0.5 * dt, k2, 3))
     k4 = truncated(stage(dt, k3, 4))
@@ -160,7 +155,7 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
 
 
 def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
-                       poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None, rhs1=None):
+                       poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None):
     """First-order step, implicit in c*L0 with c = 1/min(rho).
 
     L0 is the constant-coefficient operator solve_shifted inverts
@@ -169,13 +164,11 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     equals (Id - dt*c*L0) phi_new = phi + dt*(rhs - c*L0(phi)) without
     applying L0 to phi. c*L0 dominates Delta_phi = f_{z zbar}/(sigma0*rho)
     pointwise, so the frozen-coefficient amplification factor lies in
-    [0, 1] and dt is not limited by the heat scale. rhs1 is the right-hand
-    side at state when the caller already has it.
+    [0, 1] and dt is not limited by the heat scale.
     """
-    if rhs1 is None:
-        rhs1 = (rhs_fn or _rhs_for(flow_kind, poisson_tol))(geom, state)
+    rhs = (rhs_fn or _rhs_for(flow_kind, poisson_tol))(geom, state)
     c = 1.0 / float(np.min(state.rho))
-    phi_new = state.phi + geom.solve_shifted(dt * rhs1, dt * c)
+    phi_new = state.phi + geom.solve_shifted(dt * rhs, dt * c)
     return validate_kahler(geom, phi_new, state.time + dt, rho_floor)
 
 
@@ -190,7 +183,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
 
     Terminal conditions are reported on the Trajectory, never raised: a
     non-Kahler initial state, a step floor hit after max_halvings halvings,
-    or the end time reached.
+    or the end time reached. A record's solve_P is the only Poisson solve
+    in a run; its ToleranceNotMet is no step failure, so it propagates to
+    the caller and no Trajectory is returned.
     """
     try:
         state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
@@ -209,21 +204,15 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         return config.dt_init
 
     def record(current, dt_used):
-        # a record reports the solved P. Off an Einstein reference that is the
-        # P the next PCF step starts from, so the right-hand side is returned;
-        # on one the steps take the closed form, and reusing the solved P
-        # would make the flow depend on record_every
-        p_solution = solve_P(geom, current, config.poisson_tol)
+        # a record reports the solved P, which the steps never read: the
+        # flow does not depend on record_every
         states.append(replace(current, coeffs=None))
         records.append(make_trace_record(geom, current, dt_used, p_list,
-                                         config.poisson_tol, p_solution))
-        if config.flow_kind is FlowKind.PCF and geom.lambda_ke is None:
-            return current.big_f + p_solution.field
-        return None
+                                         config.poisson_tol))
 
     states = []
     records = []
-    rhs1 = record(state, min(base_dt(state), config.t_end - start_time))
+    record(state, min(base_dt(state), config.t_end - start_time))
     step_index = 0
     step_dt = None  # the dt of the step that produced state
     terminated = Termination.REACHED_T_END
@@ -243,7 +232,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         for _ in range(config.max_halvings + 1):
             try:
                 new_state = stepper(geom, state, dt, config.flow_kind,
-                                    config.rho_floor, config.poisson_tol, rhs1=rhs1)
+                                    config.rho_floor, config.poisson_tol)
                 break
             except (NotKahler, ToleranceNotMet) as exc:
                 logger.info("step rejected at t = %.6g (dt = %.3e): %s",
@@ -258,9 +247,8 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         state = new_state
         step_dt = dt
         step_index += 1
-        rhs1 = None
         if step_index % config.record_every == 0 or state.time >= config.t_end:
-            rhs1 = record(state, dt)
+            record(state, dt)
 
     if records[-1].time < state.time:
         record(state, step_dt)

@@ -97,10 +97,9 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST,
-                      poisson_tol=DEFAULT_POISSON_TOL, p_solution=None):
-    """Evaluate every monitored quantity at one state; solves P unless given."""
-    if p_solution is None:
-        p_solution = solve_P(geom, state, poisson_tol)
+                      poisson_tol=DEFAULT_POISSON_TOL):
+    """Evaluate every monitored quantity at one state, with P by solve_P."""
+    p_solution = solve_P(geom, state, poisson_tol)
     P = p_solution.field
     ent, j = k_energy_parts(geom, state)
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list)

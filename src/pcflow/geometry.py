@@ -35,8 +35,10 @@ def _is_pow2(n):
 class GridGeometry:
     """Field plumbing shared by the backends.
 
-    Each backend also carries lambda_ke, the Einstein constant of omega0
-    (Ric(omega0) = lambda_ke * omega0), or None when omega0 is not Einstein,
+    In complex dimension 1 every Kahler class is a multiple of c_1, so
+    Ric(omega0) = lambda_ke * omega0 + i d dbar(h0) on every reference. Each
+    backend carries the class constant lambda_ke (1 on the sphere, 0 on every
+    torus), ricci_potential0 = h0, or None where omega0 is Einstein (h0 = 0),
     and rbar, the volume average of R(omega0).
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
@@ -121,10 +123,14 @@ class TorusGeometry(GridGeometry):
 
         self._cell = 2.0 * (self.length / self.nx) * (self.length / self.ny)
         self.volume = self.integrate(np.ones(self.shape))
-        # Ricci density of omega0 in the chart: r0 = -(log sigma0)_{z zbar};
-        # exact zeros when sigma0 == 1
-        self.ric0_density = -self.mixed_second_derivative(np.log(self.sigma0))
-        self.lambda_ke = None if self.sigma0_modes else 0.0
+        # Ric(omega0) = i d dbar(h0) with h0 = -log sigma0, kept only where
+        # omega0 is curved. Its chart density r0 = -(log sigma0)_{z zbar} is
+        # mixed(h0) bitwise (negation commutes with the rounded transforms)
+        # and exact zeros when sigma0 == 1
+        log_sigma0 = np.log(self.sigma0)
+        self.ric0_density = -self.mixed_second_derivative(log_sigma0)
+        self.lambda_ke = 0.0
+        self.ricci_potential0 = -log_sigma0 if self.sigma0_modes else None
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
     # -- initial data --------------------------------------------------------
@@ -242,6 +248,7 @@ class SphereGeometry(GridGeometry):
             raise BadGrid(f"nmu must be >= 32, got {nmu}")
         self.nmu = int(nmu)
         self.lambda_ke = 1.0
+        self.ricci_potential0 = None
         self.shape = (self.nmu,)
         self.h = 1.0 / self.nmu
         self.quad_weight = 4.0 * np.pi / self.nmu

@@ -60,7 +60,7 @@ def laplacian_phi(geom, state, f):
 
 def trace_ric0(geom, state):
     """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho); zero when Ricci-flat."""
-    if geom.lambda_ke == 0.0:
+    if geom.lambda_ke == 0.0 and geom.ricci_potential0 is None:
         return np.zeros(geom.shape)
     return geom.ric0_density / (geom.sigma0 * state.rho)
 

@@ -430,6 +430,27 @@ def test_cli_nkrf_rejects_non_einstein_reference(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_reports_record_solve_failure(tmp_path, monkeypatch, capsys):
+    # a record's solve_P is the only Poisson solve in a run: its
+    # ToleranceNotMet leaves run() and the CLI reports it as a runtime error,
+    # exit 4, with no traceback and no CSV
+    monkeypatch.chdir(tmp_path)
+    direct = pf.geometry.TorusGeometry.solve_reference_poisson
+
+    def defective(self, g):
+        return direct(self, g) + self.to_coeffs(1e-8 * np.cos(3.0 * self.x))
+
+    monkeypatch.setattr(pf.geometry.TorusGeometry, "solve_reference_poisson", defective)
+    scenario = QUICK_RUN + "geometry.sigma0_modes = (1,0,0.2)\n"
+    assert cli_mod.main(["run", write_cfg(tmp_path, scenario)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("pcflow: runtime error: poisson residual")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_cli_emit_fields(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     scenario = QUICK_RUN + "output.emit_fields = true\n"

@@ -1,7 +1,6 @@
 """The coefficient-space RK4 step against its real-space predecessor, its
-transform budget, the checks it keeps, the P solve that run() shares
-between a record and the next step off Einstein references, and the
-sphere steps that solve nothing."""
+transform budget, the checks it keeps, and steps that solve no Poisson
+equation on any reference: a record's P solve is the only one in a run."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +28,10 @@ def flat64():
 
 def bumpy64():
     return pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+
+
+def sphere128():
+    return pf.build_sphere_geometry(128)
 
 
 def preset_state(name):
@@ -136,8 +139,11 @@ def test_transforms_per_step(transform_count):
     # of a run transforms phi once more
     state = pf.rk4_step(geom, state, dt)
     transform_count[0] = 0
-    pf.rk4_step(geom, state, dt)  # stage 1 solves its own P
-    assert transform_count[0] <= 22
+    pf.rk4_step(geom, state, dt)  # P is closed-form at every stage
+    assert transform_count[0] <= 10
+    transform_count[0] = 0
+    pf.semi_implicit_step(geom, state, dt)
+    assert transform_count[0] == 4
 
     flat = flat64()
     state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x))
@@ -174,19 +180,34 @@ def _defective_solve(geom, active):
 
 
 def test_reference_solve_defect_raises_tolerance_not_met(monkeypatch):
+    # steps solve nothing, so the solver's check guards the records
     geom = bumpy64()
     state = pf.validate_kahler(geom, 0.3 * np.cos(geom.x))
     monkeypatch.setattr(geom, "solve_reference_poisson", _defective_solve(geom, [True]))
     with pytest.raises(pf.ToleranceNotMet):
-        pf.rk4_step(geom, state, pf.suggest_dt(geom, state))
+        pf.solve_P(geom, state)
+    with pytest.raises(pf.ToleranceNotMet):
+        pf.make_trace_record(geom, state, 1e-3)
 
 
-def test_run_halves_step_on_reference_solve_defect(monkeypatch):
-    # the first attempt at step 1 meets the defect in its stage-2 solve
-    geom = bumpy64()
+def _defective_identity(geom, active):
+    """Wraps the backend's ref_laplacian_from_coeffs so that, while active[0]
+    holds, the sphere's closed forms see an Einstein-identity defect of 1e-8."""
+    direct = geom.ref_laplacian_from_coeffs
+
+    def apply(fh):
+        f = direct(fh)
+        return f + 1e-8 if active[0] else f
+
+    return apply
+
+
+def test_run_halves_step_on_einstein_identity_defect(monkeypatch):
+    # the first attempt at step 1 meets the defect in its closed-form P
+    geom = sphere128()
     active = [False]
-    monkeypatch.setattr(geom, "solve_reference_poisson", _defective_solve(geom, active))
-    real_step = flow_mod.rk4_step
+    monkeypatch.setattr(geom, "ref_laplacian_from_coeffs", _defective_identity(geom, active))
+    real_step = flow_mod.semi_implicit_step
     attempts = []
 
     def first_attempt_defective(geom_, state_, dt, *args, **kwargs):
@@ -197,9 +218,10 @@ def test_run_halves_step_on_reference_solve_defect(monkeypatch):
         finally:
             active[0] = False
 
-    monkeypatch.setattr(flow_mod, "rk4_step", first_attempt_defective)
-    config = pf.FlowConfig(dt_init=DYADIC, t_end=DYADIC, record_every=1)
-    trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
+    monkeypatch.setattr(flow_mod, "semi_implicit_step", first_attempt_defective)
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC, t_end=DYADIC,
+                           record_every=1)
+    trajectory = pf.run(geom, 0.1 * geom.mu ** 2, config)
     assert trajectory.terminated is pf.Termination.REACHED_T_END
     assert attempts[:2] == [DYADIC, 0.5 * DYADIC]
     assert trajectory.records[1].dt == 0.5 * DYADIC
@@ -212,7 +234,7 @@ def test_coefficient_residual_matches_transform_residual(name):
     # the same residual up to the round-trip rounding floor
     geom, state = preset_state(name)
     cases = [(pf.solve_P, geom.rbar - trace_ric0(geom, state))]
-    if geom.lambda_ke is not None:
+    if geom.ricci_potential0 is None:
         cases.append((pf.solve_ricci_potential,
                       scalar_curvature(geom, state) - geom.lambda_ke))
     vol_phi = geom.integrate(np.ones(geom.shape), weight=state.rho)
@@ -245,39 +267,11 @@ def test_non_finite_stage_rhs_raises_shape_error(build, bad_stage):
     assert len(calls) == bad_stage
 
 
-# ---------------------------------------------------------------------------
-# one P solve per recorded state
-# ---------------------------------------------------------------------------
-
-def test_run_shares_p_between_record_and_next_step(monkeypatch):
-    # 4 steps of 4 stages solve P 16 times; 4 of those are at the states
-    # records 0-3 read, so only the record of the final state adds a solve
-    geom = bumpy64()
-    calls = []
-    real_solve = pf.solve_P
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real_solve(*args, **kwargs)
-
-    for module in (flow_mod, pf.functionals, pf.elliptic):
-        monkeypatch.setattr(module, "solve_P", counted)
-    config = pf.FlowConfig(dt_init=DYADIC, t_end=4.0 * DYADIC, record_every=1)
-    trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
-    assert len(trajectory.records) == 5
-    assert len(calls) == 4 * 4 + 1
-
-
-def sphere128():
-    return pf.build_sphere_geometry(128)
-
-
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
 @pytest.mark.parametrize("build", [bumpy64, sphere128])
 def test_record_cadence_does_not_change_the_flow(build, scheme):
-    # off an Einstein reference the next step reuses the record's solved P;
-    # on the sphere the steps take the closed form and the record's P is not
-    # handed on, so either way the flow is the same bits for any cadence
+    # the steps take P in closed form and never read a record's solved P,
+    # so the flow is the same bits for any cadence
     geom = build()
     phi0 = 0.3 * np.cos(geom.x) if geom.kind == "torus" else 0.1 * geom.mu ** 2
     finals = []
@@ -291,27 +285,53 @@ def test_record_cadence_does_not_change_the_flow(build, scheme):
     assert np.array_equal(finals[0].phi, finals[1].phi)
 
 
+# ---------------------------------------------------------------------------
+# one P solve per recorded state, none in a step
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
-@pytest.mark.parametrize("flow_kind", [pf.FlowKind.PCF, pf.FlowKind.NKRF])
-def test_sphere_steps_solve_no_poisson_equation(monkeypatch, flow_kind, scheme):
-    # P and the Ricci potential are closed forms on the round sphere: the one
-    # reference solve left is the solved P that each record reports
-    geom = sphere128()
-    calls = []
-    direct = geom.solve_reference_poisson
+@pytest.mark.parametrize("case", [("sphere128", pf.FlowKind.PCF),
+                                  ("sphere128", pf.FlowKind.NKRF),
+                                  ("bumpy64", pf.FlowKind.PCF)],
+                         ids=lambda case: f"{case[0]}-{case[1].value}")
+def test_steps_solve_no_poisson_equation(monkeypatch, case, scheme):
+    # P is a closed form on every reference and the Ricci potential one on
+    # the sphere: the one reference solve left is the solved P that each
+    # record reports
+    name, flow_kind = case
+    geom = {"sphere128": sphere128, "bumpy64": bumpy64}[name]()
+    solves, p_solves = [], []
+    direct_solve, direct_p = geom.solve_reference_poisson, pf.solve_P
 
-    def counted(g):
-        calls.append(1)
-        return direct(g)
+    def counted_solve(g):
+        solves.append(1)
+        return direct_solve(g)
 
-    monkeypatch.setattr(geom, "solve_reference_poisson", counted)
+    def counted_p(*args, **kwargs):
+        p_solves.append(1)
+        return direct_p(*args, **kwargs)
+
+    stepper_name = "rk4_step" if scheme is pf.Scheme.RK4 else "semi_implicit_step"
+    real_step = getattr(flow_mod, stepper_name)
+
+    def step_solving_nothing(*args, **kwargs):
+        before = len(solves)
+        new_state = real_step(*args, **kwargs)
+        assert len(solves) == before
+        return new_state
+
+    monkeypatch.setattr(geom, "solve_reference_poisson", counted_solve)
+    monkeypatch.setattr(pf.functionals, "solve_P", counted_p)
+    monkeypatch.setattr(flow_mod, stepper_name, step_solving_nothing)
+    phi0 = 0.3 * np.cos(geom.x) if geom.kind == "torus" else 0.1 * geom.mu ** 2
     config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=8.0 * DYADIC,
                            record_every=4, flow_kind=flow_kind)
-    trajectory = pf.run(geom, 0.1 * geom.mu ** 2, config)
+    trajectory = pf.run(geom, phi0, config)
     assert trajectory.terminated is pf.Termination.REACHED_T_END
-    # 8 semi-implicit steps or 625 heat-capped RK4 steps
+    # 8 semi-implicit steps, or heat-capped RK4 steps: 625 on the sphere
     assert len(trajectory.records) >= 3
-    assert len(calls) == len(trajectory.records)
+    assert len(p_solves) == len(trajectory.records)
+    assert len(solves) == len(trajectory.records)
 
 
 def test_recorded_states_keep_no_coefficients():

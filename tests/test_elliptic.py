@@ -1,11 +1,15 @@
 """Normalized Poisson solves on the evolving metric: P and the Ricci potential."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pcflow as pf
 from pcflow.kahler import scalar_curvature
 from conftest import TWO_PI, random_sphere_phi, random_valid_state
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def flat64():
@@ -175,7 +179,7 @@ def test_p_compat_defect_small():
 
 
 # ---------------------------------------------------------------------------
-# closed forms on Einstein references
+# closed forms
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("build", [lambda: pf.build_sphere_geometry(512), flat64],
@@ -211,10 +215,35 @@ def test_closed_forms_check_the_einstein_identity():
             solve(geom, bad)
 
 
-def test_closed_form_p_needs_einstein_reference():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
-    with pytest.raises(ValueError):
-        pf.closed_form_P(geom, zero_state(geom))
+def _pbound_states(seeds):
+    """The pbound_torus preset's 256^2 curved torus and its initial states at
+    the given seeds of the random draw."""
+    text = (PRESETS / "pbound_torus.cfg").read_text()
+    assert "initial.random.seed = 3\n" in text
+    for seed in seeds:
+        config = pf.parse_config(text.replace("initial.random.seed = 3\n",
+                                              f"initial.random.seed = {seed}\n"))
+        geom = pf.build_geometry(config)
+        yield geom, pf.validate_kahler(geom, pf.make_initial(geom, config))
+
+
+def test_closed_form_p_matches_solver_on_curved_torus():
+    # on a torus P = log(sigma0) - <log(sigma0)>_phi: the closed form rests on
+    # ric0_density being mixed(h0) bitwise, so it reports no defect at all
+    rng = np.random.default_rng(41)
+    cases = []
+    for modes in ([(1, 0, 0.2)], [(1, 0, 0.9), (2, 3, 0.05)]):
+        geom = pf.build_torus_geometry(64, 64, TWO_PI, modes)
+        cases += [(geom, random_valid_state(geom, rng)) for _ in range(8)]
+    cases += list(_pbound_states(range(4)))
+    assert len(cases) >= 20
+    for geom, state in cases:
+        h0 = geom.ricci_potential0
+        assert geom.ric0_density.tobytes() == geom.mixed_second_derivative(h0).tobytes()
+        closed, solved = pf.closed_form_P(geom, state), pf.solve_P(geom, state)
+        assert np.max(np.abs(closed.field - solved.field)) <= 1e-12
+        assert closed.residual_linf == 0.0
+        assert abs(closed.compat_defect - solved.compat_defect) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

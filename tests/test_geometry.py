@@ -16,6 +16,7 @@ def test_flat_torus_build_and_volume():
     geom = pf.build_torus_geometry(256, 256, TWO_PI, ())
     assert np.all(geom.sigma0 == 1.0)
     assert geom.lambda_ke == 0.0
+    assert geom.ricci_potential0 is None  # the flat reference is Einstein
     # volume of the flat reference: int 2 dx dy over [0, 2pi)^2 = 8 pi^2
     assert abs(geom.volume - 8.0 * np.pi ** 2) <= 1e-10
     ones = np.ones(geom.shape)
@@ -26,7 +27,8 @@ def test_torus_volume_tracks_mean_density():
     geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     oracle = 2.0 * geom.length ** 2 * float(np.mean(geom.sigma0))
     assert abs(geom.volume - oracle) <= 1e-12 * abs(oracle)
-    assert geom.lambda_ke is None  # a curved reference is not Einstein
+    assert geom.lambda_ke == 0.0  # every torus class is c_1 = 0
+    assert geom.ricci_potential0 is not None  # a curved reference is not Einstein
 
 
 def test_torus_negative_density_rejected():
@@ -66,6 +68,7 @@ def test_sphere_build_and_volume():
     assert geom.integrate(np.ones(geom.shape)) == 4.0 * np.pi
     assert geom.volume == 4.0 * np.pi
     assert geom.lambda_ke == 1.0
+    assert geom.ricci_potential0 is None  # the round reference is Einstein
 
 
 def test_sphere_nodes_interior():
