@@ -180,7 +180,7 @@ def _cmd_probe(args):
     phi0 = make_initial(geom, config)
     state = validate_kahler(geom, phi0, rho_floor=config.flow.rho_floor)
     dt = min(config.flow.dt_init, suggest_dt(geom, state, config.flow.cfl))
-    record = make_trace_record(geom, state, dt, config.p_list, config.flow.poisson_tol)
+    record = make_trace_record(geom, state, dt, config.p_list)
     emit_record_csv(record, config.output_path)
     p_list = tuple(record.lp_grad_F.keys())
     for name, value in zip(header_line(p_list).split(","),

@@ -9,6 +9,7 @@ dataclasses, so a config built in Python is checked exactly as a parsed file
 is. Unknown keys are rejected; print-config output re-parses to an equal config.
 """
 
+import numbers
 import re
 from dataclasses import dataclass, field, fields
 
@@ -33,10 +34,10 @@ class RandomInitial:
     target_sup_f: float = 0.05
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigValidationError("initial.random.seed", "must be >= 0")
-        if self.modes < 1:
-            raise ConfigValidationError("initial.random.modes", "must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigValidationError("initial.random.seed", "must be an integer >= 0")
+        if not isinstance(self.modes, numbers.Integral) or self.modes < 1:
+            raise ConfigValidationError("initial.random.modes", "must be an integer >= 1")
         if not 0.0 <= self.decay < np.inf:
             raise ConfigValidationError("initial.random.decay", "must be >= 0 and finite")
         if not 0.0 < self.target_sup_f <= 1.0:
@@ -170,7 +171,6 @@ _KEYS = (
     ("flow.t_end", None, FlowConfig, "t_end", _parse_float, _format_float),
     ("flow.rho_floor", None, FlowConfig, "rho_floor", _parse_float, _format_float),
     ("flow.max_halvings", None, FlowConfig, "max_halvings", _parse_int, str),
-    ("flow.poisson_tol", None, FlowConfig, "poisson_tol", _parse_float, _format_float),
     ("output.path", None, ScenarioConfig, "output_path", lambda key, raw: raw, str),
     ("output.record_every", None, FlowConfig, "record_every", _parse_int, str),
     ("output.emit_fields", None, ScenarioConfig, "emit_fields", _parse_bool,

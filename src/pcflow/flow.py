@@ -22,11 +22,12 @@ ToleranceNotMet.
 
 import enum
 import logging
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elliptic import DEFAULT_POISSON_TOL, closed_form_P, solve_ricci_potential
+from .elliptic import closed_form_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
 from .functionals import DEFAULT_P_LIST, make_trace_record
 from .kahler import state_from_coeffs, validate_kahler
@@ -58,7 +59,6 @@ class FlowConfig:
     t_end: float = 1.0
     rho_floor: float = 0.05
     max_halvings: int = 12
-    poisson_tol: float = DEFAULT_POISSON_TOL
     record_every: int = 10
     flow_kind: FlowKind = FlowKind.PCF
 
@@ -74,15 +74,12 @@ class FlowConfig:
         if not 0.0 < self.rho_floor < np.inf:
             raise ConfigValidationError("flow.rho_floor",
                                         f"must be > 0 and finite, got {self.rho_floor}")
-        if self.max_halvings < 0:
+        if not isinstance(self.max_halvings, numbers.Integral) or self.max_halvings < 0:
             raise ConfigValidationError("flow.max_halvings",
-                                        f"must be >= 0, got {self.max_halvings}")
-        if not 0.0 < self.poisson_tol < np.inf:
-            raise ConfigValidationError("flow.poisson_tol",
-                                        f"must be > 0 and finite, got {self.poisson_tol}")
-        if self.record_every < 1:
+                                        f"must be an integer >= 0, got {self.max_halvings}")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
             raise ConfigValidationError("output.record_every",
-                                        f"must be >= 1, got {self.record_every}")
+                                        f"must be an integer >= 1, got {self.record_every}")
 
 
 @dataclass(frozen=True)
@@ -93,29 +90,24 @@ class Trajectory:
     terminated: Termination
 
 
-def pcf_rhs(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
+def pcf_rhs(geom, state):
     """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P."""
-    solution = closed_form_P(geom, state, poisson_tol)
+    solution = closed_form_P(geom, state)
     return state.big_f + solution.field, solution
 
 
-def nkrf_rhs(geom, state, poisson_tol=DEFAULT_POISSON_TOL):
+def nkrf_rhs(geom, state):
     """d(phi)/dt for the normalized Kahler-Ricci flow: -h_phi."""
-    solution = solve_ricci_potential(geom, state, poisson_tol)
+    solution = solve_ricci_potential(geom, state)
     return -solution.field, solution
 
 
-def _rhs_for(flow_kind, poisson_tol):
+def _rhs_for(flow_kind):
     base = pcf_rhs if flow_kind is FlowKind.PCF else nkrf_rhs
-
-    def rhs_fn(geom, state):
-        return base(geom, state, poisson_tol)[0]
-
-    return rhs_fn
+    return lambda geom, state: base(geom, state)[0]
 
 
-def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
-             poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None):
+def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=None):
     """Classical RK4 step with its stages in the backend's coefficient space.
 
     A stage potential is phi_hat + c*k_hat, and one inverse transform gives
@@ -131,7 +123,7 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     it (lambda_ke != 0: the sphere, whose from_coeffs is the identity).
     """
     if rhs_fn is None:
-        rhs_fn = _rhs_for(flow_kind, poisson_tol)
+        rhs_fn = _rhs_for(flow_kind)
     phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
     t = state.time
 
@@ -155,7 +147,7 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
 
 
 def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
-                       poisson_tol=DEFAULT_POISSON_TOL, rhs_fn=None):
+                       rhs_fn=None):
     """First-order step, implicit in c*L0 with c = 1/min(rho).
 
     L0 is the constant-coefficient operator solve_shifted inverts
@@ -166,7 +158,7 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     pointwise, so the frozen-coefficient amplification factor lies in
     [0, 1] and dt is not limited by the heat scale.
     """
-    rhs = (rhs_fn or _rhs_for(flow_kind, poisson_tol))(geom, state)
+    rhs = (rhs_fn or _rhs_for(flow_kind))(geom, state)
     c = 1.0 / float(np.min(state.rho))
     phi_new = state.phi + geom.solve_shifted(dt * rhs, dt * c)
     return validate_kahler(geom, phi_new, state.time + dt, rho_floor)
@@ -184,8 +176,10 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
     Terminal conditions are reported on the Trajectory, never raised: a
     non-Kahler initial state, a step floor hit after max_halvings halvings,
     or the end time reached. A record's solve_P is the only Poisson solve
-    in a run; its ToleranceNotMet is no step failure, so it propagates to
-    the caller and no Trajectory is returned.
+    in a run, and its residual bound sits above the grid's rounding floor:
+    it raises ToleranceNotMet only on a defect of the solve, such as a NaN.
+    That is no step failure, so it propagates to the caller and no
+    Trajectory is returned.
     """
     try:
         state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
@@ -207,8 +201,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         # a record reports the solved P, which the steps never read: the
         # flow does not depend on record_every
         states.append(replace(current, coeffs=None))
-        records.append(make_trace_record(geom, current, dt_used, p_list,
-                                         config.poisson_tol))
+        records.append(make_trace_record(geom, current, dt_used, p_list))
 
     states = []
     records = []
@@ -231,8 +224,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
         new_state = None
         for _ in range(config.max_halvings + 1):
             try:
-                new_state = stepper(geom, state, dt, config.flow_kind,
-                                    config.rho_floor, config.poisson_tol)
+                new_state = stepper(geom, state, dt, config.flow_kind, config.rho_floor)
                 break
             except (NotKahler, ToleranceNotMet) as exc:
                 logger.info("step rejected at t = %.6g (dt = %.3e): %s",

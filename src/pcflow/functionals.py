@@ -12,7 +12,7 @@ monitors, never asserted against constants.
 
 from dataclasses import dataclass
 
-from .elliptic import DEFAULT_POISSON_TOL, solve_P
+from .elliptic import solve_P
 from .kahler import scalar_curvature
 
 DEFAULT_P_LIST = (1.0, 2.0, 4.0)
@@ -96,10 +96,9 @@ class TraceRecord:
     lp_trace0: dict
 
 
-def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST,
-                      poisson_tol=DEFAULT_POISSON_TOL):
+def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
     """Evaluate every monitored quantity at one state, with P by solve_P."""
-    p_solution = solve_P(geom, state, poisson_tol)
+    p_solution = solve_P(geom, state)
     P = p_solution.field
     ent, j = k_energy_parts(geom, state)
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list)

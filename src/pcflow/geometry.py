@@ -236,6 +236,12 @@ class SphereGeometry(GridGeometry):
     density sigma0 = 2*mu*(1-mu) (cylinder chart) makes the torus formulas
     rho = 1 + mixed/sigma0 and Delta_phi = mixed/(sigma0*rho) hold verbatim.
     Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi, rbar = 1.
+
+    Usable range: R takes two second differences of phi, so its rounding
+    error grows like eps*nmu^4 (max|R - 1| of a round metric pulled back by
+    z -> 2z: 1.4e-5 at nmu 512, 5.3e-2 at 4096). The flow differences once
+    and is not affected, but above nmu ~ 512 a record's calabi_energy is a
+    rounding floor.
     """
 
     kind = "sphere"

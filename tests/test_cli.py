@@ -1,16 +1,19 @@
 """Scenario parsing, initial-data construction, CSV output, CLI behavior."""
 
 import dataclasses
+import re
 import struct
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pcflow as pf
 from pcflow import cli as cli_mod
+from pcflow import config as config_mod
 from pcflow.csvout import emit_csv, header_line
 from conftest import subprocess_env
 from test_flow import pack_checkpoint
@@ -55,7 +58,6 @@ def test_parse_minimal_torus_defaults():
     assert flow.t_end == 1.0
     assert flow.rho_floor == 0.05
     assert flow.max_halvings == 12
-    assert flow.poisson_tol == 1e-10
     assert flow.record_every == 10
     assert config.output_path == "trace.csv"
     assert config.p_list == (1.0, 2.0, 4.0)
@@ -115,10 +117,8 @@ def test_parse_modes_and_scheme():
     (MINIMAL_TORUS + "output.p_list = 9", "output.p_list"),
     (MINIMAL_TORUS + "geometry.nx = lots", "geometry.nx"),
     (MINIMAL_TORUS + "initial.modes = (1,0)", "initial.modes"),
-    (MINIMAL_TORUS + "flow.poisson_tol = nan", "flow.poisson_tol"),
-    (MINIMAL_TORUS + "flow.poisson_tol = 0", "flow.poisson_tol"),
-    (MINIMAL_TORUS + "flow.poisson_tol = -1", "flow.poisson_tol"),
-    (MINIMAL_TORUS + "flow.poisson_tol = inf", "flow.poisson_tol"),
+    # a retired key is unknown, whatever its value
+    (MINIMAL_TORUS + "flow.poisson_tol = 1e-10", "flow.poisson_tol"),
     (MINIMAL_TORUS + "geometry.sigma0_modes = (1,0,nan)", "geometry.sigma0_modes"),
 ])
 def test_parse_rejects_invalid_values(snippet, key):
@@ -130,6 +130,15 @@ def test_parse_rejects_invalid_values(snippet, key):
 @pytest.mark.parametrize("build,text,key", [
     (lambda: pf.RandomInitial(seed=-3),
      MINIMAL_TORUS + "initial.random.seed = -3", "initial.random.seed"),
+    (lambda: pf.RandomInitial(seed=1.5),
+     MINIMAL_TORUS + "initial.random.seed = 1.5", "initial.random.seed"),
+    (lambda: pf.RandomInitial(seed=1, modes=2.5),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.modes = 2.5",
+     "initial.random.modes"),
+    (lambda: pf.FlowConfig(max_halvings=2.5),
+     MINIMAL_TORUS + "flow.max_halvings = 2.5", "flow.max_halvings"),
+    (lambda: pf.FlowConfig(record_every=2.5),
+     MINIMAL_TORUS + "output.record_every = 2.5", "output.record_every"),
     (lambda: pf.RandomInitial(seed=1, modes=0),
      MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.modes = 0",
      "initial.random.modes"),
@@ -158,9 +167,10 @@ def test_parse_rejects_invalid_values(snippet, key):
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
                                initial_poly_mu=(0.0, 0.1)),
      MINIMAL_TORUS + "initial.poly_mu = 0 0.1", "initial.poly_mu"),
-], ids=["seed", "modes", "decay", "target_sup_f", "p_below", "p_above", "p_empty",
-        "unknown_kind", "random_and_modes", "torus_modes_on_sphere", "torus_nx_on_sphere",
-        "sphere_poly_on_torus"])
+], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
+        "record_every_fraction", "modes", "decay", "target_sup_f", "p_below", "p_above",
+        "p_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
+        "torus_nx_on_sphere", "sphere_poly_on_torus"])
 def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         build()
@@ -168,6 +178,16 @@ def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         cfg(text)
     assert err.value.key == key
+
+
+def test_readme_scenario_keys_are_config_keys():
+    # every dotted key the README's scenario example shows, commented or not,
+    # must still parse, so a removed key cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = set(re.findall(r"^#?\s*([a-z_]+(?:\.[a-z_0-9]+)+)\s*=", block, flags=re.M))
+    assert len(keys) >= 10
+    assert sorted(keys - {row[0] for row in config_mod._KEYS}) == []
 
 
 def test_parse_error_carries_line_number():
@@ -203,7 +223,6 @@ def test_format_config_round_trips():
     flow.t_end = 0.5
     flow.rho_floor = 0.01
     flow.max_halvings = 3
-    flow.poisson_tol = 1e-09
     output.path = out.csv
     output.record_every = 5
     output.emit_fields = true

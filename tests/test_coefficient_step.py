@@ -41,15 +41,14 @@ def preset_state(name):
     return geom, pf.validate_kahler(geom, phi0, rho_floor=config.flow.rho_floor)
 
 
-def real_space_rk4_step(geom, state, dt, flow_kind=pf.FlowKind.PCF, rho_floor=0.05,
-                        poisson_tol=1e-10):
+def real_space_rk4_step(geom, state, dt, flow_kind=pf.FlowKind.PCF, rho_floor=0.05):
     """The RK4 step as it was before the stages moved to coefficient space:
     every stage potential is a real field, validated with validate_kahler,
     and every stage derivative makes a round trip through the 2/3 truncation."""
     base = pf.pcf_rhs if flow_kind is pf.FlowKind.PCF else pf.nkrf_rhs
 
     def rhs_fn(geom_, state_):
-        return base(geom_, state_, poisson_tol)[0]
+        return base(geom_, state_)[0]
 
     def dealias(f):
         return geom.from_coeffs(geom.truncate(geom.to_coeffs(f)))

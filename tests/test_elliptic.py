@@ -338,12 +338,13 @@ def test_ricci_potential_needs_einstein_reference():
         pf.solve_ricci_potential(geom, state)
 
 
-def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch):
-    # the backend solves once and solve_poisson_phi refines only on a missed
-    # tolerance; at nmu 1024 these smooth states never need the second solve.
-    # The flow takes the Ricci potential in closed form, so its right-hand
-    # side R - lambda goes to solve_poisson_phi directly
-    geom = pf.build_sphere_geometry(1024)
+@pytest.mark.parametrize("nmu", [1024, 4096])
+def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch, nmu):
+    # one direct solve, checked against a bound that grows with the grid as
+    # the residual's rounding floor does (like nmu^2; about 5e-10 at nmu 4096
+    # for these states). The flow takes the Ricci potential in closed form, so
+    # its right-hand side R - lambda goes to solve_poisson_phi directly
+    geom = pf.build_sphere_geometry(nmu)
     calls = []
     direct = geom.solve_reference_poisson
 
@@ -360,7 +361,8 @@ def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch):
         ricci_rhs = scalar_curvature(geom, state) - geom.lambda_ke
         for solve in (pf.solve_P,
                       lambda g, s: pf.solve_poisson_phi(g, s, ricci_rhs,
-                                                        pf.Normalization.EXP_MASS)):
+                                                        pf.Normalization.EXP_MASS),
+                      lambda g, s: pf.make_trace_record(g, s, 1e-3)):
             before = len(calls)
             solve(geom, state)
             assert len(calls) - before == 1

@@ -257,7 +257,7 @@ def test_run_monotone_energies_and_conservation():
     for rec in records:
         assert rec.entropy >= -1e-12
         assert abs(rec.volume - vol0) <= 1e-8 * vol0
-        assert rec.poisson_residual <= config.poisson_tol
+        assert rec.poisson_residual <= 1e-10
     # the P normalization holds at every recorded state
     for state in trajectory.states:
         sol = pf.solve_P(geom, state)
@@ -277,6 +277,28 @@ def test_run_flat_relaxation_decays():
     assert sup1 < 0.65 * sup0
 
 
+@pytest.mark.parametrize("flow_kind", [pf.FlowKind.PCF, pf.FlowKind.NKRF])
+def test_mobius_round_metric_is_a_fixed_point(flow_kind):
+    # phi = 2 log(1 + (a^2 - 1) mu) pulls the round metric back by z -> a z:
+    # omega_phi is round, with the non-constant density a^2/(1 - mu + a^2 mu)^2,
+    # so both flows leave rho fixed (every round metric is a fixed point of
+    # the normalized Ricci flow on surfaces). The drift of rho is the flux-form
+    # stencil's discretization error, second order in 1/nmu: measured
+    # 4.2e-4 at nmu 128 and 1.1e-4 at 256 for a^2 = 4
+    drifts = []
+    for nmu in (128, 256):
+        geom = pf.build_sphere_geometry(nmu)
+        config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC, t_end=1.0,
+                               record_every=256, flow_kind=flow_kind)
+        trajectory = pf.run(geom, 2.0 * np.log(1.0 + 3.0 * geom.mu), config)
+        assert trajectory.terminated is pf.Termination.REACHED_T_END
+        first, last = trajectory.states[0], trajectory.states[-1]
+        assert (first.time, last.time) == (0.0, 1.0)
+        drifts.append(float(np.max(np.abs(last.rho - first.rho))))
+    assert drifts[0] <= 1e-3
+    assert np.log2(drifts[0] / drifts[1]) >= 1.8
+
+
 def test_run_pcf_nkrf_agree_on_flat_torus():
     geom = flat64()
     phi0 = 0.3 * np.cos(geom.x)
@@ -289,15 +311,7 @@ def test_run_pcf_nkrf_agree_on_flat_torus():
         assert np.max(np.abs(sa.rho - sb.rho)) <= 1e-10
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
-def test_flow_config_rejects_invalid_poisson_tol(tol):
-    # the API path: a config file cannot carry nan or inf past the parser
-    with pytest.raises(pf.ConfigValidationError) as err:
-        pf.FlowConfig(poisson_tol=tol)
-    assert err.value.key == "flow.poisson_tol"
-
-
-@pytest.mark.parametrize("name", ["dt_init", "t_end", "rho_floor"])
+@pytest.mark.parametrize("name", ["dt_init", "t_end", "rho_floor", "max_halvings"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_flow_config_rejects_non_finite(name, value):
     # t_end = inf used to run one step to t = inf and report ReachedTEnd
