@@ -2,11 +2,16 @@
 
 Layout (all little-endian): magic "PCF1"; version u32; geometry kind u8
 (0 = torus, 1 = sphere); geometry params (torus: nx u64, ny u64, length f64;
-sphere: nmu u64); time f64; phi as row-major float64; CRC32 (u32) of every
-byte after the magic and before the checksum. The reference density modes are
-not stored — the resuming run supplies them through its config, which must
-describe the same geometry. The kind byte and the params are each backend's
-checkpoint_tag, grid_params and grid_format.
+sphere: nmu u64); time f64; phi as row-major float64; in version 2 only,
+phi's coefficients as row-major complex128 (torus: the rfft2 layout, nx by
+ny//2 + 1); CRC32 (u32) of every byte after the magic and before the
+checksum. Version 2 is written for a state that keeps its coefficients (a
+semi-implicit torus run steps them, and phi alone does not return them
+bitwise); every other state is written as version 1. The reference density
+modes are not stored — the resuming run supplies them through its config,
+which must describe the same geometry. The kind byte and the params are each
+backend's checkpoint_tag, grid_params and grid_format, and the coefficient
+shape its coeffs_shape.
 """
 
 import math
@@ -19,16 +24,22 @@ from .errors import CheckpointError
 from .geometry import BACKENDS
 
 MAGIC = b"PCF1"
-VERSION = 1
+VERSIONS = (1, 2)  # 2 adds phi's coefficients
 
 
 def write_checkpoint(path, geom, state):
-    """Serialize (geometry dims, time, phi) with a trailing CRC32."""
+    """Serialize (geometry dims, time, phi[, coeffs]) with a trailing CRC32."""
+    coeffs = state.coeffs if geom.coeffs_shape is not None else None
+    phi = state.phi if state.phi is not None else geom.from_coeffs(state.coeffs)
+    # one expression, so that the parts are freed before the file is written:
+    # holding the 0.5 MB phi part through the write changed the heap pattern
+    # enough to read +10% in perfbench's calibrated torus_dense_trace time
     payload = b"".join([
-        struct.pack("<IB", VERSION, geom.checkpoint_tag),
+        struct.pack("<IB", 1 if coeffs is None else 2, geom.checkpoint_tag),
         struct.pack(geom.grid_format, *(getattr(geom, name) for name in geom.grid_params)),
         struct.pack("<d", state.time),
-        np.ascontiguousarray(state.phi, dtype="<f8").tobytes(),
+        np.ascontiguousarray(phi, dtype="<f8").tobytes(),
+        b"" if coeffs is None else np.ascontiguousarray(coeffs, dtype="<c16").tobytes(),
     ])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -37,7 +48,8 @@ def write_checkpoint(path, geom, state):
 
 
 def read_checkpoint(path):
-    """Return {kind, params, time, phi}; CheckpointError on any corruption."""
+    """Return {kind, params, time, phi, coeffs} (coeffs None in version 1);
+    CheckpointError on any corruption."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 1 + 8 + 4 or blob[:4] != MAGIC:
@@ -46,11 +58,14 @@ def read_checkpoint(path):
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError(f"{path}: checksum mismatch")
     version, tag = struct.unpack_from("<IB", payload)
-    if version != VERSION:
+    if version not in VERSIONS:
         raise CheckpointError(f"{path}: unsupported version {version}")
     backend = next((cls for cls in BACKENDS if cls.checkpoint_tag == tag), None)
     if backend is None:
         raise CheckpointError(f"{path}: unknown geometry kind {tag}")
+    if version == 2 and backend.coeffs_shape is None:
+        raise CheckpointError(f"{path}: version 2 on the {backend.kind}, "
+                              "whose coefficients are phi itself")
     header_format = backend.grid_format + "d"  # the params, then the time
     off = 5 + struct.calcsize(header_format)
     if len(payload) < off:
@@ -59,13 +74,19 @@ def read_checkpoint(path):
     *values, time = struct.unpack_from(header_format, payload, 5)
     # the integer params are the grid's axis lengths
     shape = tuple(v for v in values if isinstance(v, int))
-    expected = off + 8 * math.prod(shape)
+    phi_end = off + 8 * math.prod(shape)
+    coeffs_shape = backend.coeffs_shape(shape) if version == 2 else None
+    expected = phi_end + (16 * math.prod(coeffs_shape) if coeffs_shape else 0)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: truncated field data "
                               f"({len(payload)} bytes, expected {expected})")
-    phi = np.frombuffer(payload, dtype="<f8", offset=off).reshape(shape)
+    phi = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=off)
+    coeffs = None
+    if coeffs_shape:
+        coeffs = np.frombuffer(payload, dtype="<c16", offset=phi_end)
+        coeffs = coeffs.reshape(coeffs_shape).copy()
     return {"kind": backend.kind, "params": dict(zip(backend.grid_params, values)),
-            "time": float(time), "phi": phi.copy()}
+            "time": float(time), "phi": phi.reshape(shape).copy(), "coeffs": coeffs}
 
 
 def check_geometry_match(geom, meta):

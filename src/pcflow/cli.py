@@ -137,7 +137,7 @@ def _cmd_resume(args):
         raise ConfigValidationError(
             "flow.t_end", f"checkpoint time {meta['time']:.6g} already at or past t_end")
     trajectory = run(geom, meta["phi"], config.flow, p_list=config.p_list,
-                     start_time=meta["time"])
+                     start_time=meta["time"], start_coeffs=meta["coeffs"])
     return _finish_run(config, geom, trajectory)
 
 

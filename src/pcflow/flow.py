@@ -10,14 +10,15 @@ coefficient space with a heat-limit step cap.
 The semi-implicit scheme treats a constant-coefficient operator implicitly
 with one direct solve per step (a diagonal division in Fourier space on the
 torus, a tridiagonal solve on the sphere); it has no linear stability limit,
-so it takes dt_init as given.
+so it takes dt_init as given. It steps phi's coefficients, as RK4 steps its
+stages: 2 transforms per torus step, and phi is formed only for a record.
 
 Checks: check_field (finite field) and the cone check of state_from_coeffs
-on the real phi that starts and ends every step (validate_kahler, or its two
-parts at the end of rk4_step), the cone check at each RK4 stage, check_field
-on every stage right-hand side, and the closed forms on the defect of the
-Einstein identity they rest on. run() halves the step on NotKahler and
-ToleranceNotMet.
+on the real phi that starts every run (validate_kahler) and ends every RK4
+step, the cone check at each RK4 stage and on the coefficients that end a
+semi-implicit step (NaN-safe, so non-finite coefficients fail it), check_field
+on every right-hand side, and the closed forms on the defect of the Einstein
+identity they rest on. run() halves the step on NotKahler and ToleranceNotMet.
 """
 
 import enum
@@ -63,6 +64,13 @@ class FlowConfig:
     flow_kind: FlowKind = FlowKind.PCF
 
     def __post_init__(self):
+        # run() selects by identity, so a string would silently pick the other branch
+        if not isinstance(self.scheme, Scheme):
+            raise ConfigValidationError("flow.scheme",
+                                        f"must be a Scheme member, got {self.scheme!r}")
+        if not isinstance(self.flow_kind, FlowKind):
+            raise ConfigValidationError("flow.kind",
+                                        f"must be a FlowKind member, got {self.flow_kind!r}")
         if not 0.0 < self.dt_init < np.inf:
             raise ConfigValidationError("flow.dt_init",
                                         f"must be > 0 and finite, got {self.dt_init}")
@@ -118,7 +126,8 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=Non
     on the real phi, so checkpoints resume bitwise; the new state keeps phi's
     coefficients for the next step. A torus step, curved or flat, makes 10
     transforms (4 truncations, 3 stage densities, 3 to finish); a step from
-    a state without coefficients (the first of a run) makes one more. A
+    a state without coefficients (the first of a run) makes one more, and
+    one from a state without phi (a semi-implicit torus step's) forms it. A
     stage state carries phi only where a closed-form right-hand side reads
     it (lambda_ke != 0: the sphere, whose from_coeffs is the identity).
     """
@@ -140,7 +149,8 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=Non
     k3 = truncated(stage(0.5 * dt, k2, 3))
     k4 = truncated(stage(dt, k3, 4))
     increment = geom.from_coeffs((dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-    phi_new = geom.check_field(state.phi + increment)
+    phi = state.phi if state.phi is not None else geom.from_coeffs(phi_hat)
+    phi_new = geom.check_field(phi + increment)
     phi_hat_new = geom.to_coeffs(phi_new)
     return state_from_coeffs(geom, phi_hat_new, t + dt, rho_floor, phi=phi_new,
                              coeffs=phi_hat_new)
@@ -148,7 +158,8 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=Non
 
 def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
                        rhs_fn=None):
-    """First-order step, implicit in c*L0 with c = 1/min(rho).
+    """First-order step, implicit in c*L0 with c = 1/min(rho), in the
+    backend's coefficient space.
 
     L0 is the constant-coefficient operator solve_shifted inverts
     (f_{z zbar}/min(sigma0) on the torus, ref_laplacian on the sphere).
@@ -157,11 +168,20 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     applying L0 to phi. c*L0 dominates Delta_phi = f_{z zbar}/(sigma0*rho)
     pointwise, so the frozen-coefficient amplification factor lies in
     [0, 1] and dt is not limited by the heat scale.
+
+    The increment is added to phi's coefficients, and one inverse transform
+    gives the new rho: a torus step makes 2 transforms, and a step from a
+    state without coefficients (the first of a run) one more. Like an RK4
+    stage, the new state carries phi only where a closed-form right-hand
+    side reads it (the sphere); on the torus run() forms phi for a record.
     """
-    rhs = (rhs_fn or _rhs_for(flow_kind))(geom, state)
+    rhs = geom.check_field((rhs_fn or _rhs_for(flow_kind))(geom, state))
     c = 1.0 / float(np.min(state.rho))
-    phi_new = state.phi + geom.solve_shifted(dt * rhs, dt * c)
-    return validate_kahler(geom, phi_new, state.time + dt, rho_floor)
+    phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
+    phi_hat_new = phi_hat + geom.solve_shifted(dt * rhs, dt * c)
+    return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor,
+                             phi=geom.from_coeffs(phi_hat_new) if geom.lambda_ke else None,
+                             coeffs=phi_hat_new)
 
 
 def suggest_dt(geom, state, cfl=0.2):
@@ -170,7 +190,7 @@ def suggest_dt(geom, state, cfl=0.2):
     return cfl * geom.heat_dt_scale(state.rho)
 
 
-def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
+def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=None):
     """Advance from start_time to t_end, recording every record_every steps.
 
     Terminal conditions are reported on the Trajectory, never raised: a
@@ -180,9 +200,19 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
     it raises ToleranceNotMet only on a defect of the solve, such as a NaN.
     That is no step failure, so it propagates to the caller and no
     Trajectory is returned.
+
+    A semi-implicit torus run steps phi's coefficients, and
+    to_coeffs(from_coeffs(phi_hat)) is not phi_hat bitwise, so its recorded
+    states keep their coefficients; write_checkpoint stores them and a
+    resume passes them back as start_coeffs (with phi0 the stored phi) to
+    continue the run bitwise.
     """
     try:
-        state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
+        if start_coeffs is None:
+            state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
+        else:
+            state = state_from_coeffs(geom, start_coeffs, start_time, config.rho_floor,
+                                      phi=geom.check_field(phi0), coeffs=start_coeffs)
     except NotKahler as exc:
         logger.warning("initial state rejected: %s", exc)
         return Trajectory(states=[], records=[], config=config,
@@ -197,10 +227,17 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0):
             return min(config.dt_init, suggest_dt(geom, current, config.cfl))
         return config.dt_init
 
+    # only a semi-implicit torus step leaves phi to its coefficients; every
+    # other recorded state drops them, as to_coeffs(phi) returns them bitwise
+    keep_coeffs = config.scheme is Scheme.SEMI_IMPLICIT and not geom.lambda_ke
+
     def record(current, dt_used):
-        # a record reports the solved P, which the steps never read: the
-        # flow does not depend on record_every
-        states.append(replace(current, coeffs=None))
+        # a record reports the solved P, which the steps never read, and
+        # forms phi apart from the stepped state: the flow does not depend
+        # on record_every
+        if current.phi is None:
+            current = replace(current, phi=geom.from_coeffs(current.coeffs))
+        states.append(current if keep_coeffs else replace(current, coeffs=None))
         records.append(make_trace_record(geom, current, dt_used, p_list))
 
     states = []

@@ -15,9 +15,12 @@ conservative flux form with zero flux at the boundary faces (pole regularity).
 
 Each backend class describes itself, so no other module decides what a
 backend is: kind, checkpoint_tag, grid_params (what a config sets and a
-checkpoint stores, packed as grid_format), explicit_initial and
-random_initial. BACKENDS lists the backend classes.
+checkpoint stores, packed as grid_format), coeffs_shape (the shape of the
+coefficients a version-2 checkpoint stores, None where they are the field),
+explicit_initial and random_initial. BACKENDS lists the backend classes.
 """
+
+import numbers
 
 import numpy as np
 import scipy.fft
@@ -29,7 +32,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def _is_pow2(n):
-    return n >= 1 and (n & (n - 1)) == 0
+    return isinstance(n, numbers.Integral) and n >= 1 and (n & (n - 1)) == 0
 
 
 class GridGeometry:
@@ -77,9 +80,14 @@ class TorusGeometry(GridGeometry):
     grid_params = ("nx", "ny", "length")
     grid_format = "<QQd"
 
+    @staticmethod
+    def coeffs_shape(shape):
+        """The rfft2 layout of a grid of this shape."""
+        return (shape[0], shape[1] // 2 + 1)
+
     def __init__(self, nx, ny, length, sigma0_modes):
         if not (_is_pow2(nx) and _is_pow2(ny)) or nx < 16 or ny < 16:
-            raise BadGrid(f"torus sizes must be powers of two >= 16, got {nx} x {ny}")
+            raise BadGrid(f"torus sizes must be integer powers of two >= 16, got {nx} x {ny}")
         if not (0.0 < length < np.inf):
             raise BadGrid(f"torus length must be finite and > 0, got {length}")
         self.nx = int(nx)
@@ -214,14 +222,14 @@ class TorusGeometry(GridGeometry):
         return self.to_coeffs(g * self.sigma0) * self._inverse_symbol
 
     def solve_shifted(self, b, dt_c):
-        """Solve (Id - dt_c * L0) u = b with L0 f = f_{z zbar} / min(sigma0).
+        """Coefficients of u with (Id - dt_c * L0) u = b, L0 f = f_{z zbar} / min(sigma0).
 
         L0 takes the largest coefficient 1/sigma0 of ref_laplacian everywhere
-        (the two are equal on the flat torus), so the solve is one diagonal
-        division in Fourier space, exact to rounding for any dt_c >= 0.
+        (the two are equal on the flat torus), so the solve is one forward
+        transform and one diagonal division, exact to rounding for any dt_c >= 0.
         """
         multiplier = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol
-        return self.from_coeffs(self.to_coeffs(b) / multiplier)
+        return self.to_coeffs(b) / multiplier
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of Delta_phi: 4 * h^2 * min(sigma0*rho)."""
@@ -248,10 +256,11 @@ class SphereGeometry(GridGeometry):
     checkpoint_tag = 1
     grid_params = ("nmu",)
     grid_format = "<Q"
+    coeffs_shape = None  # coefficients are the field: a checkpoint stores phi alone
 
     def __init__(self, nmu):
-        if nmu < 32:
-            raise BadGrid(f"nmu must be >= 32, got {nmu}")
+        if not isinstance(nmu, numbers.Integral) or nmu < 32:
+            raise BadGrid(f"nmu must be an integer >= 32, got {nmu}")
         self.nmu = int(nmu)
         self.lambda_ke = 1.0
         self.ricci_potential0 = None
@@ -366,7 +375,7 @@ class SphereGeometry(GridGeometry):
 
     def solve_shifted(self, b, dt_c):
         """Solve (Id - dt_c * L0) u = b, L0 = ref_laplacian, by one dgtsv call
-        on the shifted band (_solve_band).
+        on the shifted band (_solve_band); u is its own coefficient array.
 
         Direct, so no tolerance is checked: the forward defect sits at the
         rounding floor of the flux-form operator, which grows like dt_c/h^2.

@@ -5,6 +5,11 @@ ratio is rho = omega_phi/omega0 = 1 + (mixed derivative of phi)/sigma0 in the
 chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
 curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0). Its
 volume average rbar is cohomological; each backend stores it as geom.rbar.
+
+A MetricState is built from phi (validate_kahler) or from phi's backend
+coefficients (state_from_coeffs, what the steps use). Either way the cone
+check min(rho) > rho_floor is the one gate into the Kahler cone, and a NaN
+min(rho) fails it.
 """
 
 from dataclasses import dataclass, field
@@ -16,9 +21,12 @@ from .errors import NotKahler
 
 @dataclass(frozen=True)
 class MetricState:
-    """A validated Kahler potential with its cached pointwise densities; a
-    state made by rk4_step also keeps phi's coefficients for the next step,
-    and run() drops them from recorded states."""
+    """A validated Kahler potential with its cached pointwise densities.
+
+    A state made by a step also keeps phi's coefficients for the next step.
+    A semi-implicit torus step keeps only them (phi is None until run()
+    forms it for a record), and its recorded states keep them too; run()
+    drops them from every other recorded state."""
 
     phi: np.ndarray
     rho: np.ndarray
@@ -37,7 +45,7 @@ def ma_density(geom, phi):
 
 
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
-    """Build a MetricState, raising NotKahler when min(rho) <= rho_floor."""
+    """Build a MetricState, raising NotKahler unless min(rho) > rho_floor."""
     phi = geom.check_field(phi)
     return state_from_coeffs(geom, geom.to_coeffs(phi), time, rho_floor, stage, phi)
 
@@ -45,10 +53,11 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
                       coeffs=None):
     """validate_kahler from coefficients; the state keeps the phi and coeffs
-    given (an RK4 stage keeps no coeffs, and phi only on the sphere)."""
+    given (an RK4 stage keeps no coeffs, and phi only on the sphere).
+    Non-finite coefficients give a NaN min(rho), which fails the check too."""
     rho = _density(geom, phi_hat)
     min_rho = float(rho.min())
-    if min_rho <= rho_floor:
+    if not min_rho > rho_floor:
         raise NotKahler(min_rho, stage=stage)
     return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time), coeffs=coeffs)
 

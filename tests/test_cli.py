@@ -139,6 +139,11 @@ def test_parse_rejects_invalid_values(snippet, key):
      MINIMAL_TORUS + "flow.max_halvings = 2.5", "flow.max_halvings"),
     (lambda: pf.FlowConfig(record_every=2.5),
      MINIMAL_TORUS + "output.record_every = 2.5", "output.record_every"),
+    # a value string is not the member: it used to select the other scheme
+    (lambda: pf.FlowConfig(scheme="RK4"),
+     MINIMAL_TORUS + "flow.scheme = RK5", "flow.scheme"),
+    (lambda: pf.FlowConfig(flow_kind="PCF"),
+     MINIMAL_TORUS + "flow.kind = Ricci", "flow.kind"),
     (lambda: pf.RandomInitial(seed=1, modes=0),
      MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.modes = 0",
      "initial.random.modes"),
@@ -168,7 +173,8 @@ def test_parse_rejects_invalid_values(snippet, key):
                                initial_poly_mu=(0.0, 0.1)),
      MINIMAL_TORUS + "initial.poly_mu = 0 0.1", "initial.poly_mu"),
 ], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
-        "record_every_fraction", "modes", "decay", "target_sup_f", "p_below", "p_above",
+        "record_every_fraction", "scheme_string", "kind_string", "modes", "decay",
+        "target_sup_f", "p_below", "p_above",
         "p_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
         "torus_nx_on_sphere", "sphere_poly_on_torus"])
 def test_library_validates_like_parser(build, text, key):
@@ -509,6 +515,35 @@ def test_cli_resume_is_bitwise(tmp_path, monkeypatch, capsys):
     assert cli_mod.main(["resume", "half.ckpt", tail]) == 0
     capsys.readouterr()
     assert (tmp_path / "tail.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
+
+
+def test_cli_semi_implicit_resume_is_bitwise(tmp_path, monkeypatch, capsys):
+    # a semi-implicit torus run steps phi's coefficients: its checkpoint
+    # carries them (version 2), and the resumed run continues bitwise
+    monkeypatch.chdir(tmp_path)
+    common = MINIMAL_TORUS + f"""
+    geometry.sigma0_modes = (1,0,0.2)
+    initial.modes = (1,0,0.3)
+    flow.scheme = SemiImplicit
+    flow.dt_init = {DYADIC!r}
+    output.record_every = 16
+    """
+    for name, t_end in (("full", 64.0 * DYADIC), ("half", 32.0 * DYADIC),
+                        ("tail", 64.0 * DYADIC)):
+        write_cfg(tmp_path, common + f"""
+        flow.t_end = {t_end!r}
+        output.path = {name}.csv
+        output.checkpoint = {name}.ckpt
+        """, f"{name}.cfg")
+    assert cli_mod.main(["run", "full.cfg"]) == 0
+    assert cli_mod.main(["run", "half.cfg"]) == 0
+    assert pf.read_checkpoint("half.ckpt")["coeffs"] is not None
+    assert cli_mod.main(["resume", "half.ckpt", "tail.cfg"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tail.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
+    full_rows = (tmp_path / "full.csv").read_text().splitlines()
+    tail_rows = (tmp_path / "tail.csv").read_text().splitlines()
+    assert tail_rows[1:] == full_rows[-len(tail_rows) + 1:]
 
 
 def test_cli_resume_rejects_finished_checkpoint(tmp_path, monkeypatch, capsys):

@@ -141,14 +141,17 @@ def test_transforms_per_step(transform_count):
     pf.rk4_step(geom, state, dt)  # P is closed-form at every stage
     assert transform_count[0] <= 10
     transform_count[0] = 0
-    pf.semi_implicit_step(geom, state, dt)
-    assert transform_count[0] == 4
+    pf.semi_implicit_step(geom, state, dt)  # one forward, one inverse transform
+    assert transform_count[0] == 2
 
     flat = flat64()
     state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x))
     transform_count[0] = 0
-    pf.semi_implicit_step(flat, state, 1e-3)
-    assert transform_count[0] == 4
+    stepped = pf.semi_implicit_step(flat, state, 1e-3)  # and one of phi
+    assert transform_count[0] == 3
+    transform_count[0] = 0
+    pf.semi_implicit_step(flat, stepped, 1e-3)
+    assert transform_count[0] == 2
     state = pf.rk4_step(flat, state, 1e-3)
     transform_count[0] = 0
     pf.rk4_step(flat, state, 1e-3)
@@ -266,6 +269,22 @@ def test_non_finite_stage_rhs_raises_shape_error(build, bad_stage):
     assert len(calls) == bad_stage
 
 
+@pytest.mark.parametrize("build", [bumpy64, lambda: pf.build_sphere_geometry(128)],
+                         ids=["torus", "sphere"])
+def test_non_finite_semi_implicit_rhs_raises_shape_error(build):
+    geom = build()
+    phi0 = 0.3 * np.cos(geom.x) if geom.kind == "torus" else 0.1 * geom.mu ** 2
+    state = pf.validate_kahler(geom, phi0)
+
+    def rhs_fn(geom_, state_):
+        rhs = pf.pcf_rhs(geom_, state_)[0]
+        rhs[0] = np.inf
+        return rhs
+
+    with pytest.raises(pf.ShapeError):
+        pf.semi_implicit_step(geom, state, 1e-3, rhs_fn=rhs_fn)
+
+
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
 @pytest.mark.parametrize("build", [bumpy64, sphere128])
 def test_record_cadence_does_not_change_the_flow(build, scheme):
@@ -338,6 +357,28 @@ def test_recorded_states_keep_no_coefficients():
     config = pf.FlowConfig(dt_init=DYADIC, t_end=4.0 * DYADIC, record_every=1)
     trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
     assert all(state.coeffs is None for state in trajectory.states)
+    sphere = sphere128()
+    trajectory = pf.run(sphere, 0.1 * sphere.mu ** 2,
+                        replace(config, scheme=pf.Scheme.SEMI_IMPLICIT))
+    assert all(state.coeffs is None for state in trajectory.states)
+
+
+def test_semi_implicit_torus_records_keep_coefficients():
+    # the steps carry phi_hat alone; a record forms phi from it and keeps it,
+    # the initial state of a fresh run excepted (it has no coefficients)
+    geom = bumpy64()
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC,
+                           t_end=4.0 * DYADIC, record_every=2)
+    trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
+    first, *rest = trajectory.states
+    assert first.coeffs is None
+    assert len(rest) == 2
+    for state in rest:
+        assert np.array_equal(state.phi, geom.from_coeffs(state.coeffs))
+    resumed = pf.run(geom, rest[0].phi, config, start_time=rest[0].time,
+                     start_coeffs=rest[0].coeffs)
+    assert resumed.states[0].coeffs is rest[0].coeffs
+    assert np.array_equal(resumed.states[-1].phi, rest[-1].phi)
 
 
 def test_rk4_from_state_without_coefficients():
@@ -347,3 +388,8 @@ def test_rk4_from_state_without_coefficients():
     assert state.coeffs is not None
     bare = replace(state, coeffs=None)
     assert np.array_equal(pf.rk4_step(geom, bare, 1e-3).phi, pf.rk4_step(geom, state, 1e-3).phi)
+    # a semi-implicit torus state has no phi; the step forms it
+    state = pf.semi_implicit_step(geom, state, 1e-3)
+    with_phi = replace(state, phi=geom.from_coeffs(state.coeffs))
+    assert np.array_equal(pf.rk4_step(geom, state, 1e-3).phi,
+                          pf.rk4_step(geom, with_phi, 1e-3).phi)

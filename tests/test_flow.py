@@ -77,7 +77,9 @@ def test_steppers_fix_stationary_states():
         state = zero_state(geom)
         for stepper in (pf.rk4_step, pf.semi_implicit_step):
             out = stepper(geom, state, 0.01)
-            assert np.all(out.phi == state.phi)
+            # a semi-implicit torus step leaves phi to its coefficients
+            phi = out.phi if out.phi is not None else geom.from_coeffs(out.coeffs)
+            assert np.all(phi == state.phi)
             assert out.time == state.time + 0.01
 
 
@@ -149,7 +151,8 @@ def test_semi_implicit_matches_rk4_to_first_order():
         state = pf.validate_kahler(geom, phi0)
         for _ in range(round(t_end / dt)):
             state = stepper(geom, state, dt)
-        return state.phi
+        # a semi-implicit torus step leaves phi to its coefficients
+        return state.phi if state.phi is not None else geom.from_coeffs(state.coeffs)
 
     reference = advance(pf.rk4_step, 2.0 ** -10)
     gap_coarse = float(np.max(np.abs(advance(pf.semi_implicit_step, 2.0 ** -6) - reference)))
@@ -398,9 +401,15 @@ def test_run_takes_no_sliver_step(tmp_path):
     pf.write_checkpoint(path, geom, half.states[-1])
     meta = pf.read_checkpoint(path)
     resumed = pf.run(geom, meta["phi"], replace(config, record_every=150),
-                     start_time=meta["time"])
+                     start_time=meta["time"], start_coeffs=meta["coeffs"])
     assert resumed.states[-1].time == 1.5
     assert np.all(resumed.states[-1].phi == full.states[-1].phi)
+    # the run steps phi's coefficients, which the real phi alone returns
+    # only to rounding
+    real_only = pf.run(geom, meta["phi"], replace(config, record_every=150),
+                       start_time=meta["time"])
+    assert real_only.states[-1].time == 1.5
+    assert float(np.max(np.abs(real_only.states[-1].phi - full.states[-1].phi))) <= 1e-14
 
 
 def test_run_semi_implicit_curved_torus_takes_dt_init():
@@ -493,6 +502,59 @@ def test_checkpoint_layout_is_pinned(tmp_path):
                                + struct.pack("<d", 1.5) + state.phi.astype("<f8").tobytes())
     pf.write_checkpoint(tmp_path / "sphere.ckpt", sphere, state)
     assert (tmp_path / "sphere.ckpt").read_bytes() == expected
+
+
+def semi_implicit_torus_state():
+    """A semi-implicit step's state on a curved torus: coefficients, no phi."""
+    torus = bumpy64()
+    state = pf.semi_implicit_step(torus, pf.validate_kahler(torus, 0.1 * np.cos(torus.x)),
+                                  0.375)
+    assert state.phi is None and state.coeffs.shape == (64, 33)
+    return torus, state
+
+
+def test_checkpoint_v2_layout_is_pinned(tmp_path):
+    # a state that keeps its coefficients: version 2, the version-1 fields,
+    # then the rfft2 coefficients as complex128, all under the CRC
+    torus, state = semi_implicit_torus_state()
+    expected = pack_checkpoint(struct.pack("<IB", 2, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+                               + struct.pack("<d", 0.375)
+                               + torus.from_coeffs(state.coeffs).astype("<f8").tobytes()
+                               + state.coeffs.astype("<c16").tobytes())
+    path = tmp_path / "torus.ckpt"
+    pf.write_checkpoint(path, torus, state)
+    assert path.read_bytes() == expected
+    meta = pf.read_checkpoint(path)
+    assert meta["time"] == 0.375
+    assert np.array_equal(meta["phi"], torus.from_coeffs(state.coeffs))
+    assert meta["coeffs"].dtype == complex
+    assert np.array_equal(meta["coeffs"], state.coeffs)
+
+    # a version-1 file reads with no coefficients
+    pf.write_checkpoint(path, torus, replace(state, phi=meta["phi"], coeffs=None))
+    assert pf.read_checkpoint(path)["coeffs"] is None
+
+
+def test_checkpoint_v2_detects_truncation(tmp_path):
+    torus, state = semi_implicit_torus_state()
+    path = tmp_path / "state.ckpt"
+    pf.write_checkpoint(path, torus, state)
+    payload = path.read_bytes()[4:-4]
+    for cut in (16, 16 * 33, 16 * 64 * 33):  # into, or all of, the coefficients
+        short = tmp_path / f"short{cut}.ckpt"
+        short.write_bytes(pack_checkpoint(payload[:-cut]))  # CRC-valid
+        with pytest.raises(pf.CheckpointError, match="truncated field data"):
+            pf.read_checkpoint(short)
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(pf.CheckpointError):
+        pf.read_checkpoint(short)
+    # coefficients on a backend whose coefficients are phi itself
+    sphere_v2 = tmp_path / "sphere.ckpt"
+    sphere_v2.write_bytes(pack_checkpoint(struct.pack("<IBQd", 2, 1, 32, 0.0)
+                                          + bytes(8 * 32 + 16 * 32)))
+    with pytest.raises(pf.CheckpointError, match="version 2"):
+        pf.read_checkpoint(sphere_v2)
 
 
 def test_checkpoint_geometry_match(tmp_path):

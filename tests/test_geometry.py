@@ -50,6 +50,8 @@ def test_torus_density_extremes():
     (64, 64, -2.0),
     (64, 64, np.inf),
     (64, 64, np.nan),
+    (64.0, 64, 1.0),  # not an integer
+    (64, 64.5, 1.0),
 ])
 def test_torus_bad_grid(nx, ny, length):
     with pytest.raises(pf.BadGrid):
@@ -81,6 +83,8 @@ def test_sphere_nodes_interior():
 def test_sphere_min_grid():
     with pytest.raises(pf.BadGrid):
         pf.build_sphere_geometry(31)
+    with pytest.raises(pf.BadGrid):  # used to build 100 nodes
+        pf.build_sphere_geometry(100.7)
     pf.build_sphere_geometry(32)
 
 
@@ -322,7 +326,7 @@ def test_solve_shifted_meets_tolerance(build):
     else:
         inverted = geom.ref_laplacian
     for dt_c in (1e-3, 1e-1):
-        u = geom.solve_shifted(b, dt_c)
+        u = geom.from_coeffs(geom.solve_shifted(b, dt_c))
         defect = b - (u - dt_c * inverted(u))
         assert float(np.max(np.abs(defect))) <= 1e-13 * (1.0 + float(np.max(np.abs(b))))
 
@@ -371,5 +375,5 @@ def test_solve_shifted_strongly_curved_torus_closed_form():
     for dt_c in (1e-3, 0.1, 1.0, 10.0):
         a = dt_c / geom.sigma0.min()
         expected = np.cos(geom.x) / (1.0 + a / 4.0) + 0.5 * np.sin(2.0 * geom.y) / (1.0 + a)
-        u = geom.solve_shifted(b, dt_c)
+        u = geom.from_coeffs(geom.solve_shifted(b, dt_c))
         assert float(np.max(np.abs(u - expected))) <= 1e-14

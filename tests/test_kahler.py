@@ -58,6 +58,18 @@ def test_validate_rejects_cone_exit():
     assert err.value.min_rho < 0.0
 
 
+def test_cone_check_rejects_non_finite_coefficients():
+    # a NaN min(rho) compares False with the floor both ways; the check must
+    # fail on it, since a semi-implicit torus step passes no real phi
+    # through check_field
+    from pcflow.kahler import state_from_coeffs
+    geom = pf.build_torus_geometry(16, 16, TWO_PI, ())
+    phi_hat = geom.to_coeffs(0.1 * np.cos(geom.x))
+    phi_hat[1, 0] = np.nan
+    with pytest.raises(pf.NotKahler):
+        state_from_coeffs(geom, phi_hat)
+
+
 def test_validate_sphere_margin():
     geom = pf.build_sphere_geometry(512)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
