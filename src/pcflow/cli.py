@@ -81,12 +81,6 @@ def _load_config(path):
         return parse_config(fh.read())
 
 
-def _check_flow_geometry(config, geom):
-    if config.flow.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
-        raise ConfigValidationError(
-            "flow.kind", "NKRF needs an Einstein reference (round sphere or flat torus)")
-
-
 def _field_snapshot_paths(output_path, count):
     stem = os.path.splitext(output_path)[0]
     return [f"{stem}.field{i:05d}.ckpt" for i in range(count)]
@@ -121,7 +115,6 @@ def _finish_run(config, geom, trajectory):
 def _cmd_run(args):
     config = _load_config(args.config)
     geom = build_geometry(config)
-    _check_flow_geometry(config, geom)
     phi0 = make_initial(geom, config)
     trajectory = run(geom, phi0, config.flow, p_list=config.p_list)
     return _finish_run(config, geom, trajectory)
@@ -130,12 +123,8 @@ def _cmd_run(args):
 def _cmd_resume(args):
     config = _load_config(args.config)
     geom = build_geometry(config)
-    _check_flow_geometry(config, geom)
     meta = read_checkpoint(args.checkpoint)
     check_geometry_match(geom, meta)
-    if meta["time"] >= config.flow.t_end:
-        raise ConfigValidationError(
-            "flow.t_end", f"checkpoint time {meta['time']:.6g} already at or past t_end")
     trajectory = run(geom, meta["phi"], config.flow, p_list=config.p_list,
                      start_time=meta["time"], start_coeffs=meta["coeffs"])
     return _finish_run(config, geom, trajectory)

@@ -65,10 +65,14 @@ class ScenarioConfig:
     def __post_init__(self):
         kind = _parse_kind("geometry.kind", self.geometry_kind)
         defaults = {f.name: f.default for f in fields(self)}
-        for key, backend, owner, name, _, _ in _KEYS:
-            if (owner is ScenarioConfig and backend not in (None, kind)
-                    and getattr(self, name) != defaults[name]):
+        for key, backend, owner, name, parse, _ in _KEYS:
+            if owner is not ScenarioConfig:
+                continue
+            value = getattr(self, name)
+            if backend not in (None, kind) and value != defaults[name]:
                 raise ConfigValidationError(key, f"not applicable to the {kind} backend")
+            if parse is _parse_int and not isinstance(value, numbers.Integral):
+                raise ConfigValidationError(key, f"must be an integer, got {value!r}")
         if not self.p_list:
             raise ConfigValidationError("output.p_list", "needs at least one exponent")
         for p in self.p_list:

@@ -1,25 +1,15 @@
 """CSV emission for trajectories and probe reports.
 
 Fixed column order; every value printed with 17 significant digits (lossless
-for doubles); LF line endings regardless of platform.
+for doubles); LF line endings regardless of platform. The scalar columns
+are the float fields of TraceRecord, in order, with time written as t.
 """
 
-_SCALAR_COLUMNS = (
-    ("t", "time"),
-    ("dt", "dt"),
-    ("sup_F", "sup_F"),
-    ("inf_F", "inf_F"),
-    ("sup_P", "sup_P"),
-    ("entropy", "entropy"),
-    ("j_neg_ric", "j_neg_ric"),
-    ("k_energy", "k_energy"),
-    ("i_functional", "i_functional"),
-    ("dissipation", "dissipation"),
-    ("calabi_energy", "calabi_energy"),
-    ("rho_min", "rho_min"),
-    ("volume", "volume"),
-    ("poisson_residual", "poisson_residual"),
-)
+from dataclasses import fields
+
+from .functionals import TraceRecord
+
+_SCALARS = tuple(f.name for f in fields(TraceRecord) if f.type is float)
 
 
 def _format(x):
@@ -31,14 +21,14 @@ def _p_tag(p):
 
 
 def header_line(p_list):
-    names = [name for name, _ in _SCALAR_COLUMNS]
+    names = ["t" if name == "time" else name for name in _SCALARS]
     names += [f"grad_F_Lp{_p_tag(p)}" for p in p_list]
     names += [f"trace0_Lp{_p_tag(p)}" for p in p_list]
     return ",".join(names)
 
 
 def record_line(record, p_list):
-    cells = [_format(getattr(record, attr)) for _, attr in _SCALAR_COLUMNS]
+    cells = [_format(getattr(record, name)) for name in _SCALARS]
     cells += [_format(record.lp_grad_F[p]) for p in p_list]
     cells += [_format(record.lp_trace0[p]) for p in p_list]
     return ",".join(cells)

@@ -5,13 +5,14 @@ Both flows evolve the potential, PCF by F + P and NKRF by -h_phi; they are
 compared only through rho, the gauge-invariant metric density. P is a closed
 form on every reference (lambda*phi - h0, see elliptic.closed_form_P), and
 h_phi one on the Kahler-Einstein references NKRF runs on, so a step solves
-no elliptic equation. The explicit scheme is classical RK4 in the backend's
-coefficient space with a heat-limit step cap.
-The semi-implicit scheme treats a constant-coefficient operator implicitly
-with one direct solve per step (a diagonal division in Fourier space on the
-torus, a tridiagonal solve on the sphere); it has no linear stability limit,
-so it takes dt_init as given. It steps phi's coefficients, as RK4 steps its
-stages: 2 transforms per torus step, and phi is formed only for a record.
+no elliptic equation. A stepper integrates the one rhs it is given, and
+run() picks both once. The explicit scheme is classical RK4 in the backend's
+coefficient space with a heat-limit step cap. The semi-implicit scheme
+treats a constant-coefficient operator implicitly with one direct solve per
+step (a diagonal division in Fourier space on the torus, a tridiagonal solve
+on the sphere); it has no linear stability limit, so it takes dt_init as
+given. It steps phi's coefficients, as RK4 steps its stages: 2 transforms
+per torus step, and phi is formed only for a record.
 
 Checks: check_field (finite field) and the cone check of state_from_coeffs
 on the real phi that starts every run (validate_kahler) and ends every RK4
@@ -94,29 +95,21 @@ class FlowConfig:
 class Trajectory:
     states: list
     records: list
-    config: FlowConfig
     terminated: Termination
 
 
 def pcf_rhs(geom, state):
     """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P."""
-    solution = closed_form_P(geom, state)
-    return state.big_f + solution.field, solution
+    return state.big_f + closed_form_P(geom, state).field
 
 
 def nkrf_rhs(geom, state):
     """d(phi)/dt for the normalized Kahler-Ricci flow: -h_phi."""
-    solution = solve_ricci_potential(geom, state)
-    return -solution.field, solution
+    return -solve_ricci_potential(geom, state).field
 
 
-def _rhs_for(flow_kind):
-    base = pcf_rhs if flow_kind is FlowKind.PCF else nkrf_rhs
-    return lambda geom, state: base(geom, state)[0]
-
-
-def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=None):
-    """Classical RK4 step with its stages in the backend's coefficient space.
+def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
+    """Classical RK4 step of d(phi)/dt = rhs(geom, state) in coefficient space.
 
     A stage potential is phi_hat + c*k_hat, and one inverse transform gives
     its rho. Each right-hand side is truncated by one forward transform and
@@ -128,21 +121,16 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=Non
     transforms (4 truncations, 3 stage densities, 3 to finish); a step from
     a state without coefficients (the first of a run) makes one more, and
     one from a state without phi (a semi-implicit torus step's) forms it. A
-    stage state carries phi only where a closed-form right-hand side reads
-    it (lambda_ke != 0: the sphere, whose from_coeffs is the identity).
+    stage state carries phi only where state_from_coeffs gives it for free.
     """
-    if rhs_fn is None:
-        rhs_fn = _rhs_for(flow_kind)
     phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
     t = state.time
 
     def truncated(stage_state):
-        return geom.truncate(geom.to_coeffs(geom.check_field(rhs_fn(geom, stage_state))))
+        return geom.truncate(geom.to_coeffs(geom.check_field(rhs(geom, stage_state))))
 
     def stage(c, k_hat, number):
-        stage_hat = phi_hat + c * k_hat
-        return state_from_coeffs(geom, stage_hat, t + c, rho_floor, stage=number,
-                                 phi=geom.from_coeffs(stage_hat) if geom.lambda_ke else None)
+        return state_from_coeffs(geom, phi_hat + c * k_hat, t + c, rho_floor, stage=number)
 
     k1 = truncated(state)
     k2 = truncated(stage(0.5 * dt, k1, 2))
@@ -156,10 +144,9 @@ def rk4_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05, rhs_fn=Non
                              coeffs=phi_hat_new)
 
 
-def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
-                       rhs_fn=None):
-    """First-order step, implicit in c*L0 with c = 1/min(rho), in the
-    backend's coefficient space.
+def semi_implicit_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
+    """First-order step of d(phi)/dt = rhs(geom, state), implicit in c*L0
+    with c = 1/min(rho), in the backend's coefficient space.
 
     L0 is the constant-coefficient operator solve_shifted inverts
     (f_{z zbar}/min(sigma0) on the torus, ref_laplacian on the sphere).
@@ -172,15 +159,14 @@ def semi_implicit_step(geom, state, dt, flow_kind=FlowKind.PCF, rho_floor=0.05,
     The increment is added to phi's coefficients, and one inverse transform
     gives the new rho: a torus step makes 2 transforms, and a step from a
     state without coefficients (the first of a run) one more. Like an RK4
-    stage, the new state carries phi only where a closed-form right-hand
-    side reads it (the sphere); on the torus run() forms phi for a record.
+    stage, the new state carries phi only where state_from_coeffs gives it
+    for free (the sphere); on the torus run() forms phi for a record.
     """
-    rhs = geom.check_field((rhs_fn or _rhs_for(flow_kind))(geom, state))
+    field = geom.check_field(rhs(geom, state))
     c = 1.0 / float(np.min(state.rho))
     phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
-    phi_hat_new = phi_hat + geom.solve_shifted(dt * rhs, dt * c)
+    phi_hat_new = phi_hat + geom.solve_shifted(dt * field, dt * c)
     return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor,
-                             phi=geom.from_coeffs(phi_hat_new) if geom.lambda_ke else None,
                              coeffs=phi_hat_new)
 
 
@@ -193,13 +179,15 @@ def suggest_dt(geom, state, cfl=0.2):
 def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=None):
     """Advance from start_time to t_end, recording every record_every steps.
 
-    Terminal conditions are reported on the Trajectory, never raised: a
-    non-Kahler initial state, a step floor hit after max_halvings halvings,
-    or the end time reached. A record's solve_P is the only Poisson solve
-    in a run, and its residual bound sits above the grid's rounding floor:
-    it raises ToleranceNotMet only on a defect of the solve, such as a NaN.
-    That is no step failure, so it propagates to the caller and no
-    Trajectory is returned.
+    Before any work it raises ConfigValidationError for NKRF off an Einstein
+    reference (flow.kind) and for a start_time not before t_end
+    (flow.t_end). Terminal conditions are reported on the Trajectory, never
+    raised: a non-Kahler initial state, a step floor hit after max_halvings
+    halvings, or the end time reached. A record's solve_P is the only
+    Poisson solve in a run, and its residual bound sits above the grid's
+    rounding floor: it raises ToleranceNotMet only on a defect of the solve,
+    such as a NaN. That is no step failure, so it propagates to the caller
+    and no Trajectory is returned.
 
     A semi-implicit torus run steps phi's coefficients, and
     to_coeffs(from_coeffs(phi_hat)) is not phi_hat bitwise, so its recorded
@@ -207,6 +195,12 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     resume passes them back as start_coeffs (with phi0 the stored phi) to
     continue the run bitwise.
     """
+    if config.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
+        raise ConfigValidationError(
+            "flow.kind", "NKRF needs an Einstein reference (round sphere or flat torus)")
+    if not start_time < config.t_end:
+        raise ConfigValidationError(
+            "flow.t_end", f"start time {start_time:.6g} already at or past t_end")
     try:
         if start_coeffs is None:
             state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
@@ -215,10 +209,10 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
                                       phi=geom.check_field(phi0), coeffs=start_coeffs)
     except NotKahler as exc:
         logger.warning("initial state rejected: %s", exc)
-        return Trajectory(states=[], records=[], config=config,
-                          terminated=Termination.NOT_KAHLER)
+        return Trajectory(states=[], records=[], terminated=Termination.NOT_KAHLER)
 
     stepper = rk4_step if config.scheme is Scheme.RK4 else semi_implicit_step
+    rhs = pcf_rhs if config.flow_kind is FlowKind.PCF else nkrf_rhs
 
     def base_dt(current):
         # the explicit scheme is capped by its linear stability limit; the
@@ -229,7 +223,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     # only a semi-implicit torus step leaves phi to its coefficients; every
     # other recorded state drops them, as to_coeffs(phi) returns them bitwise
-    keep_coeffs = config.scheme is Scheme.SEMI_IMPLICIT and not geom.lambda_ke
+    keep_coeffs = config.scheme is Scheme.SEMI_IMPLICIT and geom.coeffs_shape is not None
 
     def record(current, dt_used):
         # a record reports the solved P, which the steps never read, and
@@ -261,7 +255,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
         new_state = None
         for _ in range(config.max_halvings + 1):
             try:
-                new_state = stepper(geom, state, dt, config.flow_kind, config.rho_floor)
+                new_state = stepper(geom, state, dt, rhs, config.rho_floor)
                 break
             except (NotKahler, ToleranceNotMet) as exc:
                 logger.info("step rejected at t = %.6g (dt = %.3e): %s",
@@ -281,4 +275,4 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     if records[-1].time < state.time:
         record(state, step_dt)
-    return Trajectory(states=states, records=records, config=config, terminated=terminated)
+    return Trajectory(states=states, records=records, terminated=terminated)

@@ -52,9 +52,11 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
 
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
                       coeffs=None):
-    """validate_kahler from coefficients; the state keeps the phi and coeffs
-    given (an RK4 stage keeps no coeffs, and phi only on the sphere).
+    """validate_kahler from coefficients; the state keeps the coeffs given and
+    the phi given, or phi_hat where it is the field (coeffs_shape None).
     Non-finite coefficients give a NaN min(rho), which fails the check too."""
+    if phi is None and geom.coeffs_shape is None:
+        phi = phi_hat
     rho = _density(geom, phi_hat)
     min_rho = float(rho.min())
     if not min_rho > rho_floor:

@@ -172,11 +172,18 @@ def test_parse_rejects_invalid_values(snippet, key):
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
                                initial_poly_mu=(0.0, 0.1)),
      MINIMAL_TORUS + "initial.poly_mu = 0 0.1", "initial.poly_mu"),
+    (lambda: pf.ScenarioConfig("sphere", nmu=100.7),
+     MINIMAL_SPHERE + "geometry.nmu = 100.7", "geometry.nmu"),
+    (lambda: pf.ScenarioConfig("torus", nx=64.0, ny=64, length=TWO_PI),
+     MINIMAL_TORUS + "geometry.nx = 64.0", "geometry.nx"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=32.5, length=TWO_PI),
+     MINIMAL_TORUS + "geometry.ny = 32.5", "geometry.ny"),
 ], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
         "record_every_fraction", "scheme_string", "kind_string", "modes", "decay",
         "target_sup_f", "p_below", "p_above",
         "p_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
-        "torus_nx_on_sphere", "sphere_poly_on_torus"])
+        "torus_nx_on_sphere", "sphere_poly_on_torus", "nmu_fraction", "nx_float",
+        "ny_fraction"])
 def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         build()
@@ -316,6 +323,16 @@ def run_scenario(config):
     return pf.run(geom, phi0, config.flow, p_list=config.p_list)
 
 
+def test_csv_header_is_pinned():
+    # the trace-CSV header is a contract: the scalar columns are TraceRecord's
+    # float fields, and a field added there must not slip into it unnoticed
+    assert header_line((1.0, 2.0, 4.0)) == (
+        "t,dt,sup_F,inf_F,sup_P,entropy,j_neg_ric,k_energy,i_functional,dissipation,"
+        "calabi_energy,rho_min,volume,poisson_residual,"
+        "grad_F_Lp1,grad_F_Lp2,grad_F_Lp4,trace0_Lp1,trace0_Lp2,trace0_Lp4")
+    assert header_line((1.5,)).endswith(",poisson_residual,grad_F_Lp1.5,trace0_Lp1.5")
+
+
 def test_csv_stationary_rows_identical(tmp_path):
     config = cfg(MINIMAL_TORUS + f"""
     flow.dt_init = {DYADIC!r}
@@ -350,7 +367,7 @@ def test_csv_row_counts(tmp_path):
 
 
 def test_csv_rejects_empty_trajectory(tmp_path):
-    empty = pf.Trajectory(states=[], records=[], config=pf.FlowConfig(),
+    empty = pf.Trajectory(states=[], records=[],
                           terminated=pf.Termination.NOT_KAHLER)
     with pytest.raises(ValueError):
         emit_csv(empty, tmp_path / "x.csv")

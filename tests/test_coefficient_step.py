@@ -41,26 +41,21 @@ def preset_state(name):
     return geom, pf.validate_kahler(geom, phi0, rho_floor=config.flow.rho_floor)
 
 
-def real_space_rk4_step(geom, state, dt, flow_kind=pf.FlowKind.PCF, rho_floor=0.05):
+def real_space_rk4_step(geom, state, dt, rhs=pf.pcf_rhs, rho_floor=0.05):
     """The RK4 step as it was before the stages moved to coefficient space:
     every stage potential is a real field, validated with validate_kahler,
     and every stage derivative makes a round trip through the 2/3 truncation."""
-    base = pf.pcf_rhs if flow_kind is pf.FlowKind.PCF else pf.nkrf_rhs
-
-    def rhs_fn(geom_, state_):
-        return base(geom_, state_)[0]
-
     def dealias(f):
         return geom.from_coeffs(geom.truncate(geom.to_coeffs(f)))
 
     phi, t = state.phi, state.time
-    k1 = dealias(rhs_fn(geom, state))
+    k1 = dealias(rhs(geom, state))
     s2 = pf.validate_kahler(geom, phi + (0.5 * dt) * k1, t + 0.5 * dt, rho_floor, stage=2)
-    k2 = dealias(rhs_fn(geom, s2))
+    k2 = dealias(rhs(geom, s2))
     s3 = pf.validate_kahler(geom, phi + (0.5 * dt) * k2, t + 0.5 * dt, rho_floor, stage=3)
-    k3 = dealias(rhs_fn(geom, s3))
+    k3 = dealias(rhs(geom, s3))
     s4 = pf.validate_kahler(geom, phi + dt * k3, t + dt, rho_floor, stage=4)
-    k4 = dealias(rhs_fn(geom, s4))
+    k4 = dealias(rhs(geom, s4))
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return pf.validate_kahler(geom, phi_new, t + dt, rho_floor)
 
@@ -88,10 +83,11 @@ def transform_count(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _advance_both(geom, state, dt, flow_kind, steps=4):
+    rhs = pf.pcf_rhs if flow_kind is pf.FlowKind.PCF else pf.nkrf_rhs
     new = old = state
     for _ in range(steps):
-        new = pf.rk4_step(geom, new, dt, flow_kind)
-        old = real_space_rk4_step(geom, old, dt, flow_kind)
+        new = pf.rk4_step(geom, new, dt, rhs)
+        old = real_space_rk4_step(geom, old, dt, rhs)
     return new, old
 
 
@@ -261,11 +257,11 @@ def test_non_finite_stage_rhs_raises_shape_error(build, bad_stage):
 
     def rhs_fn(geom_, state_):
         calls.append(1)
-        rhs = pf.pcf_rhs(geom_, state_)[0]
+        rhs = pf.pcf_rhs(geom_, state_)
         return np.full(geom_.shape, np.nan) if len(calls) == bad_stage else rhs
 
     with pytest.raises(pf.ShapeError):
-        pf.rk4_step(geom, state, 1e-3, rhs_fn=rhs_fn)
+        pf.rk4_step(geom, state, 1e-3, rhs=rhs_fn)
     assert len(calls) == bad_stage
 
 
@@ -277,12 +273,12 @@ def test_non_finite_semi_implicit_rhs_raises_shape_error(build):
     state = pf.validate_kahler(geom, phi0)
 
     def rhs_fn(geom_, state_):
-        rhs = pf.pcf_rhs(geom_, state_)[0]
+        rhs = pf.pcf_rhs(geom_, state_)
         rhs[0] = np.inf
         return rhs
 
     with pytest.raises(pf.ShapeError):
-        pf.semi_implicit_step(geom, state, 1e-3, rhs_fn=rhs_fn)
+        pf.semi_implicit_step(geom, state, 1e-3, rhs=rhs_fn)
 
 
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])

@@ -35,7 +35,8 @@ def test_pcf_rhs_flat_is_big_f():
     geom = flat64()
     rng = np.random.default_rng(50)
     state = random_valid_state(geom, rng)
-    rhs, sol = pf.pcf_rhs(geom, state)
+    rhs = pf.pcf_rhs(geom, state)
+    sol = pf.closed_form_P(geom, state)
     assert np.all(sol.field == 0.0)
     assert np.all(rhs == state.big_f)
 
@@ -43,7 +44,7 @@ def test_pcf_rhs_flat_is_big_f():
 def test_pcf_rhs_sphere_closed_form():
     geom = pf.build_sphere_geometry(128)
     state = pf.validate_kahler(geom, 0.05 * np.cos(np.pi * geom.mu))
-    rhs, _ = pf.pcf_rhs(geom, state)
+    rhs = pf.pcf_rhs(geom, state)
     avg = (geom.integrate(state.phi, weight=state.rho)
            / geom.integrate(np.ones(geom.shape), weight=state.rho))
     assert np.max(np.abs(rhs - (state.big_f + state.phi - avg))) <= 1e-8
@@ -51,19 +52,20 @@ def test_pcf_rhs_sphere_closed_form():
 
 def test_rhs_stationary_points():
     sphere = pf.build_sphere_geometry(128)
-    rhs, _ = pf.pcf_rhs(sphere, zero_state(sphere))
+    rhs = pf.pcf_rhs(sphere, zero_state(sphere))
     assert np.max(np.abs(rhs)) <= 1e-12
-    rhs, _ = pf.nkrf_rhs(sphere, zero_state(sphere))
+    rhs = pf.nkrf_rhs(sphere, zero_state(sphere))
     assert np.max(np.abs(rhs)) <= 1e-12
     flat = flat64()
-    rhs, _ = pf.nkrf_rhs(flat, zero_state(flat))
+    rhs = pf.nkrf_rhs(flat, zero_state(flat))
     assert np.max(np.abs(rhs)) <= 1e-12
 
 
 def test_nkrf_rhs_is_neg_ricci_potential():
     geom = pf.build_sphere_geometry(128)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
-    rhs, sol = pf.nkrf_rhs(geom, state)
+    rhs = pf.nkrf_rhs(geom, state)
+    sol = pf.solve_ricci_potential(geom, state)
     assert np.all(rhs == -sol.field)
     assert np.all(sol.field == pf.solve_ricci_potential(geom, state).field)
 
@@ -86,7 +88,7 @@ def test_steppers_fix_stationary_states():
 def test_rk4_local_order():
     geom = flat64()
     state = pf.validate_kahler(geom, 0.5 * np.cos(geom.x))
-    rhs, _ = pf.pcf_rhs(geom, state)
+    rhs = pf.pcf_rhs(geom, state)
     errs = []
     for dt in (1e-3, 5e-4):
         stepped = pf.rk4_step(geom, state, dt)
@@ -105,7 +107,7 @@ def test_rk4_rejects_cone_exit_with_stage():
         return 1.0e3 * np.cos(geom_.x)
 
     with pytest.raises(pf.NotKahler) as err:
-        pf.rk4_step(geom, state, 1.0, rhs_fn=explosive)
+        pf.rk4_step(geom, state, 1.0, rhs=explosive)
     assert err.value.stage is not None
 
 
@@ -177,13 +179,13 @@ def test_nkrf_gauge_invariance():
     shift = 0.5
 
     def base(geom_, state_):
-        return pf.nkrf_rhs(geom_, state_)[0]
+        return pf.nkrf_rhs(geom_, state_)
 
     def shifted(geom_, state_):
-        return pf.nkrf_rhs(geom_, state_)[0] - shift
+        return pf.nkrf_rhs(geom_, state_) - shift
 
-    a = pf.rk4_step(geom, state, 1e-3, rhs_fn=base)
-    b = pf.rk4_step(geom, state, 1e-3, rhs_fn=shifted)
+    a = pf.rk4_step(geom, state, 1e-3, rhs=base)
+    b = pf.rk4_step(geom, state, 1e-3, rhs=shifted)
     # only the potential gauge moves; the metric density does not
     assert np.max(np.abs(a.rho - b.rho)) < 1e-12
     assert np.max(np.abs((b.phi - a.phi) + shift * 1e-3)) < 1e-12
@@ -332,6 +334,26 @@ def test_run_rejects_initial_below_flow_floor():
     assert trajectory.records == []
 
 
+@pytest.mark.parametrize("build, flow_kind, start_time, key", [
+    (bumpy64, pf.FlowKind.NKRF, 0.0, "flow.kind"),
+    (flat64, pf.FlowKind.PCF, 1.0, "flow.t_end"),
+    (flat64, pf.FlowKind.PCF, 1.5, "flow.t_end"),
+    (flat64, pf.FlowKind.PCF, float("nan"), "flow.t_end"),
+], ids=["nkrf_on_curved_torus", "start_at_t_end", "start_past_t_end", "start_nan"])
+def test_run_checks_preconditions_before_any_work(monkeypatch, build, flow_kind, start_time,
+                                                  key):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run() did work before checking its preconditions")
+
+    for name in ("validate_kahler", "state_from_coeffs", "make_trace_record"):
+        monkeypatch.setattr(flow_mod, name, no_work)
+    geom = build()
+    config = pf.FlowConfig(t_end=1.0, flow_kind=flow_kind)
+    with pytest.raises(pf.ConfigValidationError) as err:
+        pf.run(geom, 0.1 * np.cos(geom.x), config, start_time=start_time)
+    assert err.value.key == key
+
+
 def test_run_records_honour_configured_rho_floor():
     # min rho = 5e-7 lies between the configured floor and the 1e-6 floor of
     # the public j_chi_path; the trace records must use the run's own floor
@@ -423,6 +445,23 @@ def test_run_semi_implicit_curved_torus_takes_dt_init():
     assert len(trajectory.records) == 2
     assert trajectory.records[1].dt == 0.5
     assert trajectory.states[-1].time == 0.5
+
+
+def test_curved_torus_flows_to_its_flat_metric():
+    # every torus class holds a flat metric, sigma0*rho = 1: with
+    # sigma0 = 1 + sum a_k cos(k.x), phi_inf = sum 4 a_k/|k|^2 cos(k.x) solves
+    # phi_{z zbar} = 1 - sigma0 up to a constant. Measured 2.8e-7 and 2.2e-6
+    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.3), (1, 2, 0.1)])
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=2.0 ** -6, t_end=56.0,
+                           record_every=4096)
+    trajectory = pf.run(geom, 0.2 * np.cos(geom.x) * np.sin(geom.y), config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    final = trajectory.states[-1]
+    assert final.time == 56.0
+    assert np.max(np.abs(geom.sigma0 * final.rho - 1.0)) <= 1e-6
+    phi_inf = sum(4.0 * a / (kx * kx + ky * ky) * np.cos(kx * geom.x + ky * geom.y)
+                  for kx, ky, a in geom.sigma0_modes)
+    assert np.ptp(final.phi - phi_inf) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

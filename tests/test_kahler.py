@@ -182,6 +182,21 @@ def test_scalar_curvature_two_forms_agree():
             assert np.max(np.abs(primary - alternative)) <= 1e-8
 
 
+def test_sphere_curvature_rounding_ceiling():
+    # phi = 2 log(1 + 3 mu) is the round metric pulled back by z -> 2z, so
+    # R = 1 exactly. Discretization error falls with the grid until R's two
+    # second differences amplify rounding like eps*nmu^4. Measured max|R - 1|:
+    # 1.5e-4, 4.0e-5, 1.4e-5, 1.9e-4, 2.9e-3, 5.3e-2 at nmu 128 ... 4096
+    errors = {}
+    for nmu in (128, 256, 512, 2048, 4096):
+        geom = pf.build_sphere_geometry(nmu)
+        state = pf.validate_kahler(geom, 2.0 * np.log(1.0 + 3.0 * geom.mu))
+        errors[nmu] = float(np.max(np.abs(pf.scalar_curvature(geom, state) - 1.0)))
+    assert errors[128] >= 2.5 * errors[256]
+    assert errors[256] >= 2.5 * errors[512]
+    assert errors[4096] >= 10.0 * errors[2048]
+
+
 # ---------------------------------------------------------------------------
 # rbar and cohomology invariance
 # ---------------------------------------------------------------------------
