@@ -12,8 +12,10 @@ own benchmark code and source. For every repeat, workload, seed and trace
 mode the trees run one after another, and the order of the trees alternates
 from one repeat to the next. The file keeps, per run, the final JSON line of
 run.py, its `env` line and its report lines (which also give the raw,
-uncalibrated medians), and a summary of wall_s per workload and tree
-with the pairwise wins. --append adds runs to an existing file.
+uncalibrated medians), and a summary per workload and tree of calibrated
+wall_s and of raw wall_s (the `raw` line under `wall_s` in the report), each
+with its quartiles and the pairwise wins. --append adds runs to an existing
+file.
 """
 
 import argparse
@@ -49,26 +51,38 @@ def quartiles(values):
     return [q1, q2, q3]
 
 
+def raw_wall(report):
+    """The raw median wall_s of a run: the `raw` report line under `wall_s`."""
+    for line, following in zip(report, report[1:]):
+        if line.split()[:1] == ["wall_s"] and following.split()[:1] == ["raw"]:
+            return float(following.split()[2])
+    return None
+
+
 def summarize(runs, trees):
-    """wall_s quartiles per workload and tree, and wins of each tree over the
-    first one in runs paired by (workload, seed, repeat)."""
+    """Calibrated and raw wall_s quartiles per workload and tree, and wins of
+    each tree over the first one in runs paired by (workload, seed, repeat)."""
     summary = {}
     untraced = [r for r in runs if r["trace"] == 0 and r["result"].get("correct")]
     for workload in sorted({r["workload"] for r in untraced}):
-        walls = {}
-        for r in untraced:
-            if r["workload"] == workload:
-                key = (r["seed"], r["repeat"])
-                walls.setdefault(r["tree"], {})[key] = r["result"]["metrics"]["wall_s"]["value"]
-        entry = {tree: {"runs": len(v), "wall_s_q1_median_q3": quartiles(sorted(v.values()))}
-                 for tree, v in walls.items()}
-        base = trees[0] if trees[0] in walls else None
-        for tree in walls:
-            if base is None or tree == base:
-                continue
-            pairs = [(walls[base][k], walls[tree][k]) for k in walls[tree] if k in walls[base]]
-            entry[tree]["pairs"] = len(pairs)
-            entry[tree]["wins_over_" + base] = sum(1 for b, c in pairs if c < b)
+        entry = {}
+        for prefix, wall in (("", lambda r: r["result"]["metrics"]["wall_s"]["value"]),
+                             ("raw_", lambda r: raw_wall(r["report"]))):
+            walls = {}
+            for r in untraced:
+                value = wall(r) if r["workload"] == workload else None
+                if value is not None:
+                    walls.setdefault(r["tree"], {})[(r["seed"], r["repeat"])] = value
+            for tree, v in walls.items():
+                entry.setdefault(tree, {})[prefix + "runs"] = len(v)
+                entry[tree][prefix + "wall_s_q1_median_q3"] = quartiles(sorted(v.values()))
+            base = trees[0] if trees[0] in walls else None
+            for tree in walls:
+                if base is None or tree == base:
+                    continue
+                pairs = [(walls[base][k], walls[tree][k]) for k in walls[tree] if k in walls[base]]
+                entry[tree][prefix + "pairs"] = len(pairs)
+                entry[tree][prefix + "wins_over_" + base] = sum(1 for b, c in pairs if c < b)
         summary[workload] = entry
     return summary
 

@@ -44,6 +44,7 @@ class PoissonSolution:
     field: np.ndarray
     residual_linf: float
     compat_defect: float
+    coeffs: np.ndarray = None  # set by a solve: field's coefficients, up to the zero mode
 
 
 def _normalize(geom, u, rho, vol_phi, normalization):
@@ -61,7 +62,7 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
     rhs = geom.check_field(rhs)
     if not rhs.any():
         # a zero RHS (P on a Ricci-flat reference): no quadrature, no solve
-        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
+        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0, 0.0)
     rho = state.rho
     vol_phi = geom.integrate(rho)
     raw_mass = geom.integrate(rhs, weight=rho)
@@ -70,7 +71,7 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
 
     if not projected.any():
         # a constant RHS projects to zero; the zero field meets both normalizations
-        return PoissonSolution(np.zeros(geom.shape), 0.0, compat_defect)
+        return PoissonSolution(np.zeros(geom.shape), 0.0, compat_defect, 0.0)
 
     # the residual is applied to the solve's own coefficients: on the torus
     # one inverse transform, where applying ref_laplacian to u takes two
@@ -85,7 +86,7 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
         raise ToleranceNotMet(f"poisson residual {residual_linf:.3e} > bound {bound:.3e}")
 
     u = _normalize(geom, u, rho, vol_phi, normalization)
-    return PoissonSolution(field=u, residual_linf=residual_linf, compat_defect=compat_defect)
+    return PoissonSolution(u, residual_linf, compat_defect, u_hat)
 
 
 def _closed_form(geom, state, u, normalization):
@@ -132,9 +133,9 @@ def closed_form_P(geom, state):
     quadrature. On the sphere it checks the identity's defect (see
     _closed_form).
     """
-    lam, h0 = geom.lambda_ke, geom.ricci_potential0
-    if lam == 0.0 and h0 is None:
+    if geom.ricci_flat:
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
+    lam, h0 = geom.lambda_ke, geom.ricci_potential0
     u = lam * state.phi if lam != 0.0 else 0.0
     if h0 is not None:
         u = u - h0

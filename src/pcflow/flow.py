@@ -99,8 +99,8 @@ class Trajectory:
 
 
 def pcf_rhs(geom, state):
-    """d(phi)/dt for the pseudo-Calabi flow: F + P, with P from closed_form_P."""
-    return state.big_f + closed_form_P(geom, state).field
+    """d(phi)/dt for the pseudo-Calabi flow: F + P, P from closed_form_P (F if Ricci-flat)."""
+    return state.big_f if geom.ricci_flat else state.big_f + closed_form_P(geom, state).field
 
 
 def nkrf_rhs(geom, state):

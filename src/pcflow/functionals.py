@@ -5,9 +5,10 @@ J_{-Ric(omega0)}, where J_chi integrates its variational formula delta J =
 int dphi (tr_phi chi - chibar) omega_phi along t*phi: rho is affine in t, so
 J_chi = <phi, chi>_chart - chibar * I, and for chi = -Ric(omega0) (chibar =
 -rbar) J_{-Ric} = <phi, -Ric0>_chart + rbar * I; I = (1/2) int phi (rho + 1)
-omega0; dissipation = int |grad_phi(F+P)|^2 omega_phi = dirichlet_energy(F +
-P); Calabi energy = int (R - rbar)^2 omega_phi. The L^p probes are raw
-monitors, never asserted against constants.
+omega0; dissipation = int |grad_phi(F+P)|^2 omega_phi, a sum over the
+coefficients of F + P (Parseval on the torus); Calabi energy = int (R - rbar)^2
+omega_phi. The L^p probes are raw monitors, never asserted against constants.
+A trace record transforms F once and passes its coefficients to each term.
 """
 
 from dataclasses import dataclass
@@ -23,11 +24,12 @@ def entropy(geom, state):
     return geom.integrate(state.big_f, weight=state.rho)
 
 
-def k_energy_parts(geom, state):
+def k_energy_parts(geom, state, i_value=None):
     """(entropy, J_{-Ric}) from a validated state; validate_kahler owns the cone check."""
+    if i_value is None:
+        i_value = i_functional(geom, state)
     # this operand order keeps a flat torus's J_{-Ric} at +0.0, not -0.0
-    j_neg_ric = (geom.chart_integral(state.phi * -geom.ric0_density)
-                 + geom.rbar * i_functional(geom, state))
+    j_neg_ric = geom.chart_integral(state.phi * -geom.ric0_density) + geom.rbar * i_value
     return entropy(geom, state), j_neg_ric
 
 
@@ -37,9 +39,11 @@ def k_energy(geom, state):
     return ent + j
 
 
-def dissipation(geom, state, P):
-    """int |grad_phi(F + P)|^2 omega_phi = dirichlet_energy(F + P) >= 0."""
-    return geom.dirichlet_energy(state.big_f + P)
+def dissipation(geom, state, P, coeffs=None):
+    """int |grad_phi(F + P)|^2 omega_phi >= 0 from coeffs, those of F + P but the zero mode."""
+    if coeffs is None:
+        coeffs = geom.to_coeffs(geom.check_field(state.big_f + P))
+    return geom.dirichlet_energy_from_coeffs(coeffs)
 
 
 def i_functional(geom, state):
@@ -47,30 +51,24 @@ def i_functional(geom, state):
     return 0.5 * geom.integrate(state.phi * (state.rho + 1.0))
 
 
-def calabi_energy(geom, state):
+def calabi_energy(geom, state, big_f_hat=None):
     """int (R(omega_phi) - rbar)^2 omega_phi >= 0; zero iff cscK on the grid."""
-    deviation = scalar_curvature(geom, state) - geom.rbar
+    deviation = scalar_curvature(geom, state, big_f_hat) - geom.rbar
     return geom.integrate(deviation * deviation, weight=state.rho)
 
 
-def grad_phi_sq(geom, state, u):
-    """|grad_phi u|^2 = u_z u_zbar/(sigma0 rho), the chart gradient square."""
-    return geom.grad_chart_sq(u) / (geom.sigma0 * state.rho)
-
-
-def estimate_probes(geom, state, p_list=DEFAULT_P_LIST):
+def estimate_probes(geom, state, p_list=DEFAULT_P_LIST, big_f_hat=None):
     """Smoothing-rate monitors: p -> int |grad_phi F|^{2p} omega_phi and
-    p -> int (tr_phi omega0)^{p+1} omega_phi."""
+    p -> int (tr_phi omega0)^{p+1} omega_phi, |grad_phi F|^2 = |F_z|^2/(sigma0 rho)."""
     for p in p_list:
         if not 1.0 <= p <= 8.0:
             raise ValueError(f"probe exponent {p} outside [1, 8]")
-    gF = grad_phi_sq(geom, state, state.big_f)
+    if big_f_hat is None:
+        big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
+    gF = geom.grad_chart_sq_from_coeffs(big_f_hat) / (geom.sigma0 * state.rho)
     inv_rho = 1.0 / state.rho
-    lp_grad_F = {}
-    lp_trace0 = {}
-    for p in p_list:
-        lp_grad_F[p] = geom.integrate(gF ** p, weight=state.rho)
-        lp_trace0[p] = geom.integrate(inv_rho ** (p + 1.0), weight=state.rho)
+    lp_grad_F = {p: geom.integrate(gF ** p, weight=state.rho) for p in p_list}
+    lp_trace0 = {p: geom.integrate(inv_rho ** (p + 1.0), weight=state.rho) for p in p_list}
     return lp_grad_F, lp_trace0
 
 
@@ -97,23 +95,25 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
-    """Evaluate every monitored quantity at one state, with P by solve_P."""
+    """Evaluate every monitored quantity at one state, with P by solve_P: 7
+    transforms on a curved torus (3 in solve_P), 4 on a flat one."""
     p_solution = solve_P(geom, state)
-    P = p_solution.field
-    ent, j = k_energy_parts(geom, state)
-    lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list)
+    big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
+    i_value = i_functional(geom, state)
+    ent, j = k_energy_parts(geom, state, i_value)
+    lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list, big_f_hat)
     return TraceRecord(
         time=state.time,
         dt=float(dt),
         sup_F=float(state.big_f.max()),
         inf_F=float(state.big_f.min()),
-        sup_P=float(P.max()),
+        sup_P=float(p_solution.field.max()),
         entropy=ent,
         j_neg_ric=j,
         k_energy=ent + j,
-        i_functional=i_functional(geom, state),
-        dissipation=dissipation(geom, state, P),
-        calabi_energy=calabi_energy(geom, state),
+        i_functional=i_value,
+        dissipation=dissipation(geom, state, p_solution.field, big_f_hat + p_solution.coeffs),
+        calabi_energy=calabi_energy(geom, state, big_f_hat),
         rho_min=float(state.rho.min()),
         volume=geom.integrate(state.rho),
         poisson_residual=p_solution.residual_linf,

@@ -42,11 +42,11 @@ class GridGeometry:
     Ric(omega0) = lambda_ke * omega0 + i d dbar(h0) on every reference. Each
     backend carries the class constant lambda_ke (1 on the sphere, 0 on every
     torus), ricci_potential0 = h0, or None where omega0 is Einstein (h0 = 0),
-    and rbar, the volume average of R(omega0).
+    ricci_flat (Ric(omega0) = 0, so P = 0), and rbar, the average of R(omega0).
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
     field there and back, truncate filters coefficients, and the *_from_coeffs
-    operators return real fields. Sphere coefficients are the field itself.
+    operators return real fields or numbers. Sphere coefficients are the field.
     """
 
     def mixed_second_derivative(self, f):
@@ -56,6 +56,14 @@ class GridGeometry:
     def ref_laplacian(self, f):
         """Laplacian of the reference metric of a checked field, f_{z zbar}/sigma0."""
         return self.ref_laplacian_from_coeffs(self.to_coeffs(self.check_field(f)))
+
+    def grad_chart_sq(self, f):
+        """|f_z|^2 of a checked field (|f_w|^2 in the sphere's chart)."""
+        return self.grad_chart_sq_from_coeffs(self.to_coeffs(self.check_field(f)))
+
+    def dirichlet_energy(self, u):
+        """integral of i du ^ dbar(u) = 2 |u_z|^2 dx dy of a checked field; >= 0."""
+        return self.dirichlet_energy_from_coeffs(self.to_coeffs(self.check_field(u)))
 
     def check_field(self, f):
         f = np.asarray(f, dtype=float)
@@ -72,7 +80,7 @@ class TorusGeometry(GridGeometry):
     Fields live on an (nx, ny) grid, x along axis 0. sigma0 is a finite sum
     of cosine modes so oracles have closed forms. Coefficients are rfft2
     arrays of shape (nx, ny//2 + 1): to_coeffs is one forward transform, and
-    from_coeffs and each *_from_coeffs operator one inverse transform.
+    from_coeffs, mixed_ and ref_laplacian_from_coeffs one inverse transform each.
     """
 
     kind = "torus"
@@ -126,10 +134,12 @@ class TorusGeometry(GridGeometry):
         ky_d[:, -1] = 0.0
         self._dx_symbol = 1j * kx_d
         self._dy_symbol = 1j * ky_d
+        self._cell = 2.0 * (self.length / self.nx) * (self.length / self.ny)
+        # Parseval: rfft2 columns 0 and ny/2 hold one mode, the others a conjugate pair
+        pairs = np.where((my == 0) | (my == self.ny // 2), 0.25, 0.5) / (self.nx * self.ny)
+        self._dirichlet_weight = self._cell * pairs * (kx_d * kx_d + ky_d * ky_d)
         # 2/3-rule truncation mask used by the time steppers
         self._keep_mask = (np.abs(mx[:, None]) <= self.nx // 3) & (my[None, :] <= self.ny // 3)
-
-        self._cell = 2.0 * (self.length / self.nx) * (self.length / self.ny)
         self.volume = self.integrate(np.ones(self.shape))
         # Ric(omega0) = i d dbar(h0) with h0 = -log sigma0, kept only where
         # omega0 is curved. Its chart density r0 = -(log sigma0)_{z zbar} is
@@ -139,6 +149,7 @@ class TorusGeometry(GridGeometry):
         self.ric0_density = -self.mixed_second_derivative(log_sigma0)
         self.lambda_ke = 0.0
         self.ricci_potential0 = -log_sigma0 if self.sigma0_modes else None
+        self.ricci_flat = self.ricci_potential0 is None
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
     # -- initial data --------------------------------------------------------
@@ -186,29 +197,30 @@ class TorusGeometry(GridGeometry):
     def ref_laplacian_from_coeffs(self, fh):
         return self.mixed_from_coeffs(fh) / self.sigma0
 
-    def grad_chart_sq(self, f):
-        """|f_z|^2 = (f_x^2 + f_y^2)/4."""
-        fh = self.to_coeffs(self.check_field(f))
+    def grad_chart_sq_from_coeffs(self, fh):
+        """|f_z|^2 = (f_x^2 + f_y^2)/4, by two inverse transforms."""
         fx = self.from_coeffs(self._dx_symbol * fh)
         fy = self.from_coeffs(self._dy_symbol * fh)
         return 0.25 * (fx * fx + fy * fy)
+
+    def dirichlet_energy_from_coeffs(self, fh):
+        """The grid sum of 2 |f_z|^2 dx dy by Parseval: no transform, 0.0 for a constant."""
+        return float(np.sum(self._dirichlet_weight * (fh.real * fh.real + fh.imag * fh.imag)))
 
     # -- measures ------------------------------------------------------------
 
     def integrate(self, f, weight=None):
         """integral of f * weight against omega0 (weight relative to omega0)."""
         f = self.check_field(f)
-        vals = f * self.sigma0 if weight is None else f * weight * self.sigma0
+        vals = f * (self.sigma0 if weight is None else weight)
+        if weight is not None:
+            vals *= self.sigma0
         return self._cell * float(np.sum(vals))
 
     def chart_integral(self, f):
         """integral of f against the flat chart measure 2 dx dy."""
         f = self.check_field(f)
         return self._cell * float(np.sum(f))
-
-    def dirichlet_energy(self, u):
-        """integral of i du ^ dbar(u) = 2 |u_z|^2 dx dy; >= 0 as a sum of squares."""
-        return self._cell * float(np.sum(self.grad_chart_sq(u)))
 
     # -- solves and step control ---------------------------------------------
 
@@ -264,10 +276,12 @@ class SphereGeometry(GridGeometry):
         self.nmu = int(nmu)
         self.lambda_ke = 1.0
         self.ricci_potential0 = None
+        self.ricci_flat = False
         self.shape = (self.nmu,)
         self.h = 1.0 / self.nmu
         self.quad_weight = 4.0 * np.pi / self.nmu
         self.mu = (np.arange(self.nmu) + 0.5) / self.nmu
+        self._mu_one_minus_mu = self.mu * (1.0 - self.mu)
         mu_face = np.arange(self.nmu + 1) / self.nmu
         # flux coefficient mu*(1-mu) vanishes exactly at the pole faces,
         # which is the zero-flux regularity closure
@@ -316,20 +330,19 @@ class SphereGeometry(GridGeometry):
 
     def mixed_from_coeffs(self, f):
         """f_{w wbar} in the cylinder chart: mu*(1-mu)*(flux divergence)."""
-        return self.mu * (1.0 - self.mu) * self._flux_divergence(f)
+        return self._mu_one_minus_mu * self._flux_divergence(f)
 
     def ref_laplacian_from_coeffs(self, f):
         """Laplacian of the round reference metric: (1/2)*(flux divergence)."""
         return 0.5 * self._flux_divergence(f)
 
-    def grad_chart_sq(self, f):
+    def grad_chart_sq_from_coeffs(self, f):
         """|f_w|^2 = (mu*(1-mu)*df/dmu)^2, centered differences inside."""
-        f = self.check_field(f)
         d = np.empty(self.nmu)
         d[1:-1] = (f[2:] - f[:-2]) / (2.0 * self.h)
         d[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * self.h)
         d[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * self.h)
-        s = self.mu * (1.0 - self.mu) * d
+        s = self._mu_one_minus_mu * d
         return s * s
 
     # -- measures ------------------------------------------------------------
@@ -343,11 +356,10 @@ class SphereGeometry(GridGeometry):
     def chart_integral(self, f):
         """Cylinder-chart integral; finite for densities vanishing at the poles."""
         f = self.check_field(f)
-        return 2.0 * np.pi * self.h * float(np.sum(f / (self.mu * (1.0 - self.mu))))
+        return 2.0 * np.pi * self.h * float(np.sum(f / self._mu_one_minus_mu))
 
-    def dirichlet_energy(self, u):
+    def dirichlet_energy_from_coeffs(self, u):
         """2*pi * integral of mu*(1-mu)*(du/dmu)^2, as a face sum of squares."""
-        u = self.check_field(u)
         d = (u[1:] - u[:-1]) / self.h
         return 2.0 * np.pi * self.h * float(np.sum(self.face_coeff[1:-1] * d * d))
 

@@ -71,12 +71,14 @@ def laplacian_phi(geom, state, f):
 
 def trace_ric0(geom, state):
     """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho); zero when Ricci-flat."""
-    if geom.lambda_ke == 0.0 and geom.ricci_potential0 is None:
+    if geom.ricci_flat:
         return np.zeros(geom.shape)
     return geom.ric0_density / (geom.sigma0 * state.rho)
 
 
-def scalar_curvature(geom, state):
+def scalar_curvature(geom, state, big_f_hat=None):
     """Scalar curvature of omega_phi via the trace identity
-    R = -Delta_phi(F) + tr_phi Ric(omega0), reusing the flow's own operators."""
-    return -laplacian_phi(geom, state, state.big_f) + trace_ric0(geom, state)
+    R = -Delta_phi(F) + tr_phi Ric(omega0), from F's coefficients big_f_hat if given."""
+    if big_f_hat is None:
+        big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
+    return -(geom.ref_laplacian_from_coeffs(big_f_hat) / state.rho) + trace_ric0(geom, state)

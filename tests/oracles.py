@@ -2,8 +2,8 @@
 
 J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
 scalar curvature through the full chart density log, the average against
-omega_phi, and the sphere's tridiagonal solves through
-scipy.linalg.solve_banded. Only tests call these.
+omega_phi, the sphere's tridiagonal solves through scipy.linalg.solve_banded,
+and a trace record built in real space. Only tests call these.
 """
 
 from dataclasses import dataclass
@@ -106,3 +106,43 @@ def banded_solve_reference_poisson(geom, g):
     u = scipy.linalg.solve_banded((1, 1), sphere_flux_band(geom)[:, :m],
                                   2.0 * geom.h * geom.h * g[:m])
     return np.append(u, 0.0)
+
+
+def real_space_dirichlet_energy(geom, u):
+    """integral of 2 |u_z|^2 as a grid sum of the real field grad_chart_sq(u)
+    on the torus; the sphere's face sum already is one."""
+    if geom.kind == "torus":
+        return geom.chart_integral(geom.grad_chart_sq(u))
+    return geom.dirichlet_energy(u)
+
+
+def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
+    """make_trace_record as it was before its terms shared F's coefficients:
+    each derivative term transforms its own real field (11 transforms on a
+    curved torus), I is integrated twice, and the dissipation is the grid sum
+    of |(F + P)_z|^2."""
+    p_solution = pf.solve_P(geom, state)
+    P = p_solution.field
+    ent, j = pf.k_energy_parts(geom, state)
+    grad_F_sq = geom.grad_chart_sq(state.big_f) / (geom.sigma0 * state.rho)
+    inv_rho = 1.0 / state.rho
+    curvature = -pf.laplacian_phi(geom, state, state.big_f) + pf.trace_ric0(geom, state)
+    deviation = curvature - geom.rbar
+    return pf.TraceRecord(
+        time=state.time,
+        dt=float(dt),
+        sup_F=float(state.big_f.max()),
+        inf_F=float(state.big_f.min()),
+        sup_P=float(P.max()),
+        entropy=ent,
+        j_neg_ric=j,
+        k_energy=ent + j,
+        i_functional=pf.i_functional(geom, state),
+        dissipation=real_space_dirichlet_energy(geom, state.big_f + P),
+        calabi_energy=geom.integrate(deviation * deviation, weight=state.rho),
+        rho_min=float(state.rho.min()),
+        volume=geom.integrate(state.rho),
+        poisson_residual=p_solution.residual_linf,
+        lp_grad_F={p: geom.integrate(grad_F_sq ** p, weight=state.rho) for p in p_list},
+        lp_trace0={p: geom.integrate(inv_rho ** (p + 1.0), weight=state.rho) for p in p_list},
+    )

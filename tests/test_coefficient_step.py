@@ -1,6 +1,7 @@
-"""The coefficient-space RK4 step against its real-space predecessor, its
-transform budget, the checks it keeps, and steps that solve no Poisson
-equation on any reference: a record's P solve is the only one in a run."""
+"""The coefficient-space RK4 step and trace record against their real-space
+predecessors, their transform budgets, the checks the step keeps, and steps
+that solve no Poisson equation on any reference: a record's P solve is the
+only one in a run."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ import pcflow as pf
 from pcflow import flow as flow_mod
 from pcflow.kahler import scalar_curvature, trace_ric0
 from conftest import TWO_PI
+from oracles import real_space_trace_record
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 TORUS_PRESETS = ("decay_torus.cfg", "determinism_torus.cfg", "energy_torus.cfg",
@@ -152,6 +154,45 @@ def test_transforms_per_step(transform_count):
     transform_count[0] = 0
     pf.rk4_step(flat, state, 1e-3)
     assert transform_count[0] <= 10
+
+
+def test_transforms_per_record(transform_count):
+    # 3 in solve_P, 1 of F, 2 for the probes' grad F and 1 for R's Laplacian;
+    # the dissipation is a Parseval sum of the coefficients already made
+    geom, state = preset_state("pbound_torus.cfg")
+    transform_count[0] = 0
+    pf.make_trace_record(geom, state, 1e-3)
+    assert transform_count[0] <= 7
+    flat = pf.build_torus_geometry(256, 256, TWO_PI, ())
+    state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x) + 0.05 * np.sin(2.0 * flat.y))
+    transform_count[0] = 0
+    pf.make_trace_record(flat, state, 1e-3)  # P = 0 takes no solve
+    assert transform_count[0] <= 4
+
+
+@pytest.mark.parametrize("name", ["bumpy64", "flat64", "pbound_torus.cfg", "sphere128"])
+def test_record_matches_real_space_record(name):
+    if name.endswith(".cfg"):
+        geom, state = preset_state(name)
+    elif name == "sphere128":
+        geom = sphere128()
+        state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2 - 0.05 * geom.mu ** 3)
+    else:
+        geom = {"bumpy64": bumpy64, "flat64": flat64}[name]()
+        state = pf.validate_kahler(geom, 0.3 * np.cos(geom.x) + 0.05 * np.sin(2.0 * geom.y))
+    new = pf.make_trace_record(geom, state, 1e-3)
+    old = real_space_trace_record(geom, state, 1e-3)
+    assert new.sup_P == old.sup_P
+    assert new.poisson_residual == old.poisson_residual
+    assert new.lp_grad_F.keys() == old.lp_grad_F.keys()
+    pairs = [(getattr(new, f), getattr(old, f)) for f in (
+        "time", "dt", "sup_F", "inf_F", "entropy", "j_neg_ric", "k_energy", "i_functional",
+        "dissipation", "calabi_energy", "rho_min", "volume")]
+    pairs += [(new.lp_grad_F[p], old.lp_grad_F[p]) for p in old.lp_grad_F]
+    pairs += [(new.lp_trace0[p], old.lp_trace0[p]) for p in old.lp_trace0]
+    for a, b in pairs:
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+    assert old.dissipation > 0.0
 
 
 def test_transform_count_sees_batches(transform_count):

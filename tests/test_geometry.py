@@ -5,7 +5,8 @@ import pytest
 
 import pcflow as pf
 from conftest import TWO_PI, random_sphere_phi, random_torus_phi
-from oracles import banded_solve_reference_poisson, banded_solve_shifted
+from oracles import (banded_solve_reference_poisson, banded_solve_shifted,
+                     real_space_dirichlet_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,26 @@ def test_dirichlet_torus_cosine():
     xs = (np.arange(8192) + 0.5) * TWO_PI / 8192
     oracle = TWO_PI ** 2 * 2.0 * float(np.mean(0.0625 * np.sin(xs) ** 2))
     assert abs(val - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (32, 64), (64, 32), (128, 128)])
+def test_dirichlet_torus_parseval_matches_grid_sum(shape):
+    geom = pf.build_torus_geometry(shape[0], shape[1], 3.0, [(1, 1, 0.2)])
+    rng = np.random.default_rng(shape[0] + shape[1])
+    nyquist_row = np.cos(np.pi * np.arange(shape[0]))[:, None]
+    nyquist_col = np.cos(np.pi * np.arange(shape[1]))[None, :]
+    fields = (
+        rng.standard_normal(shape),  # every mode, the Nyquist row and column included
+        random_torus_phi(geom, rng, amp=1.0)
+        + 0.3 * nyquist_row * np.cos(TWO_PI * geom.y / geom.length)
+        + 0.2 * nyquist_col * np.sin(2.0 * TWO_PI * geom.x / geom.length)
+        + 0.1 * nyquist_row * nyquist_col,
+    )
+    for u in fields:
+        grid_sum = real_space_dirichlet_energy(geom, u)
+        assert abs(geom.dirichlet_energy(u) - grid_sum) <= 1e-13 * grid_sum
+    for c in (2.5, -1.0 / 3.0, 1e6):
+        assert geom.dirichlet_energy(np.full(shape, c)) == 0.0
 
 
 def test_dirichlet_sphere_linear():
