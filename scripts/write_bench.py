@@ -12,10 +12,12 @@ own benchmark code and source. For every repeat, workload, seed and trace
 mode the trees run one after another, and the order of the trees alternates
 from one repeat to the next. The file keeps, per run, the final JSON line of
 run.py, its `env` line and its report lines (which also give the raw,
-uncalibrated medians), and a summary per workload and tree of calibrated
-wall_s and of raw wall_s (the `raw` line under `wall_s` in the report), each
-with its quartiles and the pairwise wins. --append adds runs to an existing
-file.
+uncalibrated medians), and a summary per workload and tree of five metrics:
+calibrated and raw wall_s, calibrated and raw setup_s (raw: the `raw` report
+line under the metric) and peak_rss_mb. Each metric M gets M_runs and
+M_q1_median_q3, and for every tree after the first M_pairs and
+M_wins_over_<first tree>, the pairs where it was lower. --append adds runs to
+an existing file.
 """
 
 import argparse
@@ -51,38 +53,52 @@ def quartiles(values):
     return [q1, q2, q3]
 
 
-def raw_wall(report):
-    """The raw median wall_s of a run: the `raw` report line under `wall_s`."""
+def raw_median(report, metric):
+    """The raw median of a metric in a run: the `raw` report line under it."""
     for line, following in zip(report, report[1:]):
-        if line.split()[:1] == ["wall_s"] and following.split()[:1] == ["raw"]:
+        if line.split()[:1] == [metric] and following.split()[:1] == ["raw"]:
             return float(following.split()[2])
     return None
 
 
+def calibrated(metric):
+    return lambda r: r["result"]["metrics"][metric]["value"]
+
+
+def raw(metric):
+    return lambda r: raw_median(r["report"], metric)
+
+
+SUMMARY = (("wall_s", calibrated("wall_s")), ("raw_wall_s", raw("wall_s")),
+           ("setup_s", calibrated("setup_s")), ("raw_setup_s", raw("setup_s")),
+           ("peak_rss_mb", calibrated("peak_rss_mb")))
+
+
 def summarize(runs, trees):
-    """Calibrated and raw wall_s quartiles per workload and tree, and wins of
-    each tree over the first one in runs paired by (workload, seed, repeat)."""
+    """Quartiles of every SUMMARY metric per workload and tree, and wins (lower
+    values) of each tree over the first one in runs paired by (workload, seed,
+    repeat)."""
     summary = {}
     untraced = [r for r in runs if r["trace"] == 0 and r["result"].get("correct")]
     for workload in sorted({r["workload"] for r in untraced}):
         entry = {}
-        for prefix, wall in (("", lambda r: r["result"]["metrics"]["wall_s"]["value"]),
-                             ("raw_", lambda r: raw_wall(r["report"]))):
-            walls = {}
+        for metric, value_of in SUMMARY:
+            values = {}
             for r in untraced:
-                value = wall(r) if r["workload"] == workload else None
+                value = value_of(r) if r["workload"] == workload else None
                 if value is not None:
-                    walls.setdefault(r["tree"], {})[(r["seed"], r["repeat"])] = value
-            for tree, v in walls.items():
-                entry.setdefault(tree, {})[prefix + "runs"] = len(v)
-                entry[tree][prefix + "wall_s_q1_median_q3"] = quartiles(sorted(v.values()))
-            base = trees[0] if trees[0] in walls else None
-            for tree in walls:
+                    values.setdefault(r["tree"], {})[(r["seed"], r["repeat"])] = value
+            for tree, v in values.items():
+                entry.setdefault(tree, {})[metric + "_runs"] = len(v)
+                entry[tree][metric + "_q1_median_q3"] = quartiles(sorted(v.values()))
+            base = trees[0] if trees[0] in values else None
+            for tree in values:
                 if base is None or tree == base:
                     continue
-                pairs = [(walls[base][k], walls[tree][k]) for k in walls[tree] if k in walls[base]]
-                entry[tree][prefix + "pairs"] = len(pairs)
-                entry[tree][prefix + "wins_over_" + base] = sum(1 for b, c in pairs if c < b)
+                pairs = [(values[base][k], values[tree][k]) for k in values[tree]
+                         if k in values[base]]
+                entry[tree][metric + "_pairs"] = len(pairs)
+                entry[tree][metric + "_wins_over_" + base] = sum(1 for b, c in pairs if c < b)
         summary[workload] = entry
     return summary
 

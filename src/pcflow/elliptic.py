@@ -58,9 +58,11 @@ def _normalize(geom, u, rho, vol_phi, normalization):
 
 def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
     """Solve Delta_phi(u) = rhs - mean_phi(rhs) with the given normalization;
-    a residual above the backward-error bound raises ToleranceNotMet."""
-    rhs = geom.check_field(rhs)
-    if not rhs.any():
+    rhs is a field, or 0.0 for a zero one. A residual above the backward-error
+    bound raises ToleranceNotMet."""
+    if np.ndim(rhs) != 0:
+        rhs = geom.check_field(rhs)
+    if not np.any(rhs):
         # a zero RHS (P on a Ricci-flat reference): no quadrature, no solve
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0, 0.0)
     rho = state.rho
@@ -118,9 +120,9 @@ def solve_P(geom, state):
     mean-zero. Trace records call it, so each record cross-checks the
     closed_form_P that the steps take.
 
-    On a flat torus the RHS is identically zero: P is the zero field, with no quadrature.
+    On a flat torus the RHS is 0.0: P is the zero field, with no quadrature.
     """
-    rhs = geom.rbar - trace_ric0(geom, state)
+    rhs = 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state)
     return solve_poisson_phi(geom, state, rhs, Normalization.MEAN_ZERO)
 
 

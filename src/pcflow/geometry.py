@@ -81,6 +81,8 @@ class TorusGeometry(GridGeometry):
     of cosine modes so oracles have closed forms. Coefficients are rfft2
     arrays of shape (nx, ny//2 + 1): to_coeffs is one forward transform, and
     from_coeffs, mixed_ and ref_laplacian_from_coeffs one inverse transform each.
+    Every inverse transform writes into one complex work array that the
+    geometry allocates once, so a geometry is not for concurrent use.
     """
 
     kind = "torus"
@@ -140,6 +142,7 @@ class TorusGeometry(GridGeometry):
         self._dirichlet_weight = self._cell * pairs * (kx_d * kx_d + ky_d * ky_d)
         # 2/3-rule truncation mask used by the time steppers
         self._keep_mask = (np.abs(mx[:, None]) <= self.nx // 3) & (my[None, :] <= self.ny // 3)
+        self._work = np.empty(self.coeffs_shape(self.shape), dtype=complex)
         self.volume = self.integrate(np.ones(self.shape))
         # Ric(omega0) = i d dbar(h0) with h0 = -log sigma0, kept only where
         # omega0 is curved. Its chart density r0 = -(log sigma0)_{z zbar} is
@@ -164,8 +167,10 @@ class TorusGeometry(GridGeometry):
         return self._cosine_sum(np.zeros(self.shape), modes)
 
     def random_initial(self, rng, modes, decay):
-        """Seeded band-limited field with |k|^(-decay) spectral envelope."""
-        phi = np.zeros(self.shape)
+        """Seeded band-limited field with |k|^(-decay) spectral envelope: each
+        amp*cos(k.x + phase) puts (nx*ny/2)*amp*e^(i*phase) at k and its conjugate
+        at -k of a full spectrum, folded onto the grid as the cosine aliases."""
+        spectrum = np.zeros(self.shape, dtype=complex)
         for ky in range(0, modes + 1):
             for kx in range(-modes, modes + 1):
                 if ky == 0 and kx <= 0:
@@ -174,17 +179,28 @@ class TorusGeometry(GridGeometry):
                 if norm > modes:
                     continue
                 amp = rng.standard_normal() * norm ** (-decay)
-                phase = rng.uniform(0.0, TWO_PI)
-                phi += amp * np.cos(TWO_PI * (kx * self.x + ky * self.y) / self.length + phase)
-        return phi
+                c = (0.5 * self.nx * self.ny * amp) * np.exp(1j * rng.uniform(0.0, TWO_PI))
+                spectrum[kx % self.nx, ky % self.ny] += c
+                spectrum[-kx % self.nx, -ky % self.ny] += np.conj(c)
+        return self.from_coeffs(spectrum[:, : self.ny // 2 + 1])
 
     # -- coefficient space and chart operators -------------------------------
 
     def to_coeffs(self, f):
         return scipy.fft.rfft2(f)
 
+    def _inverse(self, fh, symbol=None):
+        """irfft2 of symbol*fh (or fh), bitwise, as a fresh field: the work array takes
+        the product or copy and its axis-0 transform, so fh is left as it was."""
+        if symbol is None:
+            np.copyto(self._work, fh)
+        else:
+            np.multiply(symbol, fh, out=self._work)
+        half = scipy.fft.ifft(self._work, axis=0, overwrite_x=True)
+        return scipy.fft.irfft(half, n=self.ny, axis=1)
+
     def from_coeffs(self, fh):
-        return scipy.fft.irfft2(fh, s=self.shape)
+        return self._inverse(fh)
 
     def truncate(self, fh):
         """Zero all modes outside the 2/3 ball (stepper stabilization)."""
@@ -192,15 +208,15 @@ class TorusGeometry(GridGeometry):
 
     def mixed_from_coeffs(self, fh):
         """f_{z zbar} = (f_xx + f_yy)/4, spectrally: one inverse transform."""
-        return scipy.fft.irfft2(self._mixed_symbol * fh, s=self.shape)
+        return self._inverse(fh, self._mixed_symbol)
 
     def ref_laplacian_from_coeffs(self, fh):
         return self.mixed_from_coeffs(fh) / self.sigma0
 
     def grad_chart_sq_from_coeffs(self, fh):
         """|f_z|^2 = (f_x^2 + f_y^2)/4, by two inverse transforms."""
-        fx = self.from_coeffs(self._dx_symbol * fh)
-        fy = self.from_coeffs(self._dy_symbol * fh)
+        fx = self._inverse(fh, self._dx_symbol)
+        fy = self._inverse(fh, self._dy_symbol)
         return 0.25 * (fx * fx + fy * fy)
 
     def dirichlet_energy_from_coeffs(self, fh):

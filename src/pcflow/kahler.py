@@ -77,8 +77,9 @@ def trace_ric0(geom, state):
 
 
 def scalar_curvature(geom, state, big_f_hat=None):
-    """Scalar curvature of omega_phi via the trace identity
-    R = -Delta_phi(F) + tr_phi Ric(omega0), from F's coefficients big_f_hat if given."""
+    """Scalar curvature of omega_phi via the trace identity R = -Delta_phi(F) +
+    tr_phi Ric(omega0) (0.0 if Ricci-flat), from F's coefficients big_f_hat if given."""
     if big_f_hat is None:
         big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
-    return -(geom.ref_laplacian_from_coeffs(big_f_hat) / state.rho) + trace_ric0(geom, state)
+    ric = 0.0 if geom.ricci_flat else trace_ric0(geom, state)
+    return ric - geom.ref_laplacian_from_coeffs(big_f_hat) / state.rho

@@ -3,7 +3,8 @@
 J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
 scalar curvature through the full chart density log, the average against
 omega_phi, the sphere's tridiagonal solves through scipy.linalg.solve_banded,
-and a trace record built in real space. Only tests call these.
+a trace record built in real space, and the torus's random initial data as a
+sum of cosines on the grid. Only tests call these.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,8 @@ import numpy as np
 import scipy.linalg
 
 import pcflow as pf
+
+TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -146,3 +149,20 @@ def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
         lp_grad_F={p: geom.integrate(grad_F_sq ** p, weight=state.rho) for p in p_list},
         lp_trace0={p: geom.integrate(inv_rho ** (p + 1.0), weight=state.rho) for p in p_list},
     )
+
+
+def cosine_random_initial(geom, rng, modes, decay):
+    """TorusGeometry.random_initial as a sum of grid cosines, one per mode,
+    with the same draws in the same order."""
+    phi = np.zeros(geom.shape)
+    for ky in range(0, modes + 1):
+        for kx in range(-modes, modes + 1):
+            if ky == 0 and kx <= 0:
+                continue  # one representative per conjugate pair
+            norm = float(np.hypot(kx, ky))
+            if norm > modes:
+                continue
+            amp = rng.standard_normal() * norm ** (-decay)
+            phase = rng.uniform(0.0, TWO_PI)
+            phi += amp * np.cos(TWO_PI * (kx * geom.x + ky * geom.y) / geom.length + phase)
+    return phi

@@ -20,7 +20,9 @@ from oracles import real_space_trace_record
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 TORUS_PRESETS = ("decay_torus.cfg", "determinism_torus.cfg", "energy_torus.cfg",
                  "pbound_torus.cfg", "smoothing_torus.cfg")
-TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+# a torus inverse transform ends in one 1-D irfft over the last axis, so that
+# name counts each 2-D inverse once
+TRANSFORMS = ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "irfft")
 DYADIC = 2.0 ** -8
 
 
@@ -64,8 +66,8 @@ def real_space_rk4_step(geom, state, dt, rhs=pf.pcf_rhs, rho_floor=0.05):
 
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Counts 2-D transforms through scipy.fft and numpy.fft; a batched call
-    counts as its batch size."""
+    """Counts 2-D transforms through scipy.fft and numpy.fft, and the torus's
+    inverse through its final 1-D irfft; a batched call counts as its batch size."""
     count = [0]
 
     def counted(fn):
@@ -196,9 +198,13 @@ def test_record_matches_real_space_record(name):
 
 
 def test_transform_count_sees_batches(transform_count):
+    geom = flat64()
+    transform_count[0] = 0
     scipy.fft.rfft2(np.zeros((3, 16, 16)))
     numpy.fft.irfft2(np.zeros((16, 9), dtype=complex))
     assert transform_count[0] == 4
+    geom.from_coeffs(np.zeros((64, 33), dtype=complex))  # one 2-D inverse
+    assert transform_count[0] == 5
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,16 @@ def test_zero_rhs_gives_zero_field():
     assert sol.compat_defect == 0.0
 
 
+def test_scalar_rhs_is_zero_or_a_shape_error():
+    # 0.0 stands for a zero RHS field (solve_P on a Ricci-flat reference)
+    geom = flat64()
+    sol = pf.solve_poisson_phi(geom, zero_state(geom), 0.0)
+    assert sol.field.shape == geom.shape and np.all(sol.field == 0.0)
+    assert (sol.residual_linf, sol.compat_defect, sol.coeffs) == (0.0, 0.0, 0.0)
+    with pytest.raises(pf.ShapeError):
+        pf.solve_poisson_phi(geom, zero_state(geom), 1.0)
+
+
 def test_flat_torus_cosine_inverse():
     geom = flat64()
     state = zero_state(geom)
@@ -131,6 +141,7 @@ def test_p_flat_torus_identically_zero(monkeypatch):
 
     monkeypatch.setattr(geom, "solve_reference_poisson", forbidden)
     monkeypatch.setattr(geom, "integrate", forbidden)
+    monkeypatch.setattr(geom, "check_field", forbidden)  # no RHS field is built
     for state in states:
         for solve in (pf.solve_P, pf.closed_form_P):
             sol = solve(geom, state)

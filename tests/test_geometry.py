@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import pcflow as pf
 from conftest import TWO_PI, random_sphere_phi, random_torus_phi
 from oracles import (banded_solve_reference_poisson, banded_solve_shifted,
-                     real_space_dirichlet_energy)
+                     cosine_random_initial, real_space_dirichlet_energy)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +265,54 @@ def test_dirichlet_torus_parseval_matches_grid_sum(shape):
         assert abs(geom.dirichlet_energy(u) - grid_sum) <= 1e-13 * grid_sum
     for c in (2.5, -1.0 / 3.0, 1e6):
         assert geom.dirichlet_energy(np.full(shape, c)) == 0.0
+
+
+INVERSE_SHAPES = [(16, 16), (16, 64), (64, 16), (32, 32), (128, 64), (256, 256)]
+
+
+@pytest.mark.parametrize("shape", INVERSE_SHAPES)
+def test_torus_inverse_operators_are_bitwise_irfft2(shape):
+    """Every inverse transform runs through the geometry's work array: each
+    operator is bitwise its irfft2 form, on two geometries in turn, and leaves
+    the coefficients it is given as they were."""
+    rng = np.random.default_rng(shape[0] * shape[1])
+    geoms = [pf.build_torus_geometry(shape[0], shape[1], 3.0, modes)
+             for modes in ((), [(1, 1, 0.2), (0, 2, 0.1)])]
+
+    def irfft2(fh):
+        return scipy.fft.irfft2(fh, s=shape)
+
+    for _ in range(3):
+        for geom in geoms:
+            fh = scipy.fft.rfft2(rng.standard_normal(shape))
+            kept = fh.copy()
+            mixed = irfft2(geom._mixed_symbol * fh)
+            fx, fy = irfft2(geom._dx_symbol * fh), irfft2(geom._dy_symbol * fh)
+            expected = (irfft2(fh), mixed, mixed / geom.sigma0, 0.25 * (fx * fx + fy * fy))
+            got = (geom.from_coeffs(fh), geom.mixed_from_coeffs(fh),
+                   geom.ref_laplacian_from_coeffs(fh), geom.grad_chart_sq_from_coeffs(fh))
+            for a, b in zip(got, expected):
+                assert a.dtype == np.float64 and np.array_equal(a, b)
+            assert np.array_equal(fh, kept)
+    # each call returns a fresh field: the work array is not handed out
+    first = geoms[0].from_coeffs(fh)
+    geoms[0].mixed_from_coeffs(fh)
+    assert np.array_equal(first, irfft2(fh))
+
+
+@pytest.mark.parametrize("shape, modes, decay", [
+    ((16, 16), 12, 1.0),  # modes past Nyquist on both axes alias onto the grid
+    ((16, 32), 9, 0.5),
+    ((64, 64), 6, 2.0),
+    ((256, 256), 8, 2.0),  # pbound_torus
+])
+def test_torus_random_initial_matches_cosine_sum(shape, modes, decay):
+    geom = pf.build_torus_geometry(shape[0], shape[1], TWO_PI, [(1, 0, 0.3)])
+    phi = geom.random_initial(np.random.default_rng(7), modes, decay)
+    oracle = cosine_random_initial(geom, np.random.default_rng(7), modes, decay)
+    assert phi.shape == shape and phi.dtype == np.float64
+    assert np.max(np.abs(phi - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+    assert np.max(np.abs(oracle)) > 0.1
 
 
 def test_dirichlet_sphere_linear():

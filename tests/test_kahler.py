@@ -160,6 +160,21 @@ def test_scalar_curvature_flat_zero():
     assert np.max(np.abs(pf.scalar_curvature(geom, state))) == 0.0
 
 
+@pytest.mark.parametrize("build", [flat64, bumpy64, lambda: pf.build_sphere_geometry(128)],
+                         ids=["flat64", "bumpy64", "sphere128"])
+def test_scalar_curvature_is_bitwise_the_trace_identity(build):
+    # -Delta_phi(F) + tr_phi Ric(omega0) as a sum, signed zeros included: a
+    # Ricci-flat reference adds no trace field
+    geom = build()
+    phis = [np.zeros(geom.shape), random_valid_state(geom, np.random.default_rng(5)).phi]
+    for phi in phis:
+        state = pf.validate_kahler(geom, phi)
+        summed = -pf.laplacian_phi(geom, state, state.big_f) + pf.trace_ric0(geom, state)
+        got = pf.scalar_curvature(geom, state)
+        assert np.array_equal(got, summed)
+        assert np.array_equal(np.signbit(got), np.signbit(summed))
+
+
 def test_scalar_curvature_reference_density():
     geom = bumpy64()
     state = pf.validate_kahler(geom, np.zeros(geom.shape))
