@@ -2,16 +2,17 @@
 
 Layout (all little-endian): magic "PCF1"; version u32; geometry kind u8
 (0 = torus, 1 = sphere); geometry params (torus: nx u64, ny u64, length f64;
-sphere: nmu u64); time f64; phi as row-major float64; in version 2 only,
-phi's coefficients as row-major complex128 (torus: the rfft2 layout, nx by
-ny//2 + 1); CRC32 (u32) of every byte after the magic and before the
-checksum. Version 2 is written for a state that keeps its coefficients (a
-semi-implicit torus run steps them, and phi alone does not return them
-bitwise); every other state is written as version 1. The reference density
-modes are not stored — the resuming run supplies them through its config,
-which must describe the same geometry. The kind byte and the params are each
-backend's checkpoint_tag, grid_params and grid_format, and the coefficient
-shape its coeffs_shape.
+sphere: nmu u64); time f64; the field data; CRC32 (u32) of every byte after
+the magic and before the checksum. The field data is phi as row-major
+float64 in version 1 (what the sphere writes: its coefficients are phi);
+phi, then its coefficients as row-major complex128 in version 2 (read only);
+and the coefficients alone in version 3 (what the torus writes, in the rfft2
+layout, nx by ny//2 + 1), from which read_checkpoint forms phi by the
+backend's field_from_coeffs. The reference density modes are not stored —
+the resuming run supplies them through its config, which must describe the
+same geometry. The kind byte and the params are each backend's
+checkpoint_tag, grid_params and grid_format, and the coefficient shape its
+coeffs_shape.
 """
 
 import math
@@ -24,22 +25,20 @@ from .errors import CheckpointError
 from .geometry import BACKENDS
 
 MAGIC = b"PCF1"
-VERSIONS = (1, 2)  # 2 adds phi's coefficients
+VERSIONS = (1, 2, 3)  # 2 adds phi's coefficients to phi; 3 stores them alone
 
 
 def write_checkpoint(path, geom, state):
-    """Serialize (geometry dims, time, phi[, coeffs]) with a trailing CRC32."""
-    coeffs = state.coeffs if geom.coeffs_shape is not None else None
-    phi = state.phi if state.phi is not None else geom.from_coeffs(state.coeffs)
+    """Serialize (geometry dims, time, phi or its coefficients) with a trailing CRC32."""
+    version, dtype = (1, "<f8") if geom.coeffs_shape is None else (3, "<c16")
     # one expression, so that the parts are freed before the file is written:
-    # holding the 0.5 MB phi part through the write changed the heap pattern
+    # holding the 0.5 MB field part through the write changed the heap pattern
     # enough to read +10% in perfbench's calibrated torus_dense_trace time
     payload = b"".join([
-        struct.pack("<IB", 1 if coeffs is None else 2, geom.checkpoint_tag),
+        struct.pack("<IB", version, geom.checkpoint_tag),
         struct.pack(geom.grid_format, *(getattr(geom, name) for name in geom.grid_params)),
         struct.pack("<d", state.time),
-        np.ascontiguousarray(phi, dtype="<f8").tobytes(),
-        b"" if coeffs is None else np.ascontiguousarray(coeffs, dtype="<c16").tobytes(),
+        np.ascontiguousarray(state.coeffs, dtype=dtype).tobytes(),  # phi on the sphere
     ])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -63,8 +62,8 @@ def read_checkpoint(path):
     backend = next((cls for cls in BACKENDS if cls.checkpoint_tag == tag), None)
     if backend is None:
         raise CheckpointError(f"{path}: unknown geometry kind {tag}")
-    if version == 2 and backend.coeffs_shape is None:
-        raise CheckpointError(f"{path}: version 2 on the {backend.kind}, "
+    if version != 1 and backend.coeffs_shape is None:
+        raise CheckpointError(f"{path}: version {version} on the {backend.kind}, "
                               "whose coefficients are phi itself")
     header_format = backend.grid_format + "d"  # the params, then the time
     off = 5 + struct.calcsize(header_format)
@@ -74,19 +73,21 @@ def read_checkpoint(path):
     *values, time = struct.unpack_from(header_format, payload, 5)
     # the integer params are the grid's axis lengths
     shape = tuple(v for v in values if isinstance(v, int))
-    phi_end = off + 8 * math.prod(shape)
-    coeffs_shape = backend.coeffs_shape(shape) if version == 2 else None
+    phi_end = off + (8 * math.prod(shape) if version != 3 else 0)
+    coeffs_shape = backend.coeffs_shape(shape) if version != 1 else None
     expected = phi_end + (16 * math.prod(coeffs_shape) if coeffs_shape else 0)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: truncated field data "
                               f"({len(payload)} bytes, expected {expected})")
-    phi = np.frombuffer(payload, dtype="<f8", count=math.prod(shape), offset=off)
     coeffs = None
     if coeffs_shape:
-        coeffs = np.frombuffer(payload, dtype="<c16", offset=phi_end)
-        coeffs = coeffs.reshape(coeffs_shape).copy()
+        coeffs = np.frombuffer(payload, "<c16", offset=phi_end).reshape(coeffs_shape).copy()
+    if version == 3:
+        phi = backend.field_from_coeffs(coeffs, shape)
+    else:
+        phi = np.frombuffer(payload, "<f8", math.prod(shape), off).reshape(shape).copy()
     return {"kind": backend.kind, "params": dict(zip(backend.grid_params, values)),
-            "time": float(time), "phi": phi.reshape(shape).copy(), "coeffs": coeffs}
+            "time": float(time), "phi": phi, "coeffs": coeffs}
 
 
 def check_geometry_match(geom, meta):

@@ -130,18 +130,19 @@ def closed_form_P(geom, state):
     """PCF potential lambda*phi - h0, mean-zero: the P that solve_P solves
     for, with no solve, on every reference.
 
-    On a torus (lambda = 0) it is log(sigma0) shifted, and reads neither phi
-    nor an operator; on a flat torus it is the zero field, with no
-    quadrature. On the sphere it checks the identity's defect (see
-    _closed_form).
+    On a curved torus (lambda = 0) it is <h0>_phi - h0, its mean two dot
+    products with rho, reading neither phi nor an operator; on a flat torus
+    the zero field, with no quadrature. On the sphere (h0 = 0) it checks the
+    identity's defect (see _closed_form).
     """
     if geom.ricci_flat:
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
-    lam, h0 = geom.lambda_ke, geom.ricci_potential0
-    u = lam * state.phi if lam != 0.0 else 0.0
-    if h0 is not None:
-        u = u - h0
-    return _closed_form(geom, state, u, Normalization.MEAN_ZERO)
+    if geom.lambda_ke == 0.0:
+        # einsum's own loop: BLAS dot threads split the sum, so its bits, by core count
+        mean = (np.einsum("ij,ij", geom.ricci_potential0_density, state.rho)
+                / np.einsum("ij,ij", geom.sigma0, state.rho))
+        return PoissonSolution(mean - geom.ricci_potential0, 0.0, 0.0)
+    return _closed_form(geom, state, geom.lambda_ke * state.phi, Normalization.MEAN_ZERO)
 
 
 def solve_ricci_potential(geom, state):

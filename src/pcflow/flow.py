@@ -11,15 +11,14 @@ coefficient space with a heat-limit step cap. The semi-implicit scheme
 treats a constant-coefficient operator implicitly with one direct solve per
 step (a diagonal division in Fourier space on the torus, a tridiagonal solve
 on the sphere); it has no linear stability limit, so it takes dt_init as
-given. It steps phi's coefficients, as RK4 steps its stages: 2 transforms
-per torus step, and phi is formed only for a record.
+given. Both step phi's coefficients, a state's one form: a torus step makes
+8 transforms (RK4) or 2, and phi is formed only where something reads it.
 
-Checks: check_field (finite field) and the cone check of state_from_coeffs
-on the real phi that starts every run (validate_kahler) and ends every RK4
-step, the cone check at each RK4 stage and on the coefficients that end a
-semi-implicit step (NaN-safe, so non-finite coefficients fail it), check_field
-on every right-hand side, and the closed forms on the defect of the Einstein
-identity they rest on. run() halves the step on NotKahler and ToleranceNotMet.
+Checks: check_field and the cone check on the real phi that starts a fresh
+run (validate_kahler), the NaN-safe cone check on the coefficients of every
+RK4 stage and every state a step ends on, check_field on every right-hand
+side, and the closed forms on the defect of the Einstein identity they rest
+on. run() halves the step on NotKahler and ToleranceNotMet.
 """
 
 import enum
@@ -114,17 +113,12 @@ def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     A stage potential is phi_hat + c*k_hat, and one inverse transform gives
     its rho. Each right-hand side is truncated by one forward transform and
     the 2/3 mask, which restores the heat-limit cap of suggest_dt (RK4 does
-    not damp the corner modes the nonlinearity injects). The increment goes
-    back to real space and the step ends with the checks of validate_kahler
-    on the real phi, so checkpoints resume bitwise; the new state keeps phi's
-    coefficients for the next step. A torus step, curved or flat, makes 10
-    transforms (4 truncations, 3 stage densities, 3 to finish); a step from
-    a state without coefficients (the first of a run) makes one more, and
-    one from a state without phi (a semi-implicit torus step's) forms it. A
-    stage state carries phi only where state_from_coeffs gives it for free.
+    not damp the corner modes the nonlinearity injects). The step ends on
+    phi_hat + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and one inverse transform for its
+    rho, so a torus step, curved or flat, makes 8 transforms (4 truncations,
+    4 densities), the first of a run included. No state it makes holds phi.
     """
-    phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
-    t = state.time
+    phi_hat, t = state.coeffs, state.time
 
     def truncated(stage_state):
         return geom.truncate(geom.to_coeffs(geom.check_field(rhs(geom, stage_state))))
@@ -136,12 +130,14 @@ def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     k2 = truncated(stage(0.5 * dt, k1, 2))
     k3 = truncated(stage(0.5 * dt, k2, 3))
     k4 = truncated(stage(dt, k3, 4))
-    increment = geom.from_coeffs((dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
-    phi = state.phi if state.phi is not None else geom.from_coeffs(phi_hat)
-    phi_new = geom.check_field(phi + increment)
-    phi_hat_new = geom.to_coeffs(phi_new)
-    return state_from_coeffs(geom, phi_hat_new, t + dt, rho_floor, phi=phi_new,
-                             coeffs=phi_hat_new)
+    # phi_hat + (dt/6)(k1 + 2(k2 + k3) + k4) in k2, truncate's new array: no 0.5 MB temporaries
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += phi_hat
+    return state_from_coeffs(geom, k2, t + dt, rho_floor)
 
 
 def semi_implicit_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
@@ -157,17 +153,12 @@ def semi_implicit_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     [0, 1] and dt is not limited by the heat scale.
 
     The increment is added to phi's coefficients, and one inverse transform
-    gives the new rho: a torus step makes 2 transforms, and a step from a
-    state without coefficients (the first of a run) one more. Like an RK4
-    stage, the new state carries phi only where state_from_coeffs gives it
-    for free (the sphere); on the torus run() forms phi for a record.
+    gives the new rho: a torus step makes 2 transforms.
     """
     field = geom.check_field(rhs(geom, state))
     c = 1.0 / float(np.min(state.rho))
-    phi_hat = state.coeffs if state.coeffs is not None else geom.to_coeffs(state.phi)
-    phi_hat_new = phi_hat + geom.solve_shifted(dt * field, dt * c)
-    return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor,
-                             coeffs=phi_hat_new)
+    phi_hat_new = state.coeffs + geom.solve_shifted(dt * field, dt * c)
+    return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor)
 
 
 def suggest_dt(geom, state, cfl=0.2):
@@ -189,11 +180,10 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     such as a NaN. That is no step failure, so it propagates to the caller
     and no Trajectory is returned.
 
-    A semi-implicit torus run steps phi's coefficients, and
-    to_coeffs(from_coeffs(phi_hat)) is not phi_hat bitwise, so its recorded
-    states keep their coefficients; write_checkpoint stores them and a
-    resume passes them back as start_coeffs (with phi0 the stored phi) to
-    continue the run bitwise.
+    A run steps phi's coefficients, which to_coeffs(phi) does not return
+    bitwise on the torus: recorded states keep them (holding no phi),
+    write_checkpoint stores them, and a resume passes them back as
+    start_coeffs, phi0 unread, to continue the run bitwise.
     """
     if config.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
         raise ConfigValidationError(
@@ -205,8 +195,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
         if start_coeffs is None:
             state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
         else:
-            state = state_from_coeffs(geom, start_coeffs, start_time, config.rho_floor,
-                                      phi=geom.check_field(phi0), coeffs=start_coeffs)
+            state = state_from_coeffs(geom, start_coeffs, start_time, config.rho_floor)
     except NotKahler as exc:
         logger.warning("initial state rejected: %s", exc)
         return Trajectory(states=[], records=[], terminated=Termination.NOT_KAHLER)
@@ -221,17 +210,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
             return min(config.dt_init, suggest_dt(geom, current, config.cfl))
         return config.dt_init
 
-    # only a semi-implicit torus step leaves phi to its coefficients; every
-    # other recorded state drops them, as to_coeffs(phi) returns them bitwise
-    keep_coeffs = config.scheme is Scheme.SEMI_IMPLICIT and geom.coeffs_shape is not None
-
     def record(current, dt_used):
-        # a record reports the solved P, which the steps never read, and
-        # forms phi apart from the stepped state: the flow does not depend
-        # on record_every
-        if current.phi is None:
-            current = replace(current, phi=geom.from_coeffs(current.coeffs))
-        states.append(current if keep_coeffs else replace(current, coeffs=None))
+        # the steps never read a record's solved P; the state kept holds no phi
+        states.append(replace(current, held_phi=None))
         records.append(make_trace_record(geom, current, dt_used, p_list))
 
     states = []

@@ -11,7 +11,7 @@ omega_phi. The L^p probes are raw monitors, never asserted against constants.
 A trace record transforms F once and passes its coefficients to each term.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .elliptic import solve_P
 from .kahler import scalar_curvature
@@ -96,11 +96,13 @@ class TraceRecord:
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
     """Evaluate every monitored quantity at one state, with P by solve_P: 7
-    transforms on a curved torus (3 in solve_P), 4 on a flat one."""
+    transforms on a curved torus (3 in solve_P), 4 flat, +1 where phi is formed."""
+    with_phi = replace(state, held_phi=state.phi)  # I and J both read phi
+    i_value = i_functional(geom, with_phi)
+    ent, j = k_energy_parts(geom, with_phi, i_value)
+    del with_phi  # freed before the rest of the record allocates
     p_solution = solve_P(geom, state)
     big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
-    i_value = i_functional(geom, state)
-    ent, j = k_energy_parts(geom, state, i_value)
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list, big_f_hat)
     return TraceRecord(
         time=state.time,

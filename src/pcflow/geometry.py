@@ -16,8 +16,9 @@ conservative flux form with zero flux at the boundary faces (pole regularity).
 Each backend class describes itself, so no other module decides what a
 backend is: kind, checkpoint_tag, grid_params (what a config sets and a
 checkpoint stores, packed as grid_format), coeffs_shape (the shape of the
-coefficients a version-2 checkpoint stores, None where they are the field),
-explicit_initial and random_initial. BACKENDS lists the backend classes.
+coefficients a version-3 checkpoint stores, None where they are the field,
+and field_from_coeffs to form phi from them), explicit_initial and
+random_initial. BACKENDS lists the backend classes.
 """
 
 import numbers
@@ -45,7 +46,7 @@ class GridGeometry:
     ricci_flat (Ric(omega0) = 0, so P = 0), and rbar, the average of R(omega0).
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
-    field there and back, truncate filters coefficients, and the *_from_coeffs
+    field there and back, truncate returns filtered copies, and the *_from_coeffs
     operators return real fields or numbers. Sphere coefficients are the field.
     """
 
@@ -95,6 +96,11 @@ class TorusGeometry(GridGeometry):
         """The rfft2 layout of a grid of this shape."""
         return (shape[0], shape[1] // 2 + 1)
 
+    @staticmethod
+    def field_from_coeffs(fh, shape):
+        """irfft2 of fh on a grid of this shape, bitwise from_coeffs, for read_checkpoint."""
+        return scipy.fft.irfft2(fh, s=shape)
+
     def __init__(self, nx, ny, length, sigma0_modes):
         if not (_is_pow2(nx) and _is_pow2(ny)) or nx < 16 or ny < 16:
             raise BadGrid(f"torus sizes must be integer powers of two >= 16, got {nx} x {ny}")
@@ -143,7 +149,7 @@ class TorusGeometry(GridGeometry):
         # 2/3-rule truncation mask used by the time steppers
         self._keep_mask = (np.abs(mx[:, None]) <= self.nx // 3) & (my[None, :] <= self.ny // 3)
         self._work = np.empty(self.coeffs_shape(self.shape), dtype=complex)
-        self.volume = self.integrate(np.ones(self.shape))
+        self.volume = self._cell * float(np.sum(self.sigma0))  # integrate(1), bitwise
         # Ric(omega0) = i d dbar(h0) with h0 = -log sigma0, kept only where
         # omega0 is curved. Its chart density r0 = -(log sigma0)_{z zbar} is
         # mixed(h0) bitwise (negation commutes with the rounded transforms)
@@ -153,6 +159,9 @@ class TorusGeometry(GridGeometry):
         self.lambda_ke = 0.0
         self.ricci_potential0 = -log_sigma0 if self.sigma0_modes else None
         self.ricci_flat = self.ricci_potential0 is None
+        # h0*sigma0: closed_form_P takes h0's omega_phi-mean from its dot product with rho
+        self.ricci_potential0_density = (None if self.ricci_flat
+                                         else self.ricci_potential0 * self.sigma0)
         self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
     # -- initial data --------------------------------------------------------
@@ -203,7 +212,7 @@ class TorusGeometry(GridGeometry):
         return self._inverse(fh)
 
     def truncate(self, fh):
-        """Zero all modes outside the 2/3 ball (stepper stabilization)."""
+        """New coefficients: fh with its modes outside the 2/3 ball zeroed (steppers)."""
         return fh * self._keep_mask
 
     def mixed_from_coeffs(self, fh):
@@ -342,7 +351,11 @@ class SphereGeometry(GridGeometry):
         """Identity: the finite-difference backend steps nodal values."""
         return f
 
-    from_coeffs = truncate = to_coeffs
+    from_coeffs = to_coeffs
+
+    def truncate(self, f):
+        """A copy, as the torus's truncate is new coefficients: no modes to drop."""
+        return f.copy()
 
     def mixed_from_coeffs(self, f):
         """f_{w wbar} in the cylinder chart: mu*(1-mu)*(flux divergence)."""

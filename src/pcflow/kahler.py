@@ -21,22 +21,27 @@ from .errors import NotKahler
 
 @dataclass(frozen=True)
 class MetricState:
-    """A validated Kahler potential with its cached pointwise densities.
+    """A validated Kahler potential, held as phi's backend coefficients (phi
+    itself on the sphere), with its cached pointwise densities. phi is formed
+    by from_coeffs on each read unless the state holds it (held_phi), as
+    validate_kahler's state and a trace record's do; no state a step makes or
+    run() records does, so a recorded torus state keeps no real phi array."""
 
-    A state made by a step also keeps phi's coefficients for the next step.
-    A semi-implicit torus step keeps only them (phi is None until run()
-    forms it for a record), and its recorded states keep them too; run()
-    drops them from every other recorded state."""
-
-    phi: np.ndarray
+    coeffs: np.ndarray = field(repr=False, compare=False)
     rho: np.ndarray
     big_f: np.ndarray
+    from_coeffs: object = field(repr=False, compare=False)
     time: float = 0.0
-    coeffs: np.ndarray = field(default=None, repr=False, compare=False)
+    held_phi: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @property
+    def phi(self):
+        return self.from_coeffs(self.coeffs) if self.held_phi is None else self.held_phi
 
 
 def _density(geom, phi_hat):
-    return 1.0 + geom.mixed_from_coeffs(phi_hat) / geom.sigma0
+    rho = geom.mixed_from_coeffs(phi_hat)  # a new field: 1 + rho/sigma0 in place
+    return np.add(np.divide(rho, geom.sigma0, out=rho), 1.0, out=rho)
 
 
 def ma_density(geom, phi):
@@ -45,23 +50,20 @@ def ma_density(geom, phi):
 
 
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
-    """Build a MetricState, raising NotKahler unless min(rho) > rho_floor."""
+    """Build a MetricState holding phi and its coefficients, raising NotKahler
+    unless min(rho) > rho_floor."""
     phi = geom.check_field(phi)
     return state_from_coeffs(geom, geom.to_coeffs(phi), time, rho_floor, stage, phi)
 
 
-def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None,
-                      coeffs=None):
-    """validate_kahler from coefficients; the state keeps the coeffs given and
-    the phi given, or phi_hat where it is the field (coeffs_shape None).
-    Non-finite coefficients give a NaN min(rho), which fails the check too."""
-    if phi is None and geom.coeffs_shape is None:
-        phi = phi_hat
+def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None):
+    """validate_kahler from coefficients; the state holds phi_hat, and phi if
+    given. Non-finite coefficients give a NaN min(rho), which fails the check too."""
     rho = _density(geom, phi_hat)
     min_rho = float(rho.min())
     if not min_rho > rho_floor:
         raise NotKahler(min_rho, stage=stage)
-    return MetricState(phi=phi, rho=rho, big_f=np.log(rho), time=float(time), coeffs=coeffs)
+    return MetricState(phi_hat, rho, np.log(rho), geom.from_coeffs, float(time), phi)
 
 
 def laplacian_phi(geom, state, f):

@@ -131,31 +131,23 @@ def test_rk4_matches_real_space_step_bitwise_on_sphere(flow_kind):
 # ---------------------------------------------------------------------------
 
 def test_transforms_per_step(transform_count):
+    # every state holds phi's coefficients, validate_kahler's too, so the
+    # first step of a run costs what every other step does: RK4 makes 4
+    # truncations and 4 densities, a semi-implicit step one forward and one
+    # inverse transform
     geom, state = preset_state("pbound_torus.cfg")
     assert geom.shape == (256, 256) and geom.sigma0_modes
-    dt = pf.suggest_dt(geom, state)
-    # a step keeps the coefficients the next one starts from; the first step
-    # of a run transforms phi once more
-    state = pf.rk4_step(geom, state, dt)
-    transform_count[0] = 0
-    pf.rk4_step(geom, state, dt)  # P is closed-form at every stage
-    assert transform_count[0] <= 10
-    transform_count[0] = 0
-    pf.semi_implicit_step(geom, state, dt)  # one forward, one inverse transform
-    assert transform_count[0] == 2
-
     flat = flat64()
-    state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x))
-    transform_count[0] = 0
-    stepped = pf.semi_implicit_step(flat, state, 1e-3)  # and one of phi
-    assert transform_count[0] == 3
-    transform_count[0] = 0
-    pf.semi_implicit_step(flat, stepped, 1e-3)
-    assert transform_count[0] == 2
-    state = pf.rk4_step(flat, state, 1e-3)
-    transform_count[0] = 0
-    pf.rk4_step(flat, state, 1e-3)
-    assert transform_count[0] <= 10
+    dt = pf.suggest_dt(geom, state)
+    for g, first, step_dt in ((geom, state, dt),
+                              (flat, pf.validate_kahler(flat, 0.3 * np.cos(flat.x)), 1e-3)):
+        for stepper, expected in ((pf.rk4_step, 8), (pf.semi_implicit_step, 2)):
+            transform_count[0] = 0
+            stepped = stepper(g, first, step_dt)  # P is closed-form at every stage
+            assert transform_count[0] == expected
+            transform_count[0] = 0
+            stepper(g, stepped, step_dt)
+            assert transform_count[0] == expected
 
 
 def test_transforms_per_record(transform_count):
@@ -165,6 +157,11 @@ def test_transforms_per_record(transform_count):
     transform_count[0] = 0
     pf.make_trace_record(geom, state, 1e-3)
     assert transform_count[0] <= 7
+    # a stepped state holds no phi: the record forms it once, for I and J both
+    stepped = pf.semi_implicit_step(geom, state, 1e-3)
+    transform_count[0] = 0
+    pf.make_trace_record(geom, stepped, 1e-3)
+    assert transform_count[0] <= 8
     flat = pf.build_torus_geometry(256, 256, TWO_PI, ())
     state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x) + 0.05 * np.sin(2.0 * flat.y))
     transform_count[0] = 0
@@ -395,44 +392,68 @@ def test_steps_solve_no_poisson_equation(monkeypatch, case, scheme):
     assert len(solves) == len(trajectory.records)
 
 
-def test_recorded_states_keep_no_coefficients():
-    geom = bumpy64()
-    config = pf.FlowConfig(dt_init=DYADIC, t_end=4.0 * DYADIC, record_every=1)
+@pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
+def test_recorded_states_keep_coefficients(scheme):
+    # every recorded state keeps phi's coefficients, the initial one included,
+    # and forms phi from them on each read; on the sphere they are phi
+    config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=4.0 * DYADIC, record_every=1)
+    torus, sphere = bumpy64(), sphere128()
+    for geom, phi0 in ((torus, 0.3 * np.cos(torus.x)), (sphere, 0.1 * sphere.mu ** 2)):
+        trajectory = pf.run(geom, phi0, config)
+        assert len(trajectory.states) >= 5
+        assert np.array_equal(trajectory.states[0].coeffs, geom.to_coeffs(phi0))
+        for state in trajectory.states:
+            assert np.array_equal(state.phi, geom.from_coeffs(state.coeffs))
+            assert (state.phi is state.coeffs) == (geom is sphere)
+
+
+@pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
+@pytest.mark.parametrize("build", [bumpy64, flat64])
+def test_recorded_torus_states_retain_no_phi(build, scheme):
+    # a recorded torus state keeps phi_hat, rho and F, and no real phi:
+    # holding phi as well raised the peak RSS of a dense trace by 8%
+    geom = build()
+    config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=2.0 * DYADIC, record_every=1)
     trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
-    assert all(state.coeffs is None for state in trajectory.states)
-    sphere = sphere128()
-    trajectory = pf.run(sphere, 0.1 * sphere.mu ** 2,
-                        replace(config, scheme=pf.Scheme.SEMI_IMPLICIT))
-    assert all(state.coeffs is None for state in trajectory.states)
+    for state in trajectory.states:
+        arrays = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 3 and arrays[0] is state.coeffs and state.coeffs.dtype == complex
+        assert arrays[1] is state.rho and arrays[2] is state.big_f
+        assert state.held_phi is None and state.phi is not state.phi  # formed on each read
 
 
 def test_semi_implicit_torus_records_keep_coefficients():
-    # the steps carry phi_hat alone; a record forms phi from it and keeps it,
-    # the initial state of a fresh run excepted (it has no coefficients)
+    # the steps carry phi_hat alone, and a record keeps it without phi; a
+    # resume from a record's coefficients continues the run bitwise
     geom = bumpy64()
     config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC,
                            t_end=4.0 * DYADIC, record_every=2)
     trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
     first, *rest = trajectory.states
-    assert first.coeffs is None
+    assert np.array_equal(first.coeffs, geom.to_coeffs(0.3 * np.cos(geom.x)))
     assert len(rest) == 2
     for state in rest:
         assert np.array_equal(state.phi, geom.from_coeffs(state.coeffs))
     resumed = pf.run(geom, rest[0].phi, config, start_time=rest[0].time,
                      start_coeffs=rest[0].coeffs)
     assert resumed.states[0].coeffs is rest[0].coeffs
+    assert np.array_equal(resumed.states[-1].coeffs, rest[-1].coeffs)
     assert np.array_equal(resumed.states[-1].phi, rest[-1].phi)
 
 
-def test_rk4_from_state_without_coefficients():
-    # a recorded state has no coefficients; the step transforms its phi
+def test_rk4_from_state_without_phi():
+    # a step reads phi's coefficients alone: validate_kahler's state, which
+    # holds phi as well, steps to the same bits as the state without it, and
+    # the state a step makes holds no phi
     geom = bumpy64()
-    state = pf.rk4_step(geom, pf.validate_kahler(geom, 0.3 * np.cos(geom.x)), 1e-3)
-    assert state.coeffs is not None
-    bare = replace(state, coeffs=None)
-    assert np.array_equal(pf.rk4_step(geom, bare, 1e-3).phi, pf.rk4_step(geom, state, 1e-3).phi)
-    # a semi-implicit torus state has no phi; the step forms it
+    state = pf.validate_kahler(geom, 0.3 * np.cos(geom.x))
+    assert state.held_phi is not None
+    bare = replace(state, held_phi=None)
+    for stepper in (pf.rk4_step, pf.semi_implicit_step):
+        stepped = stepper(geom, state, 1e-3)
+        assert stepped.held_phi is None
+        assert np.array_equal(stepper(geom, bare, 1e-3).coeffs, stepped.coeffs)
+    # a semi-implicit state steps under RK4 like any other
     state = pf.semi_implicit_step(geom, state, 1e-3)
-    with_phi = replace(state, phi=geom.from_coeffs(state.coeffs))
-    assert np.array_equal(pf.rk4_step(geom, state, 1e-3).phi,
-                          pf.rk4_step(geom, with_phi, 1e-3).phi)
+    assert np.array_equal(pf.rk4_step(geom, state, 1e-3).coeffs,
+                          pf.rk4_step(geom, replace(state, held_phi=state.phi), 1e-3).coeffs)

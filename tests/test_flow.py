@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import pcflow as pf
 from pcflow import flow as flow_mod
@@ -79,9 +80,7 @@ def test_steppers_fix_stationary_states():
         state = zero_state(geom)
         for stepper in (pf.rk4_step, pf.semi_implicit_step):
             out = stepper(geom, state, 0.01)
-            # a semi-implicit torus step leaves phi to its coefficients
-            phi = out.phi if out.phi is not None else geom.from_coeffs(out.coeffs)
-            assert np.all(phi == state.phi)
+            assert np.all(out.phi == state.phi)
             assert out.time == state.time + 0.01
 
 
@@ -153,8 +152,7 @@ def test_semi_implicit_matches_rk4_to_first_order():
         state = pf.validate_kahler(geom, phi0)
         for _ in range(round(t_end / dt)):
             state = stepper(geom, state, dt)
-        # a semi-implicit torus step leaves phi to its coefficients
-        return state.phi if state.phi is not None else geom.from_coeffs(state.coeffs)
+        return state.phi
 
     reference = advance(pf.rk4_step, 2.0 ** -10)
     gap_coarse = float(np.max(np.abs(advance(pf.semi_implicit_step, 2.0 ** -6) - reference)))
@@ -477,7 +475,10 @@ def test_checkpoint_roundtrip(tmp_path):
     meta = pf.read_checkpoint(path)
     assert meta["kind"] == "torus"
     assert meta["time"] == 0.375
-    assert np.all(meta["phi"] == state.phi)
+    # a torus checkpoint keeps the coefficients a run resumes from, and phi
+    # reads back as a state that holds none forms it
+    assert np.all(meta["coeffs"] == state.coeffs)
+    assert np.all(meta["phi"] == replace(state, held_phi=None).phi)
 
     sphere = pf.build_sphere_geometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
@@ -527,13 +528,29 @@ def test_checkpoint_detects_corruption(tmp_path):
 
 
 def test_checkpoint_layout_is_pinned(tmp_path):
-    # the layout of the checkpoint module docstring, packed by hand
+    # the layout of the checkpoint module docstring, packed by hand: a torus
+    # state is written as version 3, phi's coefficients alone
     torus = bumpy64()
     state = pf.validate_kahler(torus, 0.1 * np.cos(torus.x), time=0.375)
-    expected = pack_checkpoint(struct.pack("<IB", 1, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
-                               + struct.pack("<d", 0.375) + state.phi.astype("<f8").tobytes())
+    expected = pack_checkpoint(struct.pack("<IB", 3, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+                               + struct.pack("<d", 0.375) + state.coeffs.astype("<c16").tobytes())
     pf.write_checkpoint(tmp_path / "torus.ckpt", torus, state)
     assert (tmp_path / "torus.ckpt").read_bytes() == expected
+    meta = pf.read_checkpoint(tmp_path / "torus.ckpt")
+    assert meta["time"] == 0.375
+    assert meta["coeffs"].dtype == complex and np.array_equal(meta["coeffs"], state.coeffs)
+    assert np.array_equal(meta["phi"], torus.from_coeffs(state.coeffs))
+    assert np.array_equal(meta["phi"], scipy.fft.irfft2(state.coeffs, s=torus.shape))
+
+    # a version-1 torus file, as earlier versions wrote for every RK4 state,
+    # reads back with its phi and no coefficients
+    path = tmp_path / "torus_v1.ckpt"
+    path.write_bytes(pack_checkpoint(struct.pack("<IB", 1, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+                                     + struct.pack("<d", 0.375)
+                                     + state.phi.astype("<f8").tobytes()))
+    meta = pf.read_checkpoint(path)
+    assert meta["time"] == 0.375 and meta["coeffs"] is None
+    assert meta["phi"].dtype == float and np.array_equal(meta["phi"], state.phi)
 
     sphere = pf.build_sphere_geometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
@@ -548,52 +565,55 @@ def semi_implicit_torus_state():
     torus = bumpy64()
     state = pf.semi_implicit_step(torus, pf.validate_kahler(torus, 0.1 * np.cos(torus.x)),
                                   0.375)
-    assert state.phi is None and state.coeffs.shape == (64, 33)
+    assert state.held_phi is None and state.coeffs.shape == (64, 33)
     return torus, state
 
 
+def v2_payload(torus, state):
+    """A version-2 payload, as earlier versions wrote for a semi-implicit torus
+    state: the version-1 fields, then the rfft2 coefficients as complex128."""
+    return (struct.pack("<IB", 2, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+            + struct.pack("<d", 0.375) + torus.from_coeffs(state.coeffs).astype("<f8").tobytes()
+            + state.coeffs.astype("<c16").tobytes())
+
+
 def test_checkpoint_v2_layout_is_pinned(tmp_path):
-    # a state that keeps its coefficients: version 2, the version-1 fields,
-    # then the rfft2 coefficients as complex128, all under the CRC
+    # a hand-packed version-2 file reads back with its phi and coefficients,
+    # the same as the version-3 file of the same state does
     torus, state = semi_implicit_torus_state()
-    expected = pack_checkpoint(struct.pack("<IB", 2, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
-                               + struct.pack("<d", 0.375)
-                               + torus.from_coeffs(state.coeffs).astype("<f8").tobytes()
-                               + state.coeffs.astype("<c16").tobytes())
     path = tmp_path / "torus.ckpt"
-    pf.write_checkpoint(path, torus, state)
-    assert path.read_bytes() == expected
+    path.write_bytes(pack_checkpoint(v2_payload(torus, state)))
     meta = pf.read_checkpoint(path)
     assert meta["time"] == 0.375
     assert np.array_equal(meta["phi"], torus.from_coeffs(state.coeffs))
     assert meta["coeffs"].dtype == complex
     assert np.array_equal(meta["coeffs"], state.coeffs)
+    pf.write_checkpoint(tmp_path / "v3.ckpt", torus, state)
+    v3 = pf.read_checkpoint(tmp_path / "v3.ckpt")
+    assert np.array_equal(v3["phi"], meta["phi"]) and np.array_equal(v3["coeffs"], meta["coeffs"])
 
-    # a version-1 file reads with no coefficients
-    pf.write_checkpoint(path, torus, replace(state, phi=meta["phi"], coeffs=None))
-    assert pf.read_checkpoint(path)["coeffs"] is None
 
-
-def test_checkpoint_v2_detects_truncation(tmp_path):
+def test_checkpoint_v2_v3_detect_truncation(tmp_path):
     torus, state = semi_implicit_torus_state()
     path = tmp_path / "state.ckpt"
     pf.write_checkpoint(path, torus, state)
-    payload = path.read_bytes()[4:-4]
-    for cut in (16, 16 * 33, 16 * 64 * 33):  # into, or all of, the coefficients
-        short = tmp_path / f"short{cut}.ckpt"
-        short.write_bytes(pack_checkpoint(payload[:-cut]))  # CRC-valid
-        with pytest.raises(pf.CheckpointError, match="truncated field data"):
-            pf.read_checkpoint(short)
+    for payload in (path.read_bytes()[4:-4], v2_payload(torus, state)):
+        for cut in (16, 16 * 33, 16 * 64 * 33):  # into, or all of, the coefficients
+            short = tmp_path / f"short{cut}.ckpt"
+            short.write_bytes(pack_checkpoint(payload[:-cut]))  # CRC-valid
+            with pytest.raises(pf.CheckpointError, match="truncated field data"):
+                pf.read_checkpoint(short)
     short = tmp_path / "short.ckpt"
     short.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(pf.CheckpointError):
         pf.read_checkpoint(short)
     # coefficients on a backend whose coefficients are phi itself
-    sphere_v2 = tmp_path / "sphere.ckpt"
-    sphere_v2.write_bytes(pack_checkpoint(struct.pack("<IBQd", 2, 1, 32, 0.0)
-                                          + bytes(8 * 32 + 16 * 32)))
-    with pytest.raises(pf.CheckpointError, match="version 2"):
-        pf.read_checkpoint(sphere_v2)
+    for version in (2, 3):
+        sphere_file = tmp_path / f"sphere{version}.ckpt"
+        sphere_file.write_bytes(pack_checkpoint(struct.pack("<IBQd", version, 1, 32, 0.0)
+                                                + bytes(8 * 32 + 16 * 32)))
+        with pytest.raises(pf.CheckpointError, match=f"version {version}"):
+            pf.read_checkpoint(sphere_file)
 
 
 def test_checkpoint_geometry_match(tmp_path):
@@ -631,7 +651,14 @@ def test_resume_is_bitwise(tmp_path):
     path = tmp_path / "half.ckpt"
     pf.write_checkpoint(path, geom, half.states[-1])
     meta = pf.read_checkpoint(path)
-    resumed = pf.run(geom, meta["phi"], config, start_time=meta["time"])
+    resumed = pf.run(geom, meta["phi"], config, start_time=meta["time"],
+                     start_coeffs=meta["coeffs"])
 
     assert full.states[-1].time == resumed.states[-1].time
+    assert np.all(full.states[-1].coeffs == resumed.states[-1].coeffs)
     assert np.all(full.states[-1].phi == resumed.states[-1].phi)
+    # the run steps phi's coefficients, which the real phi alone returns
+    # only to rounding
+    real_only = pf.run(geom, meta["phi"], config, start_time=meta["time"])
+    assert real_only.states[-1].time == full.states[-1].time
+    assert float(np.max(np.abs(real_only.states[-1].phi - full.states[-1].phi))) <= 1e-14

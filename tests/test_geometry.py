@@ -274,7 +274,8 @@ INVERSE_SHAPES = [(16, 16), (16, 64), (64, 16), (32, 32), (128, 64), (256, 256)]
 def test_torus_inverse_operators_are_bitwise_irfft2(shape):
     """Every inverse transform runs through the geometry's work array: each
     operator is bitwise its irfft2 form, on two geometries in turn, and leaves
-    the coefficients it is given as they were."""
+    the coefficients it is given as they were. So is the field_from_coeffs
+    that a checkpoint reader forms phi with."""
     rng = np.random.default_rng(shape[0] * shape[1])
     geoms = [pf.build_torus_geometry(shape[0], shape[1], 3.0, modes)
              for modes in ((), [(1, 1, 0.2), (0, 2, 0.1)])]
@@ -288,9 +289,11 @@ def test_torus_inverse_operators_are_bitwise_irfft2(shape):
             kept = fh.copy()
             mixed = irfft2(geom._mixed_symbol * fh)
             fx, fy = irfft2(geom._dx_symbol * fh), irfft2(geom._dy_symbol * fh)
-            expected = (irfft2(fh), mixed, mixed / geom.sigma0, 0.25 * (fx * fx + fy * fy))
+            expected = (irfft2(fh), mixed, mixed / geom.sigma0, 0.25 * (fx * fx + fy * fy),
+                        irfft2(fh))
             got = (geom.from_coeffs(fh), geom.mixed_from_coeffs(fh),
-                   geom.ref_laplacian_from_coeffs(fh), geom.grad_chart_sq_from_coeffs(fh))
+                   geom.ref_laplacian_from_coeffs(fh), geom.grad_chart_sq_from_coeffs(fh),
+                   pf.TorusGeometry.field_from_coeffs(fh, shape))
             for a, b in zip(got, expected):
                 assert a.dtype == np.float64 and np.array_equal(a, b)
             assert np.array_equal(fh, kept)
