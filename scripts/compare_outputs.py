@@ -7,8 +7,14 @@ commit:
 
 Each preset runs once per tree, as `python3 -m pcflow.cli run PRESET` (and
 `crosscheck` for crosscheck_sphere.cfg) in a fresh directory under --work,
-with that tree's src first on PYTHONPATH. For every CSV and checkpoint file
-either run wrote, the report says whether the two files are byte-identical.
+with that tree's src first on PYTHONPATH and the script's own environment,
+so both trees run under the PCFLOW_THREADS it was given, for example
+
+    PCFLOW_THREADS=2 python3 scripts/compare_outputs.py --tree parent=../parent --tree change=.
+
+That variable selects a code path (records on a worker thread or inline), so
+the report's first line states it. For every CSV and checkpoint file either
+run wrote, the report says whether the two files are byte-identical.
 Where they differ it gives, per CSV column, the largest |a - b| / max(1, |a|)
 over the rows (a from the first tree), and the same figure for a checkpoint's
 phi, both read with this tree's read_checkpoint, which reads every version.
@@ -109,6 +115,7 @@ def main(argv=None):
     if len(trees) != 2 or any(not (Path(path) / "src").is_dir() for _, path in trees):
         parser.error("expected two --tree LABEL=PATH, each a tree with src/")
     roots = [Path(path).resolve() for _, path in trees]
+    print(f"PCFLOW_THREADS = {os.environ.get('PCFLOW_THREADS', 'unset')}")
     presets = args.presets or sorted(p.name for p in (roots[0] / "presets").glob("*.cfg"))
     work = Path(args.work or tempfile.mkdtemp(prefix="compare_outputs_")).resolve()
     ok = True

@@ -3,10 +3,12 @@
 Subcommands: run, resume, crosscheck, probe, print-config. Exit codes by
 failure class: 2 parse, 3 validation, 4 runtime, 5 io. --log-level sets the
 least severe of the package's log records shown on stderr (default WARNING;
-INFO adds run()'s step rejections). PCFLOW_THREADS caps internal data
-parallelism; the reference implementation executes every reduction
-sequentially, so any positive cap gives identical results and the variable is
-validated but otherwise inert.
+INFO adds run()'s step rejections). PCFLOW_THREADS caps the threads a run
+uses (flow.thread_cap; default: the usable cores, and an invalid value exits
+3 before any work). Above 1, a run on a torus of 2^14 nodes or more that
+records at least every 10 steps makes its trace records on one worker thread
+beside the steps; 1 makes them inline.
+Every reduction stays sequential, so any cap writes byte-identical outputs.
 """
 
 import argparse
@@ -25,7 +27,7 @@ from .csvout import (emit_csv, emit_divergence_csv, emit_record_csv, header_line
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, ShapeError, SingularSolve,
                      ToleranceNotMet)
-from .flow import FlowKind, Termination, run, suggest_dt
+from .flow import FlowKind, Termination, run, suggest_dt, thread_cap
 from .functionals import make_trace_record
 from .kahler import validate_kahler
 
@@ -34,21 +36,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 EXIT_IO = 5
-
-
-def _thread_cap():
-    raw = os.environ.get("PCFLOW_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigValidationError("PCFLOW_THREADS",
-                                    f"expected a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigValidationError("PCFLOW_THREADS",
-                                    f"expected a positive integer, got {raw!r}")
-    return cap
 
 
 @contextlib.contextmanager
@@ -214,7 +201,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with _log_level(args.log_level):
         try:
-            _thread_cap()
+            thread_cap()
             return args.fn(args)
         except ConfigParseError as exc:
             print(f"pcflow: parse error: {exc}", file=sys.stderr)

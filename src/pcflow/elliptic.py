@@ -43,7 +43,6 @@ class Normalization(enum.Enum):
 class PoissonSolution:
     field: np.ndarray
     residual_linf: float
-    compat_defect: float
     coeffs: np.ndarray = None  # set by a solve: field's coefficients, up to the zero mode
 
 
@@ -64,22 +63,24 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
         rhs = geom.check_field(rhs)
     if not np.any(rhs):
         # a zero RHS (P on a Ricci-flat reference): no quadrature, no solve
-        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0, 0.0)
+        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
     rho = state.rho
     vol_phi = geom.integrate(rho)
-    raw_mass = geom.integrate(rhs, weight=rho)
-    compat_defect = abs(raw_mass) / geom.volume
-    projected = rhs - raw_mass / vol_phi
+    projected = rhs - geom.integrate(rhs, weight=rho) / vol_phi
+    del rhs  # frees a caller's temporary, as solve_P's is, before the solve allocates
 
     if not projected.any():
         # a constant RHS projects to zero; the zero field meets both normalizations
-        return PoissonSolution(np.zeros(geom.shape), 0.0, compat_defect, 0.0)
+        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
 
     # the residual is applied to the solve's own coefficients: on the torus
     # one inverse transform, where applying ref_laplacian to u takes two
     u_hat = geom.solve_reference_poisson(projected * rho)
-    residual_linf = float(np.max(np.abs(
-        geom.ref_laplacian_from_coeffs(u_hat) / rho - projected)))
+    residual = geom.ref_laplacian_from_coeffs(u_hat)  # a new field: reduced in place
+    residual /= rho
+    residual -= projected
+    residual_linf = float(np.max(np.abs(residual, out=residual)))
+    del residual
     u = geom.from_coeffs(u_hat)
     bound = _BACKWARD_ERROR_BOUND * np.finfo(float).eps * (
         float(np.max(np.abs(u))) / geom.heat_dt_scale(rho) + float(np.max(np.abs(projected))))
@@ -88,7 +89,7 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
         raise ToleranceNotMet(f"poisson residual {residual_linf:.3e} > bound {bound:.3e}")
 
     u = _normalize(geom, u, rho, vol_phi, normalization)
-    return PoissonSolution(u, residual_linf, compat_defect, u_hat)
+    return PoissonSolution(u, residual_linf, u_hat)
 
 
 def _closed_form(geom, state, u, normalization):
@@ -96,8 +97,7 @@ def _closed_form(geom, state, u, normalization):
 
     Its residual_linf is the defect sup|lambda*(rho - 1 - ref_laplacian(phi))/rho|
     of the identity its lambda*phi part rests on, which raises ToleranceNotMet
-    above _IDENTITY_TOL; its compat_defect is |lambda|*|vol_phi - vol|/vol, that
-    of the solved RHS. Where lambda = 0 both are 0.0 and phi is not read: the
+    above _IDENTITY_TOL. Where lambda = 0 it is 0.0 and phi is not read: the
     h0 part holds by construction.
     """
     lam = geom.lambda_ke
@@ -110,9 +110,7 @@ def _closed_form(geom, state, u, normalization):
         if not defect_linf <= _IDENTITY_TOL:
             raise ToleranceNotMet(
                 f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
-    compat_defect = abs(lam) * abs(vol_phi - geom.volume) / geom.volume
-    return PoissonSolution(_normalize(geom, u, rho, vol_phi, normalization),
-                           defect_linf, compat_defect)
+    return PoissonSolution(_normalize(geom, u, rho, vol_phi, normalization), defect_linf)
 
 
 def solve_P(geom, state):
@@ -122,8 +120,9 @@ def solve_P(geom, state):
 
     On a flat torus the RHS is 0.0: P is the zero field, with no quadrature.
     """
-    rhs = 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state)
-    return solve_poisson_phi(geom, state, rhs, Normalization.MEAN_ZERO)
+    return solve_poisson_phi(
+        geom, state, 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state),
+        Normalization.MEAN_ZERO)
 
 
 def closed_form_P(geom, state):
@@ -136,12 +135,12 @@ def closed_form_P(geom, state):
     identity's defect (see _closed_form).
     """
     if geom.ricci_flat:
-        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
+        return PoissonSolution(np.zeros(geom.shape), 0.0)
     if geom.lambda_ke == 0.0:
         # einsum's own loop: BLAS dot threads split the sum, so its bits, by core count
         mean = (np.einsum("ij,ij", geom.ricci_potential0_density, state.rho)
                 / np.einsum("ij,ij", geom.sigma0, state.rho))
-        return PoissonSolution(mean - geom.ricci_potential0, 0.0, 0.0)
+        return PoissonSolution(mean - geom.ricci_potential0, 0.0)
     return _closed_form(geom, state, geom.lambda_ke * state.phi, Normalization.MEAN_ZERO)
 
 

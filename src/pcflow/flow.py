@@ -18,22 +18,32 @@ Checks: check_field and the cone check on the real phi that starts a fresh
 run (validate_kahler), the NaN-safe cone check on the coefficients of every
 RK4 stage and every state a step ends on, check_field on every right-hand
 side, and the closed forms on the defect of the Einstein identity they rest
-on. run() halves the step on NotKahler and ToleranceNotMet.
+on. run() halves the step on NotKahler and ToleranceNotMet. A trace record
+reads a state no step reads again, so run() may make it on a worker thread.
 """
 
 import enum
 import logging
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .elliptic import closed_form_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
-from .functionals import DEFAULT_P_LIST, make_trace_record
+from .functionals import DEFAULT_P_LIST, check_p_list, make_trace_record
 from .kahler import state_from_coeffs, validate_kahler
 
 logger = logging.getLogger(__name__)
+
+# A record costs one to four steps on a torus of 2^14 nodes or more, so at
+# one record in 10 steps or fewer records are a tenth or more of a run, which
+# the worker hides; at the presets' 50 to 100 it saves a few percent at most,
+# while the record's memory in the worker's own malloc arena adds about
+# 3.5 MiB to the process's peak resident set
+RECORD_EVERY_OFF_THREAD = 10
 
 
 class Scheme(enum.Enum):
@@ -167,18 +177,45 @@ def suggest_dt(geom, state, cfl=0.2):
     return cfl * geom.heat_dt_scale(state.rho)
 
 
+def thread_cap():
+    """PCFLOW_THREADS as a positive integer; where it is unset, the usable
+    cores (os.sched_getaffinity, Linux only; elsewhere os.cpu_count(), or 1).
+    Any other value raises ConfigValidationError("PCFLOW_THREADS")."""
+    raw = os.environ.get("PCFLOW_THREADS")
+    if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigValidationError("PCFLOW_THREADS",
+                                    f"expected a positive integer, got {raw!r}")
+    return cap
+
+
 def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=None):
     """Advance from start_time to t_end, recording every record_every steps.
 
     Before any work it raises ConfigValidationError for NKRF off an Einstein
-    reference (flow.kind) and for a start_time not before t_end
-    (flow.t_end). Terminal conditions are reported on the Trajectory, never
+    reference (flow.kind), for a start_time not before t_end (flow.t_end)
+    and for an invalid PCFLOW_THREADS, and ValueError for a probe exponent
+    outside [1, 8]. Terminal conditions are reported on the Trajectory, never
     raised: a non-Kahler initial state, a step floor hit after max_halvings
     halvings, or the end time reached. A record's solve_P is the only
     Poisson solve in a run, and its residual bound sits above the grid's
     rounding floor: it raises ToleranceNotMet only on a defect of the solve,
     such as a NaN. That is no step failure, so it propagates to the caller
     and no Trajectory is returned.
+
+    Where geom.records_off_thread, thread_cap() > 1 and records come at least
+    every RECORD_EVERY_OFF_THREAD steps, each record is made on one worker
+    thread while the steps go on, and collected, in order, before the next is
+    submitted, under the caller's numpy error state; a failed record raises
+    when collected, a few steps later at most. Otherwise (PCFLOW_THREADS=1, for one) records are made inline. The
+    bits are the same either way: a record is the same sequential arithmetic.
 
     A run steps phi's coefficients, which to_coeffs(phi) does not return
     bitwise on the torus: recorded states keep them (holding no phi),
@@ -191,6 +228,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     if not start_time < config.t_end:
         raise ConfigValidationError(
             "flow.t_end", f"start time {start_time:.6g} already at or past t_end")
+    check_p_list(p_list)
+    off_thread = (thread_cap() > 1 and geom.records_off_thread
+                  and config.record_every <= RECORD_EVERY_OFF_THREAD)
     try:
         if start_coeffs is None:
             state = validate_kahler(geom, phi0, time=start_time, rho_floor=config.rho_floor)
@@ -210,50 +250,78 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
             return min(config.dt_init, suggest_dt(geom, current, config.cfl))
         return config.dt_init
 
-    def record(current, dt_used):
-        # the steps never read a record's solved P; the state kept holds no phi
-        states.append(replace(current, held_phi=None))
-        records.append(make_trace_record(geom, current, dt_used, p_list))
-
     states = []
     records = []
-    record(state, min(base_dt(state), config.t_end - start_time))
-    step_index = 0
-    step_dt = None  # the dt of the step that produced state
-    terminated = Termination.REACHED_T_END
-    eps = np.finfo(float).eps
+    pool = ThreadPoolExecutor(max_workers=1) if off_thread else None
+    pending = None  # the record in flight on the worker
 
-    while state.time < config.t_end:
-        remaining = config.t_end - state.time
-        dt = base_dt(state)
-        # each t + dt rounds by at most eps*t_end and a run takes about
-        # t_end/dt steps: a gap between remaining and dt within that bound is
-        # rounding, so a full step ends the run and t snaps to t_end
-        rounding = eps * config.t_end * (config.t_end / dt)
-        final_step = remaining - dt <= rounding
-        if remaining < dt - rounding:
-            dt = remaining
-        new_state = None
-        for _ in range(config.max_halvings + 1):
-            try:
-                new_state = stepper(geom, state, dt, rhs, config.rho_floor)
+    def collect():
+        nonlocal pending
+        if pending is not None:
+            future, pending = pending, None
+            records.append(future.result())
+
+    def record_under(err, call, current, dt_used):
+        # numpy's error state is per thread before numpy 2: the worker takes
+        # the caller's, so np.errstate(all="raise") raises there as inline
+        with np.errstate(call=call, **err):
+            return make_trace_record(geom, current, dt_used, p_list)
+
+    def record(current, dt_used):
+        nonlocal pending
+        # the steps never read a record's solved P; the state kept holds no phi
+        states.append(replace(current, held_phi=None))
+        if pool is None:
+            records.append(make_trace_record(geom, current, dt_used, p_list))
+            return
+        collect()
+        pending = pool.submit(record_under, np.geterr(), np.geterrcall(), current, dt_used)
+
+    try:
+        record(state, min(base_dt(state), config.t_end - start_time))
+        step_index = 0
+        step_dt = None  # the dt of the step that produced state
+        terminated = Termination.REACHED_T_END
+        eps = np.finfo(float).eps
+
+        while state.time < config.t_end:
+            remaining = config.t_end - state.time
+            dt = base_dt(state)
+            # each t + dt rounds by at most eps*t_end and a run takes about
+            # t_end/dt steps: a gap between remaining and dt within that bound is
+            # rounding, so a full step ends the run and t snaps to t_end
+            rounding = eps * config.t_end * (config.t_end / dt)
+            final_step = remaining - dt <= rounding
+            if remaining < dt - rounding:
+                dt = remaining
+            new_state = None
+            for _ in range(config.max_halvings + 1):
+                try:
+                    new_state = stepper(geom, state, dt, rhs, config.rho_floor)
+                    break
+                except (NotKahler, ToleranceNotMet) as exc:
+                    logger.info("step rejected at t = %.6g (dt = %.3e): %s",
+                                state.time, dt, exc)
+                    dt *= 0.5
+                    final_step = False
+            if new_state is None:
+                terminated = Termination.STEP_FLOOR_HIT
                 break
-            except (NotKahler, ToleranceNotMet) as exc:
-                logger.info("step rejected at t = %.6g (dt = %.3e): %s",
-                            state.time, dt, exc)
-                dt *= 0.5
-                final_step = False
-        if new_state is None:
-            terminated = Termination.STEP_FLOOR_HIT
-            break
-        if final_step:
-            new_state = replace(new_state, time=config.t_end)
-        state = new_state
-        step_dt = dt
-        step_index += 1
-        if step_index % config.record_every == 0 or state.time >= config.t_end:
-            record(state, dt)
+            if final_step:
+                new_state = replace(new_state, time=config.t_end)
+            state = new_state
+            step_dt = dt
+            step_index += 1
+            if step_index % config.record_every == 0 or state.time >= config.t_end:
+                record(state, dt)
 
-    if records[-1].time < state.time:
-        record(state, step_dt)
+        if states[-1].time < state.time:
+            record(state, step_dt)
+        collect()
+    except BaseException:
+        collect()  # the record in flight was made before what failed, as inline
+        raise
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return Trajectory(states=states, records=records, terminated=terminated)

@@ -53,21 +53,30 @@ def i_functional(geom, state):
 
 def calabi_energy(geom, state, big_f_hat=None):
     """int (R(omega_phi) - rbar)^2 omega_phi >= 0; zero iff cscK on the grid."""
-    deviation = scalar_curvature(geom, state, big_f_hat) - geom.rbar
-    return geom.integrate(deviation * deviation, weight=state.rho)
+    deviation = scalar_curvature(geom, state, big_f_hat)  # a new field: squared in place
+    deviation -= geom.rbar
+    deviation *= deviation
+    return geom.integrate(deviation, weight=state.rho)
+
+
+def check_p_list(p_list):
+    """Raise ValueError unless every probe exponent lies in [1, 8]."""
+    for p in p_list:
+        if not 1.0 <= p <= 8.0:
+            raise ValueError(f"probe exponent {p} outside [1, 8]")
 
 
 def estimate_probes(geom, state, p_list=DEFAULT_P_LIST, big_f_hat=None):
     """Smoothing-rate monitors: p -> int |grad_phi F|^{2p} omega_phi and
     p -> int (tr_phi omega0)^{p+1} omega_phi, |grad_phi F|^2 = |F_z|^2/(sigma0 rho)."""
-    for p in p_list:
-        if not 1.0 <= p <= 8.0:
-            raise ValueError(f"probe exponent {p} outside [1, 8]")
+    check_p_list(p_list)
     if big_f_hat is None:
         big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
-    gF = geom.grad_chart_sq_from_coeffs(big_f_hat) / (geom.sigma0 * state.rho)
-    inv_rho = 1.0 / state.rho
+    gF = geom.grad_chart_sq_from_coeffs(big_f_hat)  # a new field: divided in place
+    gF /= geom.sigma0 * state.rho
     lp_grad_F = {p: geom.integrate(gF ** p, weight=state.rho) for p in p_list}
+    del gF  # freed before 1/rho is formed
+    inv_rho = 1.0 / state.rho
     lp_trace0 = {p: geom.integrate(inv_rho ** (p + 1.0), weight=state.rho) for p in p_list}
     return lp_grad_F, lp_trace0
 
@@ -96,29 +105,36 @@ class TraceRecord:
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
     """Evaluate every monitored quantity at one state, with P by solve_P: 7
-    transforms on a curved torus (3 in solve_P), 4 flat, +1 where phi is formed."""
+    transforms on a curved torus (3 in solve_P), 4 flat, +1 where phi is formed.
+    The solved P is dropped once sup_P, its residual and the dissipation are
+    read, before the probes allocate."""
     with_phi = replace(state, held_phi=state.phi)  # I and J both read phi
     i_value = i_functional(geom, with_phi)
     ent, j = k_energy_parts(geom, with_phi, i_value)
     del with_phi  # freed before the rest of the record allocates
     p_solution = solve_P(geom, state)
+    sup_P = float(p_solution.field.max())
+    poisson_residual = p_solution.residual_linf
     big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
+    dissipation_value = dissipation(geom, state, p_solution.field,
+                                    big_f_hat + p_solution.coeffs)
+    del p_solution
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list, big_f_hat)
     return TraceRecord(
         time=state.time,
         dt=float(dt),
         sup_F=float(state.big_f.max()),
         inf_F=float(state.big_f.min()),
-        sup_P=float(p_solution.field.max()),
+        sup_P=sup_P,
         entropy=ent,
         j_neg_ric=j,
         k_energy=ent + j,
         i_functional=i_value,
-        dissipation=dissipation(geom, state, p_solution.field, big_f_hat + p_solution.coeffs),
+        dissipation=dissipation_value,
         calabi_energy=calabi_energy(geom, state, big_f_hat),
         rho_min=float(state.rho.min()),
         volume=geom.integrate(state.rho),
-        poisson_residual=p_solution.residual_linf,
+        poisson_residual=poisson_residual,
         lp_grad_F=lp_grad_F,
         lp_trace0=lp_trace0,
     )

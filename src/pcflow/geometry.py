@@ -22,6 +22,7 @@ random_initial. BACKENDS lists the backend classes.
 """
 
 import numbers
+import threading
 
 import numpy as np
 import scipy.fft
@@ -48,6 +49,8 @@ class GridGeometry:
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
     field there and back, truncate returns filtered copies, and the *_from_coeffs
     operators return real fields or numbers. Sphere coefficients are the field.
+    records_off_thread says whether a trace record on this grid costs enough for
+    flow.run to make it on a worker thread beside the steps.
     """
 
     def mixed_second_derivative(self, f):
@@ -58,14 +61,6 @@ class GridGeometry:
         """Laplacian of the reference metric of a checked field, f_{z zbar}/sigma0."""
         return self.ref_laplacian_from_coeffs(self.to_coeffs(self.check_field(f)))
 
-    def grad_chart_sq(self, f):
-        """|f_z|^2 of a checked field (|f_w|^2 in the sphere's chart)."""
-        return self.grad_chart_sq_from_coeffs(self.to_coeffs(self.check_field(f)))
-
-    def dirichlet_energy(self, u):
-        """integral of i du ^ dbar(u) = 2 |u_z|^2 dx dy of a checked field; >= 0."""
-        return self.dirichlet_energy_from_coeffs(self.to_coeffs(self.check_field(u)))
-
     def check_field(self, f):
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
@@ -75,6 +70,13 @@ class GridGeometry:
         return f
 
 
+class _WorkArray(threading.local):
+    """A complex array of one shape for each thread, made on the thread's first read."""
+
+    def __init__(self, shape):
+        self.array = np.empty(shape, dtype=complex)
+
+
 class TorusGeometry(GridGeometry):
     """Flat-chart torus [0, L)^2 with reference density sigma0(x, y).
 
@@ -82,8 +84,10 @@ class TorusGeometry(GridGeometry):
     of cosine modes so oracles have closed forms. Coefficients are rfft2
     arrays of shape (nx, ny//2 + 1): to_coeffs is one forward transform, and
     from_coeffs, mixed_ and ref_laplacian_from_coeffs one inverse transform each.
-    Every inverse transform writes into one complex work array that the
-    geometry allocates once, so a geometry is not for concurrent use.
+    Every inverse transform writes into a complex work array that the
+    geometry allocates once per thread, on the thread's first transform, so
+    threads share a geometry: flow.run makes trace records on a worker
+    thread while the steps go on (records_off_thread, 2^14 nodes and up).
     """
 
     kind = "torus"
@@ -148,7 +152,9 @@ class TorusGeometry(GridGeometry):
         self._dirichlet_weight = self._cell * pairs * (kx_d * kx_d + ky_d * ky_d)
         # 2/3-rule truncation mask used by the time steppers
         self._keep_mask = (np.abs(mx[:, None]) <= self.nx // 3) & (my[None, :] <= self.ny // 3)
-        self._work = np.empty(self.coeffs_shape(self.shape), dtype=complex)
+        self._work = _WorkArray(self.coeffs_shape(self.shape))
+        # a record outweighs a worker thread's overhead from 128^2 nodes on, not at 64^2
+        self.records_off_thread = self.nx * self.ny >= 2 ** 14
         self.volume = self._cell * float(np.sum(self.sigma0))  # integrate(1), bitwise
         # Ric(omega0) = i d dbar(h0) with h0 = -log sigma0, kept only where
         # omega0 is curved. Its chart density r0 = -(log sigma0)_{z zbar} is
@@ -201,11 +207,12 @@ class TorusGeometry(GridGeometry):
     def _inverse(self, fh, symbol=None):
         """irfft2 of symbol*fh (or fh), bitwise, as a fresh field: the work array takes
         the product or copy and its axis-0 transform, so fh is left as it was."""
+        work = self._work.array
         if symbol is None:
-            np.copyto(self._work, fh)
+            np.copyto(work, fh)
         else:
-            np.multiply(symbol, fh, out=self._work)
-        half = scipy.fft.ifft(self._work, axis=0, overwrite_x=True)
+            np.multiply(symbol, fh, out=work)
+        half = scipy.fft.ifft(work, axis=0, overwrite_x=True)
         return scipy.fft.irfft(half, n=self.ny, axis=1)
 
     def from_coeffs(self, fh):
@@ -220,13 +227,18 @@ class TorusGeometry(GridGeometry):
         return self._inverse(fh, self._mixed_symbol)
 
     def ref_laplacian_from_coeffs(self, fh):
-        return self.mixed_from_coeffs(fh) / self.sigma0
+        lap = self.mixed_from_coeffs(fh)  # a new field: divided in place
+        lap /= self.sigma0
+        return lap
 
     def grad_chart_sq_from_coeffs(self, fh):
         """|f_z|^2 = (f_x^2 + f_y^2)/4, by two inverse transforms."""
         fx = self._inverse(fh, self._dx_symbol)
         fy = self._inverse(fh, self._dy_symbol)
-        return 0.25 * (fx * fx + fy * fy)
+        fx *= fx  # new fields: squared and summed in place
+        fx += np.multiply(fy, fy, out=fy)
+        fx *= 0.25
+        return fx
 
     def dirichlet_energy_from_coeffs(self, fh):
         """The grid sum of 2 |f_z|^2 dx dy by Parseval: no transform, 0.0 for a constant."""
@@ -302,6 +314,7 @@ class SphereGeometry(GridGeometry):
         self.lambda_ke = 1.0
         self.ricci_potential0 = None
         self.ricci_flat = False
+        self.records_off_thread = False  # a record costs too little at every nmu measured
         self.shape = (self.nmu,)
         self.h = 1.0 / self.nmu
         self.quad_weight = 4.0 * np.pi / self.nmu

@@ -84,4 +84,6 @@ def scalar_curvature(geom, state, big_f_hat=None):
     if big_f_hat is None:
         big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
     ric = 0.0 if geom.ricci_flat else trace_ric0(geom, state)
-    return ric - geom.ref_laplacian_from_coeffs(big_f_hat) / state.rho
+    lap = geom.ref_laplacian_from_coeffs(big_f_hat)  # a new field: R is formed in it
+    lap /= state.rho
+    return np.subtract(ric, lap, out=lap)

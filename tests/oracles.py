@@ -55,7 +55,7 @@ def j_chi_path(geom, chi, phi):
 def j_chi_closed_form(geom, chi, phi):
     """The dimension-1 closed form (1/2) int i d(phi)^dbar(phi): a cross-check
     value, chi-independent by construction (see j_chi_path for the primary)."""
-    return 0.5 * geom.dirichlet_energy(phi)
+    return 0.5 * geom.dirichlet_energy_from_coeffs(geom.to_coeffs(phi))
 
 
 def scalar_curvature_forms(geom, state):
@@ -115,8 +115,8 @@ def real_space_dirichlet_energy(geom, u):
     """integral of 2 |u_z|^2 as a grid sum of the real field grad_chart_sq(u)
     on the torus; the sphere's face sum already is one."""
     if geom.kind == "torus":
-        return geom.chart_integral(geom.grad_chart_sq(u))
-    return geom.dirichlet_energy(u)
+        return geom.chart_integral(geom.grad_chart_sq_from_coeffs(geom.to_coeffs(u)))
+    return geom.dirichlet_energy_from_coeffs(geom.to_coeffs(u))
 
 
 def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
@@ -127,7 +127,8 @@ def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
     p_solution = pf.solve_P(geom, state)
     P = p_solution.field
     ent, j = pf.k_energy_parts(geom, state)
-    grad_F_sq = geom.grad_chart_sq(state.big_f) / (geom.sigma0 * state.rho)
+    grad_F_sq = (geom.grad_chart_sq_from_coeffs(geom.to_coeffs(state.big_f))
+                 / (geom.sigma0 * state.rho))
     inv_rho = 1.0 / state.rho
     curvature = -pf.laplacian_phi(geom, state, state.big_f) + pf.trace_ric0(geom, state)
     deviation = curvature - geom.rbar

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,18 @@ output.record_every = 8
 """
 
 
+# a torus of 2^14 nodes recording every step, where a cap above 1 sends the
+# records to the worker thread; 2^-10 is below its heat limit, so every step
+# takes it and lands on a dyadic time
+CURVED_128 = MINIMAL_TORUS.replace("64", "128") + f"""
+geometry.sigma0_modes = (1,0,0.2)
+initial.modes = (1,0,0.3)
+flow.dt_init = {2.0 ** -10!r}
+flow.t_end = {8.0 * 2.0 ** -10!r}
+output.record_every = 1
+"""
+
+
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
@@ -472,25 +485,39 @@ def test_cli_nkrf_rejects_non_einstein_reference(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_run_reports_record_solve_failure(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("scenario, threads, on_worker", [
+    (QUICK_RUN + "geometry.sigma0_modes = (1,0,0.2)\n", "1", False),
+    (CURVED_128, "2", True),
+], ids=["inline_64", "worker_128"])
+def test_cli_run_reports_record_solve_failure(tmp_path, monkeypatch, capsys, scenario,
+                                              threads, on_worker):
     # a record's solve_P is the only Poisson solve in a run: its
     # ToleranceNotMet leaves run() and the CLI reports it as a runtime error,
-    # exit 4, with no traceback and no CSV
+    # exit 4, with no traceback and no CSV, also where the record was made
+    # on the worker thread
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PCFLOW_THREADS", threads)
     direct = pf.geometry.TorusGeometry.solve_reference_poisson
+    solved_on = []
 
     def defective(self, g):
+        solved_on.append(threading.current_thread() is not threading.main_thread())
         return direct(self, g) + self.to_coeffs(1e-8 * np.cos(3.0 * self.x))
 
     monkeypatch.setattr(pf.geometry.TorusGeometry, "solve_reference_poisson", defective)
-    scenario = QUICK_RUN + "geometry.sigma0_modes = (1,0,0.2)\n"
-    assert cli_mod.main(["run", write_cfg(tmp_path, scenario)]) == 4
+    path = write_cfg(tmp_path, scenario)
+    assert cli_mod.main(["run", path]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("pcflow: runtime error: poisson residual")
     assert "Traceback" not in captured.err
     assert list(tmp_path.glob("*.csv")) == []
+    assert solved_on == [on_worker]  # the first record failed; none came after it
+    config = pf.parse_config(Path(path).read_text())
+    geom = pf.build_geometry(config)
+    with pytest.raises(pf.ToleranceNotMet, match="poisson residual"):
+        pf.run(geom, pf.make_initial(geom, config), config.flow, p_list=config.p_list)
 
 
 def test_cli_emit_fields(tmp_path, monkeypatch, capsys):
@@ -667,6 +694,7 @@ def test_cli_thread_cap_validation(tmp_path, monkeypatch, capsys):
 
 def test_cli_thread_cap_does_not_change_results(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PCFLOW_THREADS", "1")
     scenario = QUICK_RUN + "output.path = one.csv\n"
     assert cli_mod.main(["run", write_cfg(tmp_path, scenario, "one.cfg")]) == 0
     monkeypatch.setenv("PCFLOW_THREADS", "4")
@@ -674,6 +702,45 @@ def test_cli_thread_cap_does_not_change_results(tmp_path, monkeypatch, capsys):
     assert cli_mod.main(["run", write_cfg(tmp_path, scenario2, "four.cfg")]) == 0
     capsys.readouterr()
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "four.csv").read_bytes()
+
+    # at 128^2 a cap above 1 moves the records to the worker thread: every
+    # record, field snapshot and checkpoint keeps its bytes, and a resume on
+    # the worker path continues the sequential run bitwise
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PCFLOW_THREADS", threads)
+        (tmp_path / threads).mkdir()
+        path = write_cfg(tmp_path / threads, CURVED_128 + """
+        output.path = trace.csv
+        output.emit_fields = true
+        output.checkpoint = final.ckpt
+        """)
+        monkeypatch.chdir(tmp_path / threads)
+        assert cli_mod.main(["run", path]) == 0
+        outputs[threads] = {p.name: p.read_bytes() for p in (tmp_path / threads).iterdir()
+                            if p.suffix in (".csv", ".ckpt")}
+    assert len(outputs["1"]) == 11  # the CSV, 9 snapshots and the checkpoint
+    assert outputs["1"] == outputs["2"]
+
+    monkeypatch.chdir(tmp_path / "1")
+    half = write_cfg(tmp_path / "1", CURVED_128 + f"""
+    flow.t_end = {4.0 * 2.0 ** -10!r}
+    output.path = half.csv
+    output.checkpoint = half.ckpt
+    """, "half.cfg")
+    tail = write_cfg(tmp_path / "1", CURVED_128 + """
+    output.path = tail.csv
+    output.checkpoint = tail.ckpt
+    """, "tail.cfg")
+    monkeypatch.setenv("PCFLOW_THREADS", "1")
+    assert cli_mod.main(["run", half]) == 0
+    monkeypatch.setenv("PCFLOW_THREADS", "2")
+    assert cli_mod.main(["resume", "half.ckpt", tail]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "1" / "tail.ckpt").read_bytes() == outputs["1"]["final.ckpt"]
+    full_rows = outputs["1"]["trace.csv"].decode().splitlines()
+    tail_rows = (tmp_path / "1" / "tail.csv").read_text().splitlines()
+    assert tail_rows[1:] == full_rows[5:]  # the records from t = 4 * 2^-10 on
 
 
 # ---------------------------------------------------------------------------

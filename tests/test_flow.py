@@ -1,7 +1,9 @@
 """Time integration: right-hand sides, steppers, the run loop, checkpoints."""
 
 import functools
+import os
 import struct
+import threading
 import zlib
 from dataclasses import replace
 
@@ -22,6 +24,10 @@ def flat64():
 
 def bumpy64():
     return pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+
+
+def sphere64():
+    return pf.build_sphere_geometry(64)
 
 
 def zero_state(geom):
@@ -350,6 +356,165 @@ def test_run_checks_preconditions_before_any_work(monkeypatch, build, flow_kind,
     with pytest.raises(pf.ConfigValidationError) as err:
         pf.run(geom, 0.1 * np.cos(geom.x), config, start_time=start_time)
     assert err.value.key == key
+
+
+@pytest.mark.parametrize("build, p_list, threads, error", [
+    (flat64, (1.0, 9.0), None, ValueError),
+    (sphere64, (0.5,), None, ValueError),
+    (flat64, (1.0,), "0", pf.ConfigValidationError),
+    (sphere64, (1.0,), "two", pf.ConfigValidationError),
+], ids=["exponent_above_8", "exponent_below_1", "threads_zero", "threads_not_integer"])
+def test_run_checks_probes_and_thread_cap_before_any_work(monkeypatch, build, p_list,
+                                                          threads, error):
+    # a bad exponent would otherwise surface only when a record is collected,
+    # after steps have run; an invalid PCFLOW_THREADS is refused on a sphere
+    # too, whose records never leave the calling thread
+    def no_work(*args, **kwargs):
+        raise AssertionError("run() did work before checking its preconditions")
+
+    for name in ("validate_kahler", "state_from_coeffs", "make_trace_record"):
+        monkeypatch.setattr(flow_mod, name, no_work)
+    if threads is not None:
+        monkeypatch.setenv("PCFLOW_THREADS", threads)
+    geom = build()
+    with pytest.raises(error) as err:
+        pf.run(geom, np.zeros(geom.shape), pf.FlowConfig(t_end=1.0), p_list=p_list)
+    if error is ValueError:
+        assert str(err.value) == f"probe exponent {p_list[-1]} outside [1, 8]"
+    else:
+        assert err.value.key == "PCFLOW_THREADS"
+
+
+def test_thread_cap_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.delenv("PCFLOW_THREADS", raising=False)
+    assert flow_mod.thread_cap() == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("PCFLOW_THREADS", "3")
+    assert flow_mod.thread_cap() == 3
+
+
+def test_thread_cap_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity exists on Linux only; elsewhere the cap is the cores
+    monkeypatch.delenv("PCFLOW_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert flow_mod.thread_cap() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert flow_mod.thread_cap() == 1
+
+
+def test_worker_records_run_under_the_callers_numpy_error_state(monkeypatch):
+    monkeypatch.setenv("PCFLOW_THREADS", "2")
+    real_record, seen = flow_mod.make_trace_record, []
+
+    def watched_record(*args, **kwargs):
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     np.geterr()["invalid"]))
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "make_trace_record", watched_record)
+    geom = bumpy128()
+    config = pf.FlowConfig(dt_init=2.0 ** -10, t_end=2.0 ** -10, record_every=1)
+    with np.errstate(invalid="raise"):
+        pf.run(geom, 0.3 * np.cos(geom.x), config)
+    assert seen == [(False, "raise")] * 2
+
+
+def test_records_go_off_thread_on_tori_of_2_14_nodes_and_up():
+    assert not pf.build_torus_geometry(64, 128, TWO_PI, ()).records_off_thread
+    assert pf.build_torus_geometry(128, 128, TWO_PI, ()).records_off_thread
+    assert pf.build_torus_geometry(256, 64, TWO_PI, [(1, 0, 0.2)]).records_off_thread
+    assert not pf.build_sphere_geometry(16384).records_off_thread
+
+
+def bumpy128():
+    return pf.build_torus_geometry(128, 128, TWO_PI, [(1, 0, 0.2)])
+
+
+@pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
+def test_worker_records_match_inline_records(monkeypatch, scheme):
+    # with a cap above 1 the records of a 128^2 torus are made on one worker
+    # thread, one at a time and in order, and are the inline records bitwise
+    geom = bumpy128()
+    phi0 = 0.3 * np.cos(geom.x) + 0.05 * np.sin(2.0 * geom.y)
+    config = pf.FlowConfig(scheme=scheme, dt_init=2.0 ** -10, t_end=6.0 * 2.0 ** -10,
+                           record_every=1)
+    stepper_name = "rk4_step" if scheme is pf.Scheme.RK4 else "semi_implicit_step"
+    real_record, real_step = flow_mod.make_trace_record, getattr(flow_mod, stepper_name)
+    threads, done, steps = [], [], []
+
+    def watched_record(*args, **kwargs):
+        threads.append(threading.current_thread())
+        record = real_record(*args, **kwargs)
+        done.append(record.time)
+        return record
+
+    def watched_step(*args, **kwargs):
+        # step m starts after the record of state m - 1 was submitted, which
+        # collected the record of state m - 2 first: one record in flight
+        steps.append(1)
+        assert len(done) >= len(steps) - 1
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "make_trace_record", watched_record)
+    monkeypatch.setattr(flow_mod, stepper_name, watched_step)
+    runs = {}
+    for cap in ("1", "2"):
+        monkeypatch.setenv("PCFLOW_THREADS", cap)
+        for log in (threads, done, steps):
+            log.clear()
+        runs[cap] = pf.run(geom, phi0, config)
+        assert len(threads) == len(runs[cap].records) == 7
+        assert [t is threading.main_thread() for t in threads] == [cap == "1"] * 7
+    inline, worker = runs["1"], runs["2"]
+    assert worker.terminated is inline.terminated is pf.Termination.REACHED_T_END
+    assert worker.records == inline.records
+    assert [r.time for r in worker.records] == [k * 2.0 ** -10 for k in range(7)]
+    for a, b in zip(worker.states, inline.states):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_sparse_records_stay_inline(monkeypatch):
+    # with records sparser than one in RECORD_EVERY_OFF_THREAD steps the worker
+    # would save a few percent at most and cost its arena's resident memory
+    monkeypatch.setenv("PCFLOW_THREADS", "2")
+    real_record, threads = flow_mod.make_trace_record, []
+
+    def watched_record(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real_record(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "make_trace_record", watched_record)
+    geom = bumpy128()
+    limit = flow_mod.RECORD_EVERY_OFF_THREAD
+    for every, on_main in ((limit, False), (limit + 1, True)):
+        threads.clear()
+        config = pf.FlowConfig(dt_init=2.0 ** -10, t_end=2.0 ** -10, record_every=every)
+        assert len(pf.run(geom, 0.3 * np.cos(geom.x), config).records) == 2
+        assert [t is threading.main_thread() for t in threads] == [on_main] * 2
+
+
+def test_worker_record_failure_comes_before_a_later_step_failure(monkeypatch):
+    # the record of the first state fails on the worker while the first step
+    # fails on the calling thread: run() raises the record's exception, the
+    # one the inline path meets first
+    monkeypatch.setenv("PCFLOW_THREADS", "2")
+    record_failure = pf.ToleranceNotMet("poisson residual forced")
+
+    def failing_record(*args, **kwargs):
+        raise record_failure
+
+    def failing_step(*args, **kwargs):
+        raise pf.ShapeError("field contains non-finite entries")
+
+    monkeypatch.setattr(flow_mod, "make_trace_record", failing_record)
+    monkeypatch.setattr(flow_mod, "rk4_step", failing_step)
+    geom, config = bumpy128(), pf.FlowConfig(t_end=1.0, record_every=1)
+    with pytest.raises(pf.ToleranceNotMet) as err:
+        pf.run(geom, 0.3 * np.cos(geom.x), config)
+    assert err.value is record_failure
+    monkeypatch.setenv("PCFLOW_THREADS", "1")
+    with pytest.raises(pf.ToleranceNotMet):
+        pf.run(geom, 0.3 * np.cos(geom.x), config)
 
 
 def test_run_records_honour_configured_rho_floor():

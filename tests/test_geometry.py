@@ -1,5 +1,8 @@
 """Grid backends: construction, quadrature, chart derivatives, Dirichlet energy."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -215,7 +218,7 @@ def test_shape_errors():
     geom = pf.build_torus_geometry(32, 32, 1.0, ())
     bad = np.zeros((16, 32))
     for op in (geom.mixed_second_derivative, geom.integrate,
-               geom.dirichlet_energy, geom.chart_integral):
+               geom.ref_laplacian, geom.chart_integral):
         with pytest.raises(pf.ShapeError):
             op(bad)
     sphere = pf.build_sphere_geometry(64)
@@ -232,14 +235,14 @@ def test_shape_errors():
 def test_dirichlet_constant_zero():
     torus = pf.build_torus_geometry(32, 32, 1.0, ())
     sphere = pf.build_sphere_geometry(64)
-    assert torus.dirichlet_energy(np.full(torus.shape, 2.5)) == 0.0
-    assert sphere.dirichlet_energy(np.full(sphere.shape, 2.5)) == 0.0
+    assert torus.dirichlet_energy_from_coeffs(torus.to_coeffs(np.full(torus.shape, 2.5))) == 0.0
+    assert sphere.dirichlet_energy_from_coeffs(sphere.to_coeffs(np.full(sphere.shape, 2.5))) == 0.0
 
 
 def test_dirichlet_torus_cosine():
     geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
     u = 0.5 * np.cos(geom.x)
-    val = geom.dirichlet_energy(u)
+    val = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(u))
     assert abs(val - np.pi ** 2 / 4.0) <= 1e-12
     # independent 1-D quadrature of int 2 |u_z|^2 dx dy, u_z = -0.25 sin x
     xs = (np.arange(8192) + 0.5) * TWO_PI / 8192
@@ -262,12 +265,41 @@ def test_dirichlet_torus_parseval_matches_grid_sum(shape):
     )
     for u in fields:
         grid_sum = real_space_dirichlet_energy(geom, u)
-        assert abs(geom.dirichlet_energy(u) - grid_sum) <= 1e-13 * grid_sum
+        energy = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(u))
+        assert abs(energy - grid_sum) <= 1e-13 * grid_sum
     for c in (2.5, -1.0 / 3.0, 1e6):
-        assert geom.dirichlet_energy(np.full(shape, c)) == 0.0
+        assert geom.dirichlet_energy_from_coeffs(geom.to_coeffs(np.full(shape, c))) == 0.0
 
 
 INVERSE_SHAPES = [(16, 16), (16, 64), (64, 16), (32, 32), (128, 64), (256, 256)]
+
+
+def test_torus_inverse_transforms_are_thread_safe():
+    """Threads sharing a geometry each transform through their own work array,
+    so each gets its single-threaded bits; a shared array would mix inputs."""
+    geom = pf.build_torus_geometry(128, 128, TWO_PI, [(1, 0, 0.2)])
+    rng = np.random.default_rng(7)
+    inputs = [scipy.fft.rfft2(rng.standard_normal(geom.shape)) for _ in range(4)]
+    expected = [geom.mixed_from_coeffs(fh) for fh in inputs]
+    mismatches = []
+
+    def transform(k):
+        for _ in range(50):
+            if not np.array_equal(geom.mixed_from_coeffs(inputs[k]), expected[k]):
+                mismatches.append(k)
+
+    threads = [threading.Thread(target=transform, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("shape", INVERSE_SHAPES)
@@ -320,7 +352,7 @@ def test_torus_random_initial_matches_cosine_sum(shape, modes, decay):
 
 def test_dirichlet_sphere_linear():
     geom = pf.build_sphere_geometry(128)
-    val = geom.dirichlet_energy(geom.mu.copy())
+    val = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(geom.mu.copy()))
     # independent plain-Python face sum of 2 pi h * mu_f (1-mu_f) (du/dmu)^2
     total = 0.0
     for i in range(1, 128):
@@ -332,7 +364,8 @@ def test_dirichlet_sphere_linear():
     assert abs(val - np.pi / 3.0) <= 1e-4
 
     fine = pf.build_sphere_geometry(512)
-    assert abs(fine.dirichlet_energy(fine.mu.copy()) - np.pi / 3.0) <= 1e-5
+    energy = fine.dirichlet_energy_from_coeffs(fine.to_coeffs(fine.mu.copy()))
+    assert abs(energy - np.pi / 3.0) <= 1e-5
 
 
 def test_dirichlet_nonnegative_and_laplacian_pairing():
@@ -343,7 +376,7 @@ def test_dirichlet_nonnegative_and_laplacian_pairing():
     ):
         for _ in range(5):
             u = draw(geom, rng, amp=1.0)
-            e = geom.dirichlet_energy(u)
+            e = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(u))
             assert e >= 0.0
             pairing = -geom.chart_integral(u * geom.mixed_second_derivative(u))
             assert abs(e - pairing) <= 1e-10 * (1.0 + abs(e))
