@@ -11,8 +11,8 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .config import (RandomInitial, ScenarioConfig, build_geometry, format_config,
                      make_initial, parse_config)
 from .csvout import emit_csv
-from .elliptic import (Normalization, PoissonSolution, closed_form_P, solve_P,
-                       solve_poisson_phi, solve_ricci_potential)
+from .elliptic import (PoissonSolution, closed_form_P, solve_P, solve_poisson_phi,
+                       solve_ricci_potential)
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, PcflowError, ShapeError,
                      SingularSolve, ToleranceNotMet)
@@ -22,22 +22,21 @@ from .functionals import (TraceRecord, calabi_energy, dissipation, entropy, esti
                           i_functional, k_energy, k_energy_parts, make_trace_record)
 from .geometry import (SphereGeometry, TorusGeometry, build_sphere_geometry,
                        build_torus_geometry)
-from .kahler import (MetricState, laplacian_phi, ma_density, scalar_curvature, trace_ric0,
-                     validate_kahler)
+from .kahler import MetricState, laplacian_phi, scalar_curvature, trace_ric0, validate_kahler
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BadGrid", "CheckpointError", "ConfigParseError",
     "ConfigValidationError", "FlowConfig", "FlowKind", "MetricState",
-    "NonPositiveDensity", "Normalization", "NotKahler", "PcflowError",
+    "NonPositiveDensity", "NotKahler", "PcflowError",
     "PoissonSolution", "RandomInitial", "ScenarioConfig", "Scheme", "ShapeError",
     "SingularSolve", "SphereGeometry", "Termination", "ToleranceNotMet",
     "TorusGeometry", "TraceRecord", "Trajectory", "build_geometry",
     "build_sphere_geometry", "build_torus_geometry", "calabi_energy", "closed_form_P",
     "dissipation",
     "emit_csv", "entropy", "estimate_probes", "format_config", "i_functional",
-    "k_energy", "k_energy_parts", "laplacian_phi", "ma_density",
+    "k_energy", "k_energy_parts", "laplacian_phi",
     "make_initial", "make_trace_record", "nkrf_rhs",
     "parse_config", "pcf_rhs", "read_checkpoint", "rk4_step", "run",
     "scalar_curvature", "semi_implicit_step",

@@ -27,7 +27,7 @@ from .csvout import (emit_csv, emit_divergence_csv, emit_record_csv, header_line
 from .errors import (BadGrid, CheckpointError, ConfigParseError, ConfigValidationError,
                      NonPositiveDensity, NotKahler, ShapeError, SingularSolve,
                      ToleranceNotMet)
-from .flow import FlowKind, Termination, run, suggest_dt, thread_cap
+from .flow import FlowKind, Termination, base_dt, run, thread_cap
 from .functionals import make_trace_record
 from .kahler import validate_kahler
 
@@ -155,7 +155,7 @@ def _cmd_probe(args):
     geom = build_geometry(config)
     phi0 = make_initial(geom, config)
     state = validate_kahler(geom, phi0, rho_floor=config.flow.rho_floor)
-    dt = min(config.flow.dt_init, suggest_dt(geom, state, config.flow.cfl))
+    dt = min(base_dt(geom, state, config.flow), config.flow.t_end)  # run()'s first dt
     record = make_trace_record(geom, state, dt, config.p_list)
     emit_record_csv(record, config.output_path)
     p_list = tuple(record.lp_grad_F.keys())

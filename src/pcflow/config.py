@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigParseError, ConfigValidationError, NotKahler
 from .flow import FlowConfig, FlowKind, Scheme
-from .functionals import DEFAULT_P_LIST
+from .functionals import DEFAULT_P_LIST, check_p_list
 from .geometry import BACKENDS
 
 _BACKENDS = {backend.kind: backend for backend in BACKENDS}
@@ -75,9 +75,10 @@ class ScenarioConfig:
                 raise ConfigValidationError(key, f"must be an integer, got {value!r}")
         if not self.p_list:
             raise ConfigValidationError("output.p_list", "needs at least one exponent")
-        for p in self.p_list:
-            if not 1.0 <= p <= 8.0:
-                raise ConfigValidationError("output.p_list", f"exponent {p} outside [1, 8]")
+        try:
+            check_p_list(self.p_list)
+        except ValueError as exc:
+            raise ConfigValidationError("output.p_list", str(exc)) from None
         if self.random is not None and (self.initial_modes or self.initial_poly_mu):
             raise ConfigValidationError("initial.random.seed",
                                         "random initial data excludes explicit modes")
@@ -243,10 +244,12 @@ def build_geometry(config):
 def _rescale_to_target(geom, phi, target):
     """Scale phi so sup|F| hits the target within 0.5% (bisection on the scale)."""
     mixed_ratio = geom.mixed_second_derivative(phi) / geom.sigma0
+    # rho and log(rho) are monotone in mixed_ratio: their extremes sit at its own
+    extremes = np.array([mixed_ratio.min(), mixed_ratio.max()])
 
     def sup_f(scale):
-        rho = 1.0 + scale * mixed_ratio
-        if float(rho.min()) <= 1e-09:
+        rho = 1.0 + scale * extremes
+        if float(rho[0]) <= 1e-09:
             return np.inf
         return float(np.max(np.abs(np.log(rho))))
 

@@ -1,11 +1,11 @@
-"""Normalized Poisson solves on the evolving metric, and the closed forms
+"""Mean-zero Poisson solves on the evolving metric, and the closed forms
 that replace them in the flow.
 
 Every solve first projects the right-hand side onto the compatible range of
 Delta_phi (its mean against omega_phi is removed), then inverts the chart
 equation u_{z zbar} = rhs*sigma0*rho with one direct solve of the backend,
-and finally applies the requested normalization as a constant shift. The
-residual r = Delta_phi(u) - b must meet the normwise backward-error bound
+and finally shifts u to mean zero against omega_phi. The residual
+r = Delta_phi(u) - b must meet the normwise backward-error bound
 |r| <= C*eps*(|u|*|Delta_phi| + |b|) in the sup norm (Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., ch. 7), with |Delta_phi| taken
 as 1/heat_dt_scale(rho); no fixed tolerance fits, since the rounding floor
@@ -18,11 +18,11 @@ lambda*phi - h0 up to a constant, and on an Einstein reference the Ricci
 potential is -F - lambda*phi. The discrete operators keep the lambda part up
 to rounding (rho - 1 = ref_laplacian(phi)) and the h0 part by construction
 (ric0_density is mixed(h0)), so closed_form_P and solve_ricci_potential solve
-nothing: they check the lambda part's defect against _IDENTITY_TOL instead of
-a residual. solve_P, the solver, is left to trace records.
+nothing: they return the field, and check the lambda part's defect against
+_IDENTITY_TOL instead of a residual. solve_P, the solver, is left to trace
+records.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,31 +34,22 @@ _BACKWARD_ERROR_BOUND = 16.0  # C; smooth sphere states up to nmu 16384 reach 1.
 _IDENTITY_TOL = 1e-10  # fixed, as a step cannot afford |u|; defects reach 1e-15
 
 
-class Normalization(enum.Enum):
-    MEAN_ZERO = "MeanZeroAgainstOmegaPhi"
-    EXP_MASS = "ExpMassEqualsVolume"
-
-
 @dataclass(frozen=True)
 class PoissonSolution:
     field: np.ndarray
     residual_linf: float
-    coeffs: np.ndarray = None  # set by a solve: field's coefficients, up to the zero mode
+    coeffs: np.ndarray = None  # field's coefficients, up to the zero mode
 
 
-def _normalize(geom, u, rho, vol_phi, normalization):
-    """u shifted by the constant that the normalization fixes."""
-    if normalization is Normalization.MEAN_ZERO:
-        return u - geom.integrate(u, weight=rho) / vol_phi
-    peak = float(np.max(u))
-    mass = geom.integrate(np.exp(u - peak), weight=rho)
-    return u - (peak + np.log(mass / vol_phi))
+def _mean_zero(geom, u, rho, vol_phi):
+    """u minus its mean against omega_phi, whose volume is vol_phi."""
+    return u - geom.integrate(u, weight=rho) / vol_phi
 
 
-def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
-    """Solve Delta_phi(u) = rhs - mean_phi(rhs) with the given normalization;
-    rhs is a field, or 0.0 for a zero one. A residual above the backward-error
-    bound raises ToleranceNotMet."""
+def solve_poisson_phi(geom, state, rhs):
+    """Solve Delta_phi(u) = rhs - mean_phi(rhs) for the mean-zero u; rhs is a
+    field, or 0.0 for a zero one. A residual above the backward-error bound
+    raises ToleranceNotMet."""
     if np.ndim(rhs) != 0:
         rhs = geom.check_field(rhs)
     if not np.any(rhs):
@@ -66,12 +57,8 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
     rho = state.rho
     vol_phi = geom.integrate(rho)
-    projected = rhs - geom.integrate(rhs, weight=rho) / vol_phi
+    projected = _mean_zero(geom, rhs, rho, vol_phi)
     del rhs  # frees a caller's temporary, as solve_P's is, before the solve allocates
-
-    if not projected.any():
-        # a constant RHS projects to zero; the zero field meets both normalizations
-        return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
 
     # the residual is applied to the solve's own coefficients: on the torus
     # one inverse transform, where applying ref_laplacian to u takes two
@@ -87,30 +74,19 @@ def solve_poisson_phi(geom, state, rhs, normalization=Normalization.MEAN_ZERO):
     # "not <=" so that a NaN residual fails the check too
     if not residual_linf <= bound:
         raise ToleranceNotMet(f"poisson residual {residual_linf:.3e} > bound {bound:.3e}")
-
-    u = _normalize(geom, u, rho, vol_phi, normalization)
-    return PoissonSolution(u, residual_linf, u_hat)
+    return PoissonSolution(_mean_zero(geom, u, rho, vol_phi), residual_linf, u_hat)
 
 
-def _closed_form(geom, state, u, normalization):
-    """Normalize a closed-form potential u.
-
-    Its residual_linf is the defect sup|lambda*(rho - 1 - ref_laplacian(phi))/rho|
-    of the identity its lambda*phi part rests on, which raises ToleranceNotMet
-    above _IDENTITY_TOL. Where lambda = 0 it is 0.0 and phi is not read: the
-    h0 part holds by construction.
-    """
-    lam = geom.lambda_ke
+def _check_identity(geom, state):
+    """Raise ToleranceNotMet where the defect sup|lambda*(rho - 1 -
+    ref_laplacian(phi))/rho| of the identity that a closed form's lambda*phi
+    part rests on exceeds _IDENTITY_TOL."""
     rho = state.rho
-    vol_phi = geom.integrate(rho)
-    defect_linf = 0.0
-    if lam != 0.0:
-        phi_lap = geom.ref_laplacian_from_coeffs(geom.to_coeffs(state.phi))
-        defect_linf = float(np.max(np.abs(lam * (rho - 1.0 - phi_lap) / rho)))
-        if not defect_linf <= _IDENTITY_TOL:
-            raise ToleranceNotMet(
-                f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
-    return PoissonSolution(_normalize(geom, u, rho, vol_phi, normalization), defect_linf)
+    phi_lap = geom.ref_laplacian_from_coeffs(geom.to_coeffs(state.phi))
+    defect_linf = float(np.max(np.abs(geom.lambda_ke * (rho - 1.0 - phi_lap) / rho)))
+    if not defect_linf <= _IDENTITY_TOL:
+        raise ToleranceNotMet(
+            f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
 
 
 def solve_P(geom, state):
@@ -121,41 +97,44 @@ def solve_P(geom, state):
     On a flat torus the RHS is 0.0: P is the zero field, with no quadrature.
     """
     return solve_poisson_phi(
-        geom, state, 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state),
-        Normalization.MEAN_ZERO)
+        geom, state, 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state))
 
 
 def closed_form_P(geom, state):
-    """PCF potential lambda*phi - h0, mean-zero: the P that solve_P solves
-    for, with no solve, on every reference.
+    """PCF potential lambda*phi - h0, mean-zero: the field P that solve_P
+    solves for, with no solve, on every reference.
 
     On a curved torus (lambda = 0) it is <h0>_phi - h0, its mean two dot
     products with rho, reading neither phi nor an operator; on a flat torus
     the zero field, with no quadrature. On the sphere (h0 = 0) it checks the
-    identity's defect (see _closed_form).
+    identity's defect first.
     """
     if geom.ricci_flat:
-        return PoissonSolution(np.zeros(geom.shape), 0.0)
+        return np.zeros(geom.shape)
     if geom.lambda_ke == 0.0:
         # einsum's own loop: BLAS dot threads split the sum, so its bits, by core count
         mean = (np.einsum("ij,ij", geom.ricci_potential0_density, state.rho)
                 / np.einsum("ij,ij", geom.sigma0, state.rho))
-        return PoissonSolution(mean - geom.ricci_potential0, 0.0)
-    return _closed_form(geom, state, geom.lambda_ke * state.phi, Normalization.MEAN_ZERO)
+        return mean - geom.ricci_potential0
+    _check_identity(geom, state)
+    return _mean_zero(geom, geom.lambda_ke * state.phi, state.rho, geom.integrate(state.rho))
 
 
 def solve_ricci_potential(geom, state):
     """Ricci potential h, Delta_phi(h) = R(omega_phi) - lambda, exp-mass
-    normalized: the closed form -F - lambda*phi, with no solve.
+    normalized: the closed form -F - lambda*phi as a field, with no solve.
 
     Needs an Einstein reference: the round sphere (lambda = 1) or a flat torus
     (lambda = 0); curved-reference tori have no Ricci potential in this gauge.
-    Off a flat torus it checks the identity's defect (see _closed_form).
+    Off a flat torus it checks the identity's defect first.
     """
     if geom.ricci_potential0 is not None:
         raise ValueError("Ricci potential needs an Einstein reference "
                          "(round sphere or flat torus)")
     u = -state.big_f
     if geom.lambda_ke != 0.0:
+        _check_identity(geom, state)
         u = u - geom.lambda_ke * state.phi
-    return _closed_form(geom, state, u, Normalization.EXP_MASS)
+    peak = float(np.max(u))
+    mass = geom.integrate(np.exp(u - peak), weight=state.rho)
+    return u - (peak + np.log(mass / geom.integrate(state.rho)))

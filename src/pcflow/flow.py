@@ -109,12 +109,12 @@ class Trajectory:
 
 def pcf_rhs(geom, state):
     """d(phi)/dt for the pseudo-Calabi flow: F + P, P from closed_form_P (F if Ricci-flat)."""
-    return state.big_f if geom.ricci_flat else state.big_f + closed_form_P(geom, state).field
+    return state.big_f if geom.ricci_flat else state.big_f + closed_form_P(geom, state)
 
 
 def nkrf_rhs(geom, state):
     """d(phi)/dt for the normalized Kahler-Ricci flow: -h_phi."""
-    return -solve_ricci_potential(geom, state).field
+    return -solve_ricci_potential(geom, state)
 
 
 def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
@@ -177,6 +177,14 @@ def suggest_dt(geom, state, cfl=0.2):
     return cfl * geom.heat_dt_scale(state.rho)
 
 
+def base_dt(geom, state, config):
+    """The dt run() tries from state, before the clamp to t_end and any
+    halving: dt_init, capped by suggest_dt under the explicit scheme alone."""
+    if config.scheme is Scheme.RK4:
+        return min(config.dt_init, suggest_dt(geom, state, config.cfl))
+    return config.dt_init
+
+
 def thread_cap():
     """PCFLOW_THREADS as a positive integer; where it is unset, the usable
     cores (os.sched_getaffinity, Linux only; elsewhere os.cpu_count(), or 1).
@@ -214,8 +222,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     every RECORD_EVERY_OFF_THREAD steps, each record is made on one worker
     thread while the steps go on, and collected, in order, before the next is
     submitted, under the caller's numpy error state; a failed record raises
-    when collected, a few steps later at most. Otherwise (PCFLOW_THREADS=1, for one) records are made inline. The
-    bits are the same either way: a record is the same sequential arithmetic.
+    when collected, a few steps later at most. Otherwise (PCFLOW_THREADS=1,
+    for one) records are made inline. The bits are the same either way: a
+    record is the same sequential arithmetic.
 
     A run steps phi's coefficients, which to_coeffs(phi) does not return
     bitwise on the torus: recorded states keep them (holding no phi),
@@ -242,13 +251,6 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     stepper = rk4_step if config.scheme is Scheme.RK4 else semi_implicit_step
     rhs = pcf_rhs if config.flow_kind is FlowKind.PCF else nkrf_rhs
-
-    def base_dt(current):
-        # the explicit scheme is capped by its linear stability limit; the
-        # semi-implicit scheme has none and takes dt_init as given
-        if config.scheme is Scheme.RK4:
-            return min(config.dt_init, suggest_dt(geom, current, config.cfl))
-        return config.dt_init
 
     states = []
     records = []
@@ -278,7 +280,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
         pending = pool.submit(record_under, np.geterr(), np.geterrcall(), current, dt_used)
 
     try:
-        record(state, min(base_dt(state), config.t_end - start_time))
+        record(state, min(base_dt(geom, state, config), config.t_end - start_time))
         step_index = 0
         step_dt = None  # the dt of the step that produced state
         terminated = Termination.REACHED_T_END
@@ -286,7 +288,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
         while state.time < config.t_end:
             remaining = config.t_end - state.time
-            dt = base_dt(state)
+            dt = base_dt(geom, state, config)
             # each t + dt rounds by at most eps*t_end and a run takes about
             # t_end/dt steps: a gap between remaining and dt within that bound is
             # rounding, so a full step ends the run and t snaps to t_end

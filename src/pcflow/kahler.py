@@ -44,11 +44,6 @@ def _density(geom, phi_hat):
     return np.add(np.divide(rho, geom.sigma0, out=rho), 1.0, out=rho)
 
 
-def ma_density(geom, phi):
-    """Monge-Ampere density rho = 1 + phi_{z zbar}/sigma0."""
-    return _density(geom, geom.to_coeffs(geom.check_field(phi)))
-
-
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
     """Build a MetricState holding phi and its coefficients, raising NotKahler
     unless min(rho) > rho_floor."""

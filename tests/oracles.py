@@ -1,7 +1,8 @@
 """Test oracles: second routes to quantities the package computes one way.
 
 J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
-scalar curvature through the full chart density log, the average against
+scalar curvature through the full chart density log, the defect of the
+Einstein identity the closed forms of P and h_phi rest on, the average against
 omega_phi, the sphere's tridiagonal solves through scipy.linalg.solve_banded,
 a trace record built in real space, and the torus's random initial data as a
 sum of cosines on the grid. Only tests call these.
@@ -77,6 +78,13 @@ def scalar_curvature_forms(geom, state):
     else:
         alternative = -geom.ref_laplacian(np.log(geom.sigma0 * state.rho)) / state.rho
     return primary, alternative, float(np.max(np.abs(primary - alternative)))
+
+
+def einstein_identity_defect(geom, state):
+    """sup|lambda*(rho - 1 - ref_laplacian(phi))/rho|: the defect of the
+    identity the closed forms' lambda*phi part rests on (0.0 where lambda = 0)."""
+    lap = geom.ref_laplacian(state.phi)
+    return float(np.max(np.abs(geom.lambda_ke * (state.rho - 1.0 - lap) / state.rho)))
 
 
 def average_against_state(geom, state, f):

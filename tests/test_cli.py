@@ -453,6 +453,23 @@ def test_cli_probe_names_match_csv_header(tmp_path, monkeypatch, capsys):
     assert names == csv_header.split(",")[2:]
 
 
+@pytest.mark.parametrize("flow", [
+    "flow.scheme = SemiImplicit\nflow.dt_init = 0.01\nflow.t_end = 0.02\n",
+    "flow.scheme = RK4\nflow.t_end = 1e-05\n",
+], ids=["semi_implicit", "rk4"])
+def test_cli_probe_row_is_runs_first_row(tmp_path, monkeypatch, flow):
+    # the probe records the initial state with the dt run() records it with:
+    # dt_init above the heat limit under SemiImplicit, and clamped to t_end
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, MINIMAL_TORUS + "initial.modes = (1,0,0.3)\n" + flow)
+    assert cli_mod.main(["probe", path]) == 0
+    probe_rows = (tmp_path / "trace.csv").read_bytes().splitlines()
+    assert cli_mod.main(["run", path]) == 0
+    run_rows = (tmp_path / "trace.csv").read_bytes().splitlines()
+    assert len(probe_rows) == 2 and len(run_rows) > 2
+    assert probe_rows == run_rows[:2]
+
+
 def test_cli_crosscheck_sphere(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     scenario = MINIMAL_SPHERE + """

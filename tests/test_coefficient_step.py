@@ -15,7 +15,7 @@ import pcflow as pf
 from pcflow import flow as flow_mod
 from pcflow.kahler import scalar_curvature, trace_ric0
 from conftest import TWO_PI
-from oracles import real_space_trace_record
+from oracles import einstein_identity_defect, real_space_trace_record
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 TORUS_PRESETS = ("decay_torus.cfg", "determinism_torus.cfg", "energy_torus.cfg",
@@ -273,21 +273,25 @@ def test_run_halves_step_on_einstein_identity_defect(monkeypatch):
 def test_coefficient_residual_matches_transform_residual(name):
     # the residual solve_poisson_phi checks is applied to the solve's
     # coefficients; applying ref_laplacian to the returned field again sees
-    # the same residual up to the round-trip rounding floor
+    # the same residual up to the round-trip rounding floor. The closed-form
+    # Ricci potential reports none: its field meets the same floor, and on a
+    # torus (lambda = 0) its identity defect is zero
     geom, state = preset_state(name)
-    cases = [(pf.solve_P, geom.rbar - trace_ric0(geom, state))]
-    if geom.ricci_potential0 is None:
-        cases.append((pf.solve_ricci_potential,
-                      scalar_curvature(geom, state) - geom.lambda_ke))
     vol_phi = geom.integrate(np.ones(geom.shape), weight=state.rho)
-    for solve, rhs in cases:
-        solution = solve(geom, state)
+
+    def transform_residual(field, rhs):
         projected = rhs - geom.integrate(rhs, weight=state.rho) / vol_phi
-        transform = float(np.max(np.abs(geom.ref_laplacian(solution.field) / state.rho
-                                        - projected)))
-        assert solution.residual_linf <= 1e-12
-        assert transform <= 1e-12
-        assert abs(solution.residual_linf - transform) <= 1e-12
+        return float(np.max(np.abs(geom.ref_laplacian(field) / state.rho - projected)))
+
+    solution = pf.solve_P(geom, state)
+    transform = transform_residual(solution.field, geom.rbar - trace_ric0(geom, state))
+    assert solution.residual_linf <= 1e-12
+    assert transform <= 1e-12
+    assert abs(solution.residual_linf - transform) <= 1e-12
+    if geom.ricci_potential0 is None:
+        h = pf.solve_ricci_potential(geom, state)
+        assert transform_residual(h, scalar_curvature(geom, state) - geom.lambda_ke) <= 1e-12
+        assert einstein_identity_defect(geom, state) == 0.0
 
 
 @pytest.mark.parametrize("bad_stage", [1, 2, 3, 4])

@@ -1,4 +1,5 @@
-"""Normalized Poisson solves on the evolving metric: P and the Ricci potential."""
+"""Mean-zero Poisson solves on the evolving metric, and the closed forms of P
+and the Ricci potential."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import pcflow as pf
 from pcflow.kahler import scalar_curvature, trace_ric0
 from conftest import TWO_PI, random_sphere_phi, random_valid_state
+from oracles import einstein_identity_defect
 
 PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
@@ -99,14 +101,13 @@ def test_mean_zero_normalization():
 
 
 def test_exp_mass_normalization():
+    # the Ricci potential is the one exp-mass field: int exp(h) omega_phi = volume
     rng = np.random.default_rng(32)
     for geom in (flat64(), pf.build_sphere_geometry(128)):
         state = random_valid_state(geom, rng)
-        rhs = random_valid_state(geom, rng).phi
-        sol = pf.solve_poisson_phi(geom, state, rhs,
-                                   normalization=pf.Normalization.EXP_MASS)
+        h = pf.solve_ricci_potential(geom, state)
         vol = geom.integrate(np.ones(geom.shape))
-        mass = geom.integrate(np.exp(sol.field), weight=state.rho)
+        mass = geom.integrate(np.exp(h), weight=state.rho)
         assert abs(mass - vol) / vol <= 1e-10
 
 
@@ -143,10 +144,10 @@ def test_p_flat_torus_identically_zero(monkeypatch):
     monkeypatch.setattr(geom, "integrate", forbidden)
     monkeypatch.setattr(geom, "check_field", forbidden)  # no RHS field is built
     for state in states:
-        for solve in (pf.solve_P, pf.closed_form_P):
-            sol = solve(geom, state)
-            assert np.all(sol.field == 0.0)
-            assert sol.residual_linf == 0.0
+        sol = pf.solve_P(geom, state)
+        assert np.all(sol.field == 0.0)
+        assert sol.residual_linf == 0.0
+        assert np.all(pf.closed_form_P(geom, state) == 0.0)
 
 
 def test_p_sphere_closed_form():
@@ -201,19 +202,20 @@ def test_p_compat_defect_small():
                          ids=["sphere", "flat_torus"])
 def test_closed_forms_match_solver_route(build):
     # P = lambda*(phi - <phi>_phi) and h = -F - lambda*phi against the Poisson
-    # solves they replace in the flow
+    # solves they replace in the flow; the solved h is shifted from mean zero
+    # to exp-mass here
     geom = build()
     rng = np.random.default_rng(40)
     for _ in range(20):
         state = random_valid_state(geom, rng)
-        pairs = [(pf.closed_form_P(geom, state), pf.solve_P(geom, state)),
-                 (pf.solve_ricci_potential(geom, state),
-                  pf.solve_poisson_phi(geom, state,
-                                       scalar_curvature(geom, state) - geom.lambda_ke,
-                                       pf.Normalization.EXP_MASS))]
+        h = pf.solve_poisson_phi(geom, state,
+                                 scalar_curvature(geom, state) - geom.lambda_ke).field
+        h -= np.log(geom.integrate(np.exp(h), weight=state.rho) / geom.integrate(state.rho))
+        pairs = [(pf.closed_form_P(geom, state), pf.solve_P(geom, state).field),
+                 (pf.solve_ricci_potential(geom, state), h)]
         for closed, solved in pairs:
-            assert np.max(np.abs(closed.field - solved.field)) <= 1e-12
-            assert closed.residual_linf <= 1e-15
+            assert np.max(np.abs(closed - solved)) <= 1e-12
+        assert einstein_identity_defect(geom, state) <= 1e-15
 
 
 def test_closed_forms_check_the_einstein_identity():
@@ -223,8 +225,9 @@ def test_closed_forms_check_the_einstein_identity():
     good = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     rho = good.rho + 1e-8
     bad = replace(good, rho=rho, big_f=np.log(rho))
+    assert einstein_identity_defect(geom, good) <= 1e-15
     for solve in (pf.closed_form_P, pf.solve_ricci_potential):
-        assert solve(geom, good).residual_linf <= 1e-15
+        solve(geom, good)
         with pytest.raises(pf.ToleranceNotMet):
             solve(geom, bad)
 
@@ -243,7 +246,7 @@ def _pbound_states(seeds):
 
 def test_closed_form_p_matches_solver_on_curved_torus():
     # on a torus P = log(sigma0) - <log(sigma0)>_phi: the closed form rests on
-    # ric0_density being mixed(h0) bitwise, so it reports no defect at all
+    # ric0_density being mixed(h0) bitwise, and lambda = 0 leaves no defect at all
     rng = np.random.default_rng(41)
     cases = []
     for modes in ([(1, 0, 0.2)], [(1, 0, 0.9), (2, 3, 0.05)]):
@@ -255,8 +258,8 @@ def test_closed_form_p_matches_solver_on_curved_torus():
         h0 = geom.ricci_potential0
         assert geom.ric0_density.tobytes() == geom.mixed_second_derivative(h0).tobytes()
         closed, solved = pf.closed_form_P(geom, state), pf.solve_P(geom, state)
-        assert np.max(np.abs(closed.field - solved.field)) <= 1e-12
-        assert closed.residual_linf == 0.0
+        assert np.max(np.abs(closed - solved.field)) <= 1e-12
+        assert einstein_identity_defect(geom, state) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +268,11 @@ def test_closed_form_p_matches_solver_on_curved_torus():
 
 def test_ricci_potential_stationary_points():
     sphere = pf.build_sphere_geometry(128)
-    sol = pf.solve_ricci_potential(sphere, zero_state(sphere))
-    assert np.max(np.abs(sol.field)) <= 1e-10
+    h = pf.solve_ricci_potential(sphere, zero_state(sphere))
+    assert np.max(np.abs(h)) <= 1e-10
     flat = flat64()
-    sol = pf.solve_ricci_potential(flat, zero_state(flat))
-    assert np.max(np.abs(sol.field)) <= 1e-10
+    h = pf.solve_ricci_potential(flat, zero_state(flat))
+    assert np.max(np.abs(h)) <= 1e-10
 
 
 def test_ricci_potential_sphere_oracle():
@@ -277,7 +280,7 @@ def test_ricci_potential_sphere_oracle():
     nmu = 256
     geom = pf.build_sphere_geometry(nmu)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
-    sol = pf.solve_ricci_potential(geom, state)
+    h = pf.solve_ricci_potential(geom, state)
 
     # independent 8x-resolution oracle: dense solve of the flux-form system
     # for Delta_phi h = R - 1 on the fine grid, ExpMass-normalized, restricted
@@ -317,16 +320,16 @@ def test_ricci_potential_sphere_oracle():
     u -= np.log(mass / vol)
     oracle = 0.5 * (u[3::8] + u[4::8])
 
-    assert np.max(np.abs(sol.field - oracle)) <= 1e-6
+    assert np.max(np.abs(h - oracle)) <= 1e-6
 
 
 def test_ricci_potential_trace_identity():
     rng = np.random.default_rng(37)
     for geom in (flat64(), pf.build_sphere_geometry(256)):
         state = random_valid_state(geom, rng)
-        sol = pf.solve_ricci_potential(geom, state)
+        h = pf.solve_ricci_potential(geom, state)
         lam = 0.0 if geom.kind == "torus" else 1.0
-        back = pf.laplacian_phi(geom, state, sol.field)
+        back = pf.laplacian_phi(geom, state, h)
         target = pf.scalar_curvature(geom, state) - lam
         target = target - (geom.integrate(target, weight=state.rho)
                            / geom.integrate(np.ones(geom.shape), weight=state.rho))
@@ -337,9 +340,9 @@ def test_ricci_potential_exp_mass():
     rng = np.random.default_rng(38)
     geom = pf.build_sphere_geometry(256)
     state = random_valid_state(geom, rng)
-    sol = pf.solve_ricci_potential(geom, state)
+    h = pf.solve_ricci_potential(geom, state)
     vol = geom.integrate(np.ones(geom.shape))
-    mass = geom.integrate(np.exp(sol.field), weight=state.rho)
+    mass = geom.integrate(np.exp(h), weight=state.rho)
     assert abs(mass - vol) / vol <= 1e-10
 
 
@@ -373,8 +376,7 @@ def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch, nmu):
         state = pf.validate_kahler(geom, phi)
         ricci_rhs = scalar_curvature(geom, state) - geom.lambda_ke
         for solve in (pf.solve_P,
-                      lambda g, s: pf.solve_poisson_phi(g, s, ricci_rhs,
-                                                        pf.Normalization.EXP_MASS),
+                      lambda g, s: pf.solve_poisson_phi(g, s, ricci_rhs),
                       lambda g, s: pf.make_trace_record(g, s, 1e-3)):
             before = len(calls)
             solve(geom, state)

@@ -92,7 +92,7 @@ def test_j_chi_path_brute_force_oracle():
     ones = np.ones(geom.shape)
     for k in range(steps):
         t = (k + 0.5) / steps
-        rho_t = pf.ma_density(geom, t * phi)
+        rho_t = pf.validate_kahler(geom, t * phi, rho_floor=0.0).rho
         integrand = phi * (chi.density / (geom.sigma0 * rho_t) - chi.mean)
         total += geom.integrate(integrand, weight=rho_t) / steps
     assert abs(got - total) <= 1e-6 * max(1.0, abs(total))
@@ -123,7 +123,7 @@ def j_chi_quadrature(geom, chi, phi, nodes):
     int phi (tr_{t phi} chi - chibar) omega_{t phi} over t in [0, 1]."""
     total = 0.0
     for x, w in zip(*np.polynomial.legendre.leggauss(nodes)):
-        rho_t = pf.ma_density(geom, 0.5 * (x + 1.0) * phi)
+        rho_t = pf.validate_kahler(geom, 0.5 * (x + 1.0) * phi, rho_floor=0.0).rho
         integrand = phi * (chi.density / (geom.sigma0 * rho_t) - chi.mean)
         total += 0.5 * w * geom.integrate(integrand, weight=rho_t)
     return total
@@ -149,7 +149,7 @@ def test_j_chi_path_rejects_invalid_segment():
     # min rho = 1 - amp/4 is just below the 1e-6 cone floor at t = 1 only;
     # every interior quadrature node still sees min rho_t > 5e-3
     phi = 4.0 * (1.0 - 9e-7) * np.cos(geom.x)
-    assert 0.0 < float(np.min(pf.ma_density(geom, phi))) < 1e-6
+    assert 0.0 < float(np.min(pf.validate_kahler(geom, phi, rho_floor=0.0).rho)) < 1e-6
     assert np.isfinite(j_chi_quadrature(geom, chi, phi, 16))
     with pytest.raises(pf.NotKahler):
         j_chi_path(geom, chi, phi)

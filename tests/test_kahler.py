@@ -17,24 +17,24 @@ def bumpy64():
 
 
 # ---------------------------------------------------------------------------
-# ma_density
+# Monge-Ampere density
 # ---------------------------------------------------------------------------
 
 def test_ma_density_identity():
     for geom in (flat64(), pf.build_sphere_geometry(64)):
-        rho = pf.ma_density(geom, np.zeros(geom.shape))
+        rho = pf.validate_kahler(geom, np.zeros(geom.shape), rho_floor=0.0).rho
         assert np.all(rho == 1.0)
 
 
 def test_ma_density_torus_cosine():
     geom = flat64()
-    rho = pf.ma_density(geom, 0.5 * np.cos(geom.x))
+    rho = pf.validate_kahler(geom, 0.5 * np.cos(geom.x), rho_floor=0.0).rho
     assert np.max(np.abs(rho - (1.0 - 0.125 * np.cos(geom.x)))) <= 1e-12
 
 
 def test_ma_density_sphere_quadratic():
     geom = pf.build_sphere_geometry(256)
-    rho = pf.ma_density(geom, 0.1 * geom.mu ** 2)
+    rho = pf.validate_kahler(geom, 0.1 * geom.mu ** 2, rho_floor=0.0).rho
     closed = 1.0 + 0.2 * geom.mu - 0.3 * geom.mu ** 2
     assert np.max(np.abs(rho - closed)) <= 1e-6
 
@@ -82,7 +82,8 @@ def test_state_caches_consistent():
     rng = np.random.default_rng(20)
     state = random_valid_state(geom, rng)
     assert np.max(np.abs(state.big_f - np.log(state.rho))) <= 1e-15
-    assert np.max(np.abs(state.rho - pf.ma_density(geom, state.phi))) == 0.0
+    rho = pf.validate_kahler(geom, state.phi, rho_floor=0.0).rho
+    assert np.max(np.abs(state.rho - rho)) == 0.0
 
 
 # ---------------------------------------------------------------------------
