@@ -83,7 +83,7 @@ def _check_identity(geom, state):
     part rests on exceeds _IDENTITY_TOL."""
     rho = state.rho
     phi_lap = geom.ref_laplacian_from_coeffs(geom.to_coeffs(state.phi))
-    defect_linf = float(np.max(np.abs(geom.lambda_ke * (rho - 1.0 - phi_lap) / rho)))
+    defect_linf = float(np.abs(geom.lambda_ke * (rho - 1.0 - phi_lap) / rho).max())
     if not defect_linf <= _IDENTITY_TOL:
         raise ToleranceNotMet(
             f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
@@ -135,6 +135,6 @@ def solve_ricci_potential(geom, state):
     if geom.lambda_ke != 0.0:
         _check_identity(geom, state)
         u = u - geom.lambda_ke * state.phi
-    peak = float(np.max(u))
+    peak = float(u.max())
     mass = geom.integrate(np.exp(u - peak), weight=state.rho)
     return u - (peak + np.log(mass / geom.integrate(state.rho)))

@@ -17,9 +17,11 @@ given. Both step phi's coefficients, a state's one form: a torus step makes
 Checks: check_field and the cone check on the real phi that starts a fresh
 run (validate_kahler), the NaN-safe cone check on the coefficients of every
 RK4 stage and every state a step ends on, check_field on every right-hand
-side, and the closed forms on the defect of the Einstein identity they rest
-on. run() halves the step on NotKahler and ToleranceNotMet. A trace record
-reads a state no step reads again, so run() may make it on a worker thread.
+side (one per semi-implicit step, four per RK4 step: the integrals inside the
+closed forms check only their sum), and the closed forms on the defect of the
+Einstein identity they rest on. run() halves the step on NotKahler and
+ToleranceNotMet. A trace record reads a state no step reads again, so run()
+may make it on a worker thread.
 """
 
 import enum
@@ -166,8 +168,9 @@ def semi_implicit_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     gives the new rho: a torus step makes 2 transforms.
     """
     field = geom.check_field(rhs(geom, state))
-    c = 1.0 / float(np.min(state.rho))
-    phi_hat_new = state.coeffs + geom.solve_shifted(dt * field, dt * c)
+    c = 1.0 / float(state.rho.min())
+    phi_hat_new = geom.solve_shifted(dt * field, dt * c)  # new coefficients: phi_hat added
+    phi_hat_new += state.coeffs
     return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor)
 
 

@@ -21,6 +21,7 @@ and field_from_coeffs to form phi from them), explicit_initial and
 random_initial. BACKENDS lists the backend classes.
 """
 
+import math
 import numbers
 import threading
 
@@ -48,9 +49,12 @@ class GridGeometry:
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
     field there and back, truncate returns filtered copies, and the *_from_coeffs
-    operators return real fields or numbers. Sphere coefficients are the field.
-    records_off_thread says whether a trace record on this grid costs enough for
-    flow.run to make it on a worker thread beside the steps.
+    operators (density_from_coeffs gives rho) return real fields or numbers.
+    Sphere coefficients are the field. The public real-field operators pass
+    their input through check_field (grid shape, finite entries); the integrals
+    check the shape and the finiteness of their sum, and the *_from_coeffs
+    operators check nothing. records_off_thread says whether a trace record on
+    this grid costs enough for flow.run to make it on a worker thread.
     """
 
     def mixed_second_derivative(self, f):
@@ -62,12 +66,25 @@ class GridGeometry:
         return self.ref_laplacian_from_coeffs(self.to_coeffs(self.check_field(f)))
 
     def check_field(self, f):
-        f = np.asarray(f, dtype=float)
-        if f.shape != self.shape:
-            raise ShapeError(f"field shape {f.shape} != grid shape {self.shape}")
+        f = self._check_shape(f)
         if not np.isfinite(f).all():
             raise ShapeError("field contains non-finite entries")
         return f
+
+    def _check_shape(self, f):
+        f = np.asarray(f, dtype=float)
+        if f.shape != self.shape:
+            raise ShapeError(f"field shape {f.shape} != grid shape {self.shape}")
+        return f
+
+    @staticmethod
+    def _finite_sum(scale, vals):
+        """scale * vals.sum(), raising ShapeError where it is not finite, as
+        any NaN or infinity in vals makes it."""
+        total = scale * float(vals.sum())
+        if not math.isfinite(total):
+            raise ShapeError("integrand contains non-finite entries")
+        return total
 
 
 class _WorkArray(threading.local):
@@ -121,11 +138,10 @@ class TorusGeometry(GridGeometry):
         x = np.arange(self.nx) * (self.length / self.nx)
         y = np.arange(self.ny) * (self.length / self.ny)
         self.x, self.y = np.meshgrid(x, y, indexing="ij")
-        sigma0 = self._cosine_sum(np.ones(self.shape), self.sigma0_modes)
-        if sigma0.min() <= 0.0:
-            raise NonPositiveDensity(f"min sigma0 = {sigma0.min():.6g} <= 0")
-        self.sigma0 = sigma0
-        self._sigma0_min = float(np.min(sigma0))
+        self.sigma0 = self._cosine_sum(np.ones(self.shape), self.sigma0_modes)
+        self._sigma0_min = float(self.sigma0.min())
+        if self._sigma0_min <= 0.0:
+            raise NonPositiveDensity(f"min sigma0 = {self._sigma0_min:.6g} <= 0")
 
         # spectral tables on the rfft2 layout (full axis 0, half axis 1)
         mx = scipy.fft.fftfreq(self.nx, d=1.0 / self.nx)
@@ -228,8 +244,14 @@ class TorusGeometry(GridGeometry):
 
     def ref_laplacian_from_coeffs(self, fh):
         lap = self.mixed_from_coeffs(fh)  # a new field: divided in place
-        lap /= self.sigma0
+        if self.sigma0_modes:  # else sigma0 is all ones, and x/1.0 == x
+            lap /= self.sigma0
         return lap
+
+    def density_from_coeffs(self, fh):
+        """rho = 1 + f_{z zbar}/sigma0 as a new field: one inverse transform."""
+        rho = self.ref_laplacian_from_coeffs(fh)  # a new field: 1 added in place
+        return np.add(rho, 1.0, out=rho)
 
     def grad_chart_sq_from_coeffs(self, fh):
         """|f_z|^2 = (f_x^2 + f_y^2)/4, by two inverse transforms."""
@@ -247,17 +269,18 @@ class TorusGeometry(GridGeometry):
     # -- measures ------------------------------------------------------------
 
     def integrate(self, f, weight=None):
-        """integral of f * weight against omega0 (weight relative to omega0)."""
-        f = self.check_field(f)
+        """integral of f * weight against omega0 (weight relative to omega0). A
+        wrong shape of f, or a NaN or infinity in f or weight, raises ShapeError:
+        the latter from the sum (_finite_sum), with no pass over f."""
+        f = self._check_shape(f)
         vals = f * (self.sigma0 if weight is None else weight)
         if weight is not None:
             vals *= self.sigma0
-        return self._cell * float(np.sum(vals))
+        return self._finite_sum(self._cell, vals)
 
     def chart_integral(self, f):
         """integral of f against the flat chart measure 2 dx dy."""
-        f = self.check_field(f)
-        return self._cell * float(np.sum(f))
+        return self._finite_sum(self._cell, self._check_shape(f))
 
     # -- solves and step control ---------------------------------------------
 
@@ -277,13 +300,14 @@ class TorusGeometry(GridGeometry):
         (the two are equal on the flat torus), so the solve is one forward
         transform and one diagonal division, exact to rounding for any dt_c >= 0.
         """
-        multiplier = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol
-        return self.to_coeffs(b) / multiplier
+        inverse = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol  # a new array
+        bh = self.to_coeffs(b)  # times 1/inverse in place: bitwise bh/inverse (_inverse_symbol)
+        return np.multiply(bh, np.divide(1.0, inverse, out=inverse), out=bh)
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of Delta_phi: 4 * h^2 * min(sigma0*rho)."""
         h = self.length / max(self.nx, self.ny)
-        return 4.0 * h * h * float(np.min(self.sigma0 * rho))
+        return 4.0 * h * h * float((self.sigma0 * rho).min())
 
 
 class SphereGeometry(GridGeometry):
@@ -378,6 +402,11 @@ class SphereGeometry(GridGeometry):
         """Laplacian of the round reference metric: (1/2)*(flux divergence)."""
         return 0.5 * self._flux_divergence(f)
 
+    def density_from_coeffs(self, f):
+        """rho = 1 + f_{w wbar}/sigma0 as a new field."""
+        rho = self.mixed_from_coeffs(f)  # a new field: 1 + rho/sigma0 in place
+        return np.add(np.divide(rho, self.sigma0, out=rho), 1.0, out=rho)
+
     def grad_chart_sq_from_coeffs(self, f):
         """|f_w|^2 = (mu*(1-mu)*df/dmu)^2, centered differences inside."""
         d = np.empty(self.nmu)
@@ -390,15 +419,14 @@ class SphereGeometry(GridGeometry):
     # -- measures ------------------------------------------------------------
 
     def integrate(self, f, weight=None):
-        """integral of f * weight against omega0 = 4*pi * integral over mu."""
-        f = self.check_field(f)
-        vals = f if weight is None else f * weight
-        return self.quad_weight * float(np.sum(vals))
+        """integral of f * weight against omega0 = 4*pi * integral over mu; checks
+        as the torus's integrate."""
+        f = self._check_shape(f)
+        return self._finite_sum(self.quad_weight, f if weight is None else f * weight)
 
     def chart_integral(self, f):
         """Cylinder-chart integral; finite for densities vanishing at the poles."""
-        f = self.check_field(f)
-        return 2.0 * np.pi * self.h * float(np.sum(f / self._mu_one_minus_mu))
+        return self._finite_sum(2.0 * np.pi * self.h, self._check_shape(f) / self._mu_one_minus_mu)
 
     def dirichlet_energy_from_coeffs(self, u):
         """2*pi * integral of mu*(1-mu)*(du/dmu)^2, as a face sum of squares."""
@@ -409,8 +437,10 @@ class SphereGeometry(GridGeometry):
 
     def _solve_band(self, ab, b):
         """Tridiagonal solve of band ab (rows upper, diagonal, lower) by one LAPACK dgtsv
-        call; a zero pivot (info > 0) or a non-finite u raises SingularSolve."""
-        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3:]
+        call, which factors ab in place and leaves b as it was; a zero pivot (info > 0)
+        or a non-finite u raises SingularSolve."""
+        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                        overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
         if info != 0 or not np.isfinite(u).all():
             raise SingularSolve(f"tridiagonal solve failed (dgtsv info {info})")
         return u
@@ -424,7 +454,7 @@ class SphereGeometry(GridGeometry):
         zero). The caller, elliptic.solve_poisson_phi, checks the residual.
         """
         m = self.nmu - 1
-        u = self._solve_band(self._band[:, :m], 2.0 * self.h * self.h * g[:m])
+        u = self._solve_band(self._band[:, :m].copy(), 2.0 * self.h * self.h * g[:m])
         return np.append(u, 0.0)
 
     def solve_shifted(self, b, dt_c):
@@ -440,7 +470,7 @@ class SphereGeometry(GridGeometry):
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of the flux-form Delta_phi (Gershgorin bound)."""
-        return 2.0 * self.h * self.h * float(np.min(rho / -self._band[1]))
+        return 2.0 * self.h * self.h * float((rho / -self._band[1]).min())
 
 
 BACKENDS = (TorusGeometry, SphereGeometry)

@@ -39,11 +39,6 @@ class MetricState:
         return self.from_coeffs(self.coeffs) if self.held_phi is None else self.held_phi
 
 
-def _density(geom, phi_hat):
-    rho = geom.mixed_from_coeffs(phi_hat)  # a new field: 1 + rho/sigma0 in place
-    return np.add(np.divide(rho, geom.sigma0, out=rho), 1.0, out=rho)
-
-
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
     """Build a MetricState holding phi and its coefficients, raising NotKahler
     unless min(rho) > rho_floor."""
@@ -54,7 +49,7 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None):
     """validate_kahler from coefficients; the state holds phi_hat, and phi if
     given. Non-finite coefficients give a NaN min(rho), which fails the check too."""
-    rho = _density(geom, phi_hat)
+    rho = geom.density_from_coeffs(phi_hat)
     min_rho = float(rho.min())
     if not min_rho > rho_floor:
         raise NotKahler(min_rho, stage=stage)

@@ -150,6 +150,33 @@ def test_transforms_per_step(transform_count):
             assert transform_count[0] == expected
 
 
+def test_check_field_calls_per_step(monkeypatch):
+    # a step checks the right-hand side it is given, once per semi-implicit step
+    # and once per RK4 stage; the integrals inside the closed forms (the
+    # sphere's P and both Ricci potentials) check only the finiteness of their sum
+    count = [0]
+    check_field = pf.geometry.GridGeometry.check_field
+
+    def counted(self, f):
+        count[0] += 1
+        return check_field(self, f)
+
+    monkeypatch.setattr(pf.geometry.GridGeometry, "check_field", counted)
+    sphere = sphere128()
+    cases = [(sphere, pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2 - 0.05 * sphere.mu ** 3))]
+    for geom in (bumpy64(), flat64()):
+        cases.append((geom, pf.validate_kahler(geom, 0.3 * np.cos(geom.x)
+                                               + 0.05 * np.sin(2.0 * geom.y))))
+    for geom, state in cases:
+        dt = pf.suggest_dt(geom, state)
+        einstein = geom.ricci_potential0 is None
+        for rhs in (pf.pcf_rhs, pf.nkrf_rhs) if einstein else (pf.pcf_rhs,):
+            for stepper, expected in ((pf.semi_implicit_step, 1), (pf.rk4_step, 4)):
+                count[0] = 0
+                stepper(geom, state, dt, rhs)
+                assert count[0] == expected, (geom.kind, rhs.__name__, stepper.__name__)
+
+
 def test_transforms_per_record(transform_count):
     # 3 in solve_P, 1 of F, 2 for the probes' grad F and 1 for R's Laplacian;
     # the dissipation is a Parseval sum of the coefficients already made

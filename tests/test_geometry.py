@@ -6,11 +6,12 @@ import threading
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.linalg.lapack import dgtsv
 
 import pcflow as pf
 from conftest import TWO_PI, random_sphere_phi, random_torus_phi
 from oracles import (banded_solve_reference_poisson, banded_solve_shifted,
-                     cosine_random_initial, real_space_dirichlet_energy)
+                     cosine_random_initial, real_space_dirichlet_energy, sphere_flux_band)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,45 @@ def test_shape_errors():
         sphere.integrate(np.zeros(65))
     with pytest.raises(pf.ShapeError):
         geom.integrate(np.full(geom.shape, np.nan))
+
+
+BACKENDS = {
+    "flat_torus": lambda: pf.build_torus_geometry(64, 64, TWO_PI, ()),
+    "curved_torus": lambda: pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+    "sphere": lambda: pf.build_sphere_geometry(128),
+}
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_integrals_check_their_sum(name):
+    # the integrals check the shape of f and the finiteness of their sum, not
+    # each entry: a NaN or an infinity in f or in the weight reaches the sum,
+    # and finite data give bitwise the scale times one np.sum of the integrand
+    geom = BACKENDS[name]()
+    rng = np.random.default_rng(31)
+    if geom.kind == "torus":
+        f = random_torus_phi(geom, rng, amp=1.0)
+        weight = 1.0 + 0.5 * random_torus_phi(geom, rng, amp=1.0)
+        cell = 2.0 * (geom.length / geom.nx) * (geom.length / geom.ny)
+        expected = (cell * float(np.sum(f * geom.sigma0)),
+                    cell * float(np.sum(f * weight * geom.sigma0)),
+                    cell * float(np.sum(f)))
+    else:
+        f = random_sphere_phi(geom, rng, amp=1.0)
+        weight = 1.0 + 0.5 * random_sphere_phi(geom, rng, amp=1.0)
+        expected = (4.0 * np.pi / geom.nmu * float(np.sum(f)),
+                    4.0 * np.pi / geom.nmu * float(np.sum(f * weight)),
+                    2.0 * np.pi * geom.h * float(np.sum(f / (geom.mu * (1.0 - geom.mu)))))
+    got = (geom.integrate(f), geom.integrate(f, weight=weight), geom.chart_integral(f))
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+    index = tuple(n // 3 for n in geom.shape)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = f.copy()
+        bad[index] = value
+        for call in (lambda: geom.integrate(bad), lambda: geom.integrate(bad, weight=weight),
+                     lambda: geom.integrate(f, weight=bad), lambda: geom.chart_integral(bad)):
+            with pytest.raises(pf.ShapeError):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +501,53 @@ def test_sphere_solves_are_bitwise_solve_banded(nmu):
         g = b - np.mean(b)  # compatible: the dropped last equation is implied
         got = geom.solve_reference_poisson(g)
         assert got.tobytes() == banded_solve_reference_poisson(geom, g).tobytes()
+
+
+@pytest.mark.parametrize("name", ["flat_torus", "curved_torus"])
+def test_torus_solve_shifted_is_bitwise_the_division(name):
+    # solve_shifted multiplies by the reciprocal of 1 - (dt_c/min sigma0)*symbol,
+    # which is how numpy divides complex by real
+    geom = BACKENDS[name]()
+    b = random_torus_phi(geom, np.random.default_rng(32), amp=1.0)
+    kx = (TWO_PI / geom.length) * scipy.fft.fftfreq(geom.nx, d=1.0 / geom.nx)[:, None]
+    ky = (TWO_PI / geom.length) * scipy.fft.rfftfreq(geom.ny, d=1.0 / geom.ny)[None, :]
+    symbol = -0.25 * (kx * kx + ky * ky)
+    for dt_c in (1e-3, 0.1, 1.0, 10.0):
+        expected = geom.to_coeffs(b) / (1.0 - (dt_c / geom.sigma0.min()) * symbol)
+        assert geom.solve_shifted(b, dt_c).tobytes() == expected.tobytes()
+
+
+def test_sphere_solve_shifted_factors_only_its_own_band():
+    # the shifted band is made afresh on each call and factored in place; the
+    # stored band that solve_reference_poisson factors, and b, are left as they were
+    geom = pf.build_sphere_geometry(128)
+    rng = np.random.default_rng(33)
+    b = random_sphere_phi(geom, rng, amp=1.0)
+    b_before = b.copy()
+    for dt_c in (1e-3, 0.1, 1.0, 10.0):
+        ab = -(0.5 * dt_c / (geom.h * geom.h)) * sphere_flux_band(geom)
+        ab[1] += 1.0
+        expected = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3]  # copies every input
+        assert geom.solve_shifted(b, dt_c).tobytes() == expected.tobytes()
+    assert b.tobytes() == b_before.tobytes()
+    assert geom._band.tobytes() == sphere_flux_band(geom).tobytes()
+    g = b - np.mean(b)
+    first = geom.solve_reference_poisson(g)
+    assert geom.solve_reference_poisson(g).tobytes() == first.tobytes()
+    assert g.tobytes() == (b_before - np.mean(b_before)).tobytes()
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_density_is_bitwise_one_plus_mixed_over_sigma0(name):
+    # the flat torus skips the division by its all-ones sigma0: x/1.0 == x
+    geom = BACKENDS[name]()
+    rng = np.random.default_rng(34)
+    if geom.kind == "torus":
+        fh = geom.to_coeffs(random_torus_phi(geom, rng))
+    else:
+        fh = geom.to_coeffs(random_sphere_phi(geom, rng))
+    expected = 1.0 + geom.mixed_from_coeffs(fh) / geom.sigma0
+    assert geom.density_from_coeffs(fh).tobytes() == expected.tobytes()
 
 
 def test_sphere_band_solve_raises_singular_solve_on_zero_pivot():
