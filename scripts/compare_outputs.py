@@ -15,9 +15,11 @@ so both trees run under the PCFLOW_THREADS it was given, for example
 That variable selects a code path (records on a worker thread or inline), so
 the report's first line states it. For every CSV and checkpoint file either
 run wrote, the report says whether the two files are byte-identical.
-Where they differ it gives, per CSV column, the largest |a - b| / max(1, |a|)
-over the rows (a from the first tree), and the same figure for a checkpoint's
-phi, both read with this tree's read_checkpoint, which reads every version.
+Where they differ it gives, for each CSV column that moved, the largest
+|a - b| / max(1, |a|) over the rows (a from the first tree), how many rows
+differ in it and the first and last t at which they do (t from the first
+tree); and the same largest figure for a checkpoint's time and phi, both read
+with this tree's read_checkpoint, which reads every version.
 The exit code is 1 if a run fails or the files written differ in name or
 row count, and 0 otherwise.
 """
@@ -62,21 +64,29 @@ def relative_gap(a, b):
 
 
 def compare_csv(a, b):
-    """Per-column relative gaps of two CSVs with one header, or None if their
-    shapes differ."""
+    """For each column of two CSVs with one header whose cells differ, a text
+    giving its largest relative gap, the rows that differ and their first and
+    last t (the first column); None if the two differ in header or rows."""
     with open(a, encoding="utf-8") as fa, open(b, encoding="utf-8") as fb:
         rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return None
     columns = list(zip(*rows_a[1:])), list(zip(*rows_b[1:]))
-    return {name: relative_gap(col_a, col_b)
-            for name, col_a, col_b in zip(rows_a[0], *columns)}
+    times = columns[0][0]
+    moved = {}
+    for name, col_a, col_b in zip(rows_a[0], *columns):
+        rows = [i for i, (x, y) in enumerate(zip(col_a, col_b)) if x != y]
+        if rows:
+            moved[name] = (f"{relative_gap(col_a, col_b):.2g} in {len(rows)} of "
+                           f"{len(col_a)} rows, t {times[rows[0]]} to {times[rows[-1]]}")
+    return moved
 
 
 def compare_checkpoint(a, b):
+    """The relative gaps of two checkpoints' time and phi that are not zero."""
     meta_a, meta_b = read_checkpoint(a), read_checkpoint(b)
-    return {"time": relative_gap(meta_a["time"], meta_b["time"]),
-            "phi": relative_gap(meta_a["phi"], meta_b["phi"])}
+    gaps = {name: relative_gap(meta_a[name], meta_b[name]) for name in ("time", "phi")}
+    return {name: f"{gap:.2g}" for name, gap in gaps.items() if gap > 0.0}
 
 
 def compare_preset(preset, dirs):
@@ -98,7 +108,7 @@ def compare_preset(preset, dirs):
             print(f"  {name}: header or row count differs")
             ok = False
             continue
-        moved = ", ".join(f"{k} {v:.2g}" for k, v in gaps.items() if v > 0.0) or "no value"
+        moved = ", ".join(f"{k} {v}" for k, v in gaps.items()) or "no value"
         print(f"  {name}: bytes differ; max |d|/max(1,|x|): {moved}")
     return ok
 

@@ -5,10 +5,9 @@ failure class: 2 parse, 3 validation, 4 runtime, 5 io. --log-level sets the
 least severe of the package's log records shown on stderr (default WARNING;
 INFO adds run()'s step rejections). PCFLOW_THREADS caps the threads a run
 uses (flow.thread_cap; default: the usable cores, and an invalid value exits
-3 before any work). Above 1, a run on a torus of 2^14 nodes or more that
-records at least every 10 steps makes its trace records on one worker thread
-beside the steps; 1 makes them inline.
-Every reduction stays sequential, so any cap writes byte-identical outputs.
+3 before any work). Above 1, flow.run may make trace records on one worker
+thread beside the steps (see there when); 1 makes them inline. Every
+reduction stays sequential, so any cap writes byte-identical outputs.
 """
 
 import argparse

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import closed_form_P, solve_ricci_potential
-from .errors import ConfigValidationError, NotKahler, ToleranceNotMet
+from .errors import ConfigValidationError, NotKahler, ShapeError, ToleranceNotMet
 from .functionals import DEFAULT_P_LIST, check_p_list, make_trace_record
 from .kahler import state_from_coeffs, validate_kahler
 
@@ -128,7 +128,7 @@ def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     not damp the corner modes the nonlinearity injects). The step ends on
     phi_hat + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and one inverse transform for its
     rho, so a torus step, curved or flat, makes 8 transforms (4 truncations,
-    4 densities), the first of a run included. No state it makes holds phi.
+    4 densities), the first of a run included.
     """
     phi_hat, t = state.coeffs, state.time
 
@@ -168,7 +168,7 @@ def semi_implicit_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     gives the new rho: a torus step makes 2 transforms.
     """
     field = geom.check_field(rhs(geom, state))
-    c = 1.0 / float(state.rho.min())
+    c = 1.0 / state.rho_min
     phi_hat_new = geom.solve_shifted(dt * field, dt * c)  # new coefficients: phi_hat added
     phi_hat_new += state.coeffs
     return state_from_coeffs(geom, phi_hat_new, state.time + dt, rho_floor)
@@ -212,7 +212,8 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     Before any work it raises ConfigValidationError for NKRF off an Einstein
     reference (flow.kind), for a start_time not before t_end (flow.t_end)
-    and for an invalid PCFLOW_THREADS, and ValueError for a probe exponent
+    and for an invalid PCFLOW_THREADS, ShapeError for start_coeffs not of
+    the backend's coefficient shape, and ValueError for a probe exponent
     outside [1, 8]. Terminal conditions are reported on the Trajectory, never
     raised: a non-Kahler initial state, a step floor hit after max_halvings
     halvings, or the end time reached. A record's solve_P is the only
@@ -230,9 +231,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     record is the same sequential arithmetic.
 
     A run steps phi's coefficients, which to_coeffs(phi) does not return
-    bitwise on the torus: recorded states keep them (holding no phi),
-    write_checkpoint stores them, and a resume passes them back as
-    start_coeffs, phi0 unread, to continue the run bitwise.
+    bitwise on the torus: recorded states keep them, write_checkpoint stores
+    them, and a resume passes them back as start_coeffs, phi0 unread, to
+    continue the run bitwise.
     """
     if config.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
         raise ConfigValidationError(
@@ -240,6 +241,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     if not start_time < config.t_end:
         raise ConfigValidationError(
             "flow.t_end", f"start time {start_time:.6g} already at or past t_end")
+    expected = geom.shape if geom.coeffs_shape is None else geom.coeffs_shape(geom.shape)
+    if start_coeffs is not None and np.shape(start_coeffs) != expected:
+        raise ShapeError(f"start_coeffs shape {np.shape(start_coeffs)} != {expected}")
     check_p_list(p_list)
     off_thread = (thread_cap() > 1 and geom.records_off_thread
                   and config.record_every <= RECORD_EVERY_OFF_THREAD)
@@ -274,8 +278,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     def record(current, dt_used):
         nonlocal pending
-        # the steps never read a record's solved P; the state kept holds no phi
-        states.append(replace(current, held_phi=None))
+        states.append(current)
         if pool is None:
             records.append(make_trace_record(geom, current, dt_used, p_list))
             return

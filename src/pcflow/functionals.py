@@ -8,10 +8,10 @@ J_chi = <phi, chi>_chart - chibar * I, and for chi = -Ric(omega0) (chibar =
 omega0; dissipation = int |grad_phi(F+P)|^2 omega_phi, a sum over the
 coefficients of F + P (Parseval on the torus); Calabi energy = int (R - rbar)^2
 omega_phi. The L^p probes are raw monitors, never asserted against constants.
-A trace record transforms F once and passes its coefficients to each term.
+A trace record forms phi once, for I and J, and transforms F once.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .elliptic import solve_P
 from .kahler import scalar_curvature
@@ -24,31 +24,34 @@ def entropy(geom, state):
     return geom.integrate(state.big_f, weight=state.rho)
 
 
-def k_energy_parts(geom, state, i_value=None):
-    """(entropy, J_{-Ric}) from a validated state; validate_kahler owns the cone check."""
-    if i_value is None:
-        i_value = i_functional(geom, state)
+def k_energy_parts(geom, state):
+    """(entropy, J_{-Ric}, I) of a validated state, phi formed once for J and I."""
+    phi = state.phi
+    i_value = _i_of(geom, state, phi)
     # this operand order keeps a flat torus's J_{-Ric} at +0.0, not -0.0
-    j_neg_ric = geom.chart_integral(state.phi * -geom.ric0_density) + geom.rbar * i_value
-    return entropy(geom, state), j_neg_ric
+    j_neg_ric = geom.chart_integral(phi * -geom.ric0_density) + geom.rbar * i_value
+    return entropy(geom, state), j_neg_ric, i_value
 
 
 def k_energy(geom, state):
     """K(phi) = entropy + J_{-Ric(omega0)}: its variation is int dphi (Rbar - R) w_phi."""
-    ent, j = k_energy_parts(geom, state)
+    ent, j, _ = k_energy_parts(geom, state)
     return ent + j
 
 
-def dissipation(geom, state, P, coeffs=None):
-    """int |grad_phi(F + P)|^2 omega_phi >= 0 from coeffs, those of F + P but the zero mode."""
-    if coeffs is None:
-        coeffs = geom.to_coeffs(geom.check_field(state.big_f + P))
-    return geom.dirichlet_energy_from_coeffs(coeffs)
+def dissipation(geom, state, P):
+    """int |grad_phi(F + P)|^2 omega_phi >= 0, a sum over the coefficients of F + P."""
+    return geom.dirichlet_energy_from_coeffs(geom.to_coeffs(geom.check_field(state.big_f + P)))
 
 
 def i_functional(geom, state):
     """I(phi) = (1/2) int phi (rho + 1) omega0; its flow derivative is the entropy."""
-    return 0.5 * geom.integrate(state.phi * (state.rho + 1.0))
+    return _i_of(geom, state, state.phi)
+
+
+def _i_of(geom, state, phi):
+    """I of the state, whose phi the caller has formed."""
+    return 0.5 * geom.integrate(phi * (state.rho + 1.0))
 
 
 def calabi_energy(geom, state, big_f_hat=None):
@@ -104,20 +107,16 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
-    """Evaluate every monitored quantity at one state, with P by solve_P: 7
-    transforms on a curved torus (3 in solve_P), 4 flat, +1 where phi is formed.
-    The solved P is dropped once sup_P, its residual and the dissipation are
-    read, before the probes allocate."""
-    with_phi = replace(state, held_phi=state.phi)  # I and J both read phi
-    i_value = i_functional(geom, with_phi)
-    ent, j = k_energy_parts(geom, with_phi, i_value)
-    del with_phi  # freed before the rest of the record allocates
+    """Evaluate every monitored quantity at one state, with P by solve_P: 8
+    transforms on a curved torus (1 forms phi, 3 in solve_P), 5 flat. The
+    solved P is dropped once sup_P, its residual and the dissipation, a sum
+    over the coefficients of F + P, are read, before the probes allocate."""
+    ent, j, i_value = k_energy_parts(geom, state)  # phi is freed on return
     p_solution = solve_P(geom, state)
     sup_P = float(p_solution.field.max())
     poisson_residual = p_solution.residual_linf
     big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
-    dissipation_value = dissipation(geom, state, p_solution.field,
-                                    big_f_hat + p_solution.coeffs)
+    dissipation_value = geom.dirichlet_energy_from_coeffs(big_f_hat + p_solution.coeffs)
     del p_solution
     lp_grad_F, lp_trace0 = estimate_probes(geom, state, p_list, big_f_hat)
     return TraceRecord(
@@ -132,7 +131,7 @@ def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
         i_functional=i_value,
         dissipation=dissipation_value,
         calabi_energy=calabi_energy(geom, state, big_f_hat),
-        rho_min=float(state.rho.min()),
+        rho_min=state.rho_min,
         volume=geom.integrate(state.rho),
         poisson_residual=poisson_residual,
         lp_grad_F=lp_grad_F,

@@ -6,10 +6,10 @@ chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
 curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0). Its
 volume average rbar is cohomological; each backend stores it as geom.rbar.
 
-A MetricState is built from phi (validate_kahler) or from phi's backend
-coefficients (state_from_coeffs, what the steps use). Either way the cone
-check min(rho) > rho_floor is the one gate into the Kahler cone, and a NaN
-min(rho) fails it.
+A MetricState holds phi's backend coefficients, built from phi (validate_kahler)
+or from them (state_from_coeffs, what the steps use), and forms phi on read.
+Either way the cone check min(rho) > rho_floor is the one gate into the
+Kahler cone, and a NaN min(rho) fails it.
 """
 
 from dataclasses import dataclass, field
@@ -21,39 +21,36 @@ from .errors import NotKahler
 
 @dataclass(frozen=True)
 class MetricState:
-    """A validated Kahler potential, held as phi's backend coefficients (phi
-    itself on the sphere), with its cached pointwise densities. phi is formed
-    by from_coeffs on each read unless the state holds it (held_phi), as
-    validate_kahler's state and a trace record's do; no state a step makes or
-    run() records does, so a recorded torus state keeps no real phi array."""
+    """A validated Kahler potential as phi's backend coefficients (phi itself on
+    the sphere), from which each read of phi forms it, with its cached pointwise
+    densities and rho_min, the min(rho) of the cone check."""
 
     coeffs: np.ndarray = field(repr=False, compare=False)
     rho: np.ndarray
     big_f: np.ndarray
+    rho_min: float
     from_coeffs: object = field(repr=False, compare=False)
     time: float = 0.0
-    held_phi: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def phi(self):
-        return self.from_coeffs(self.coeffs) if self.held_phi is None else self.held_phi
+        return self.from_coeffs(self.coeffs)
 
 
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
-    """Build a MetricState holding phi and its coefficients, raising NotKahler
-    unless min(rho) > rho_floor."""
-    phi = geom.check_field(phi)
-    return state_from_coeffs(geom, geom.to_coeffs(phi), time, rho_floor, stage, phi)
+    """Build a MetricState from phi's coefficients, raising NotKahler unless
+    min(rho) > rho_floor."""
+    return state_from_coeffs(geom, geom.to_coeffs(geom.check_field(phi)), time, rho_floor, stage)
 
 
-def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None, phi=None):
-    """validate_kahler from coefficients; the state holds phi_hat, and phi if
-    given. Non-finite coefficients give a NaN min(rho), which fails the check too."""
+def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None):
+    """validate_kahler from coefficients, which the state holds. Non-finite
+    coefficients give a NaN min(rho), which fails the check too."""
     rho = geom.density_from_coeffs(phi_hat)
     min_rho = float(rho.min())
     if not min_rho > rho_floor:
         raise NotKahler(min_rho, stage=stage)
-    return MetricState(phi_hat, rho, np.log(rho), geom.from_coeffs, float(time), phi)
+    return MetricState(phi_hat, rho, np.log(rho), min_rho, geom.from_coeffs, float(time))
 
 
 def laplacian_phi(geom, state, f):

@@ -134,7 +134,7 @@ def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
     of |(F + P)_z|^2."""
     p_solution = pf.solve_P(geom, state)
     P = p_solution.field
-    ent, j = pf.k_energy_parts(geom, state)
+    ent, j, _ = pf.k_energy_parts(geom, state)
     grad_F_sq = (geom.grad_chart_sq_from_coeffs(geom.to_coeffs(state.big_f))
                  / (geom.sigma0 * state.rho))
     inv_rho = 1.0 / state.rho

@@ -3,7 +3,6 @@ predecessors, their transform budgets, the checks the step keeps, and steps
 that solve no Poisson equation on any reference: a record's P solve is the
 only one in a run."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import scipy.fft
 
 import pcflow as pf
 from pcflow import flow as flow_mod
-from pcflow.kahler import scalar_curvature, trace_ric0
+from pcflow.kahler import scalar_curvature, state_from_coeffs, trace_ric0
 from conftest import TWO_PI
 from oracles import einstein_identity_defect, real_space_trace_record
 
@@ -178,22 +177,22 @@ def test_check_field_calls_per_step(monkeypatch):
 
 
 def test_transforms_per_record(transform_count):
-    # 3 in solve_P, 1 of F, 2 for the probes' grad F and 1 for R's Laplacian;
-    # the dissipation is a Parseval sum of the coefficients already made
+    # 1 to form phi, for I and J both, 3 in solve_P, 1 of F, 2 for the probes'
+    # grad F and 1 for R's Laplacian; the dissipation is a Parseval sum of the
+    # coefficients already made. No state holds phi, validate_kahler's included
     geom, state = preset_state("pbound_torus.cfg")
     transform_count[0] = 0
     pf.make_trace_record(geom, state, 1e-3)
-    assert transform_count[0] <= 7
-    # a stepped state holds no phi: the record forms it once, for I and J both
+    assert transform_count[0] <= 8
     stepped = pf.semi_implicit_step(geom, state, 1e-3)
     transform_count[0] = 0
     pf.make_trace_record(geom, stepped, 1e-3)
-    assert transform_count[0] <= 8
+    assert transform_count[0] == 8
     flat = pf.build_torus_geometry(256, 256, TWO_PI, ())
     state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x) + 0.05 * np.sin(2.0 * flat.y))
     transform_count[0] = 0
     pf.make_trace_record(flat, state, 1e-3)  # P = 0 takes no solve
-    assert transform_count[0] <= 4
+    assert transform_count[0] <= 5
 
 
 @pytest.mark.parametrize("name", ["bumpy64", "flat64", "pbound_torus.cfg", "sphere128"])
@@ -442,7 +441,8 @@ def test_recorded_states_keep_coefficients(scheme):
 @pytest.mark.parametrize("build", [bumpy64, flat64])
 def test_recorded_torus_states_retain_no_phi(build, scheme):
     # a recorded torus state keeps phi_hat, rho and F, and no real phi:
-    # holding phi as well raised the peak RSS of a dense trace by 8%
+    # holding phi as well raised the peak RSS of a dense trace by 8%. It keeps
+    # min(rho) from the cone check, which the steps and the records read
     geom = build()
     config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=2.0 * DYADIC, record_every=1)
     trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
@@ -450,7 +450,8 @@ def test_recorded_torus_states_retain_no_phi(build, scheme):
         arrays = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
         assert len(arrays) == 3 and arrays[0] is state.coeffs and state.coeffs.dtype == complex
         assert arrays[1] is state.rho and arrays[2] is state.big_f
-        assert state.held_phi is None and state.phi is not state.phi  # formed on each read
+        assert state.phi is not state.phi  # formed on each read, the first state's too
+        assert state.rho_min == float(state.rho.min())
 
 
 def test_semi_implicit_torus_records_keep_coefficients():
@@ -473,18 +474,21 @@ def test_semi_implicit_torus_records_keep_coefficients():
 
 
 def test_rk4_from_state_without_phi():
-    # a step reads phi's coefficients alone: validate_kahler's state, which
-    # holds phi as well, steps to the same bits as the state without it, and
-    # the state a step makes holds no phi
+    # a step reads phi's coefficients alone: validate_kahler's state steps to
+    # the same bits as the state built from its coefficients, and every state,
+    # validate_kahler's and a step's, forms phi from them on each read
     geom = bumpy64()
-    state = pf.validate_kahler(geom, 0.3 * np.cos(geom.x))
-    assert state.held_phi is not None
-    bare = replace(state, held_phi=None)
+    phi0 = 0.3 * np.cos(geom.x)
+    state = pf.validate_kahler(geom, phi0)
+    assert np.array_equal(state.coeffs, geom.to_coeffs(phi0))
+    assert np.array_equal(state.phi, geom.from_coeffs(state.coeffs))
+    assert state.phi is not state.phi
+    bare = state_from_coeffs(geom, state.coeffs)
     for stepper in (pf.rk4_step, pf.semi_implicit_step):
         stepped = stepper(geom, state, 1e-3)
-        assert stepped.held_phi is None
+        assert np.array_equal(stepped.phi, geom.from_coeffs(stepped.coeffs))
         assert np.array_equal(stepper(geom, bare, 1e-3).coeffs, stepped.coeffs)
     # a semi-implicit state steps under RK4 like any other
     state = pf.semi_implicit_step(geom, state, 1e-3)
     assert np.array_equal(pf.rk4_step(geom, state, 1e-3).coeffs,
-                          pf.rk4_step(geom, replace(state, held_phi=state.phi), 1e-3).coeffs)
+                          pf.rk4_step(geom, state_from_coeffs(geom, state.coeffs), 1e-3).coeffs)

@@ -384,6 +384,33 @@ def test_run_checks_probes_and_thread_cap_before_any_work(monkeypatch, build, p_
         assert err.value.key == "PCFLOW_THREADS"
 
 
+@pytest.mark.parametrize("build, shape, expected", [
+    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (32, 16), (32, 17)),
+    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (16, 17), (32, 17)),
+    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (32, 32), (32, 17)),
+    (sphere64, (65,), (64,)),
+], ids=["torus_half_axis", "torus_full_axis", "torus_field_shape", "sphere_one_more"])
+def test_run_checks_start_coeffs_shape_before_any_work(monkeypatch, build, shape, expected):
+    # checked up front, a wrong shape cannot reach the first transform, where
+    # it would raise numpy's broadcast error
+    def no_work(*args, **kwargs):
+        raise AssertionError("run() did work before checking its preconditions")
+
+    for name in ("validate_kahler", "state_from_coeffs", "make_trace_record"):
+        monkeypatch.setattr(flow_mod, name, no_work)
+    geom = build()
+    dtype = complex if geom.coeffs_shape is not None else float
+    with pytest.raises(pf.ShapeError) as err:
+        pf.run(geom, np.zeros(geom.shape), pf.FlowConfig(t_end=1.0),
+               start_coeffs=np.zeros(shape, dtype=dtype))
+    assert str(err.value) == f"start_coeffs shape {shape} != {expected}"
+    monkeypatch.undo()
+    # the shape it names is the one a run resumes from
+    trajectory = pf.run(geom, np.zeros(geom.shape), pf.FlowConfig(t_end=2.0 ** -8),
+                        start_coeffs=np.zeros(expected, dtype=dtype))
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+
+
 def test_thread_cap_defaults_to_usable_cores(monkeypatch):
     monkeypatch.delenv("PCFLOW_THREADS", raising=False)
     assert flow_mod.thread_cap() == len(os.sched_getaffinity(0))
@@ -640,9 +667,9 @@ def test_checkpoint_roundtrip(tmp_path):
     assert meta["kind"] == "torus"
     assert meta["time"] == 0.375
     # a torus checkpoint keeps the coefficients a run resumes from, and phi
-    # reads back as a state that holds none forms it
+    # reads back as the state forms it from them
     assert np.all(meta["coeffs"] == state.coeffs)
-    assert np.all(meta["phi"] == replace(state, held_phi=None).phi)
+    assert np.all(meta["phi"] == state.phi)
 
     sphere = pf.build_sphere_geometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
@@ -725,11 +752,12 @@ def test_checkpoint_layout_is_pinned(tmp_path):
 
 
 def semi_implicit_torus_state():
-    """A semi-implicit step's state on a curved torus: coefficients, no phi."""
+    """A semi-implicit step's state on a curved torus: coefficients, phi formed from them."""
     torus = bumpy64()
     state = pf.semi_implicit_step(torus, pf.validate_kahler(torus, 0.1 * np.cos(torus.x)),
                                   0.375)
-    assert state.held_phi is None and state.coeffs.shape == (64, 33)
+    assert state.coeffs.shape == (64, 33)
+    assert np.array_equal(state.phi, torus.from_coeffs(state.coeffs))
     return torus, state
 
 

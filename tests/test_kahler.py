@@ -82,8 +82,10 @@ def test_state_caches_consistent():
     rng = np.random.default_rng(20)
     state = random_valid_state(geom, rng)
     assert np.max(np.abs(state.big_f - np.log(state.rho))) <= 1e-15
-    rho = pf.validate_kahler(geom, state.phi, rho_floor=0.0).rho
+    # rho and min(rho) are those of the coefficients the state holds, bitwise
+    rho = geom.density_from_coeffs(state.coeffs)
     assert np.max(np.abs(state.rho - rho)) == 0.0
+    assert state.rho_min == float(rho.min())
 
 
 # ---------------------------------------------------------------------------
