@@ -19,7 +19,7 @@ Where they differ it gives, for each CSV column that moved, the largest
 |a - b| / max(1, |a|) over the rows (a from the first tree), how many rows
 differ in it and the first and last t at which they do (t from the first
 tree); and the same largest figure for a checkpoint's time and phi, both read
-with this tree's read_checkpoint, which reads every version.
+with this tree's read_checkpoint, which reads versions 1 and 3.
 The exit code is 1 if a run fails or the files written differ in name or
 row count, and 0 otherwise.
 """

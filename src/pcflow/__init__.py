@@ -20,26 +20,20 @@ from .flow import (FlowConfig, FlowKind, Scheme, Termination, Trajectory, nkrf_r
                    pcf_rhs, rk4_step, run, semi_implicit_step, suggest_dt)
 from .functionals import (TraceRecord, calabi_energy, dissipation, entropy, estimate_probes,
                           i_functional, k_energy, k_energy_parts, make_trace_record)
-from .geometry import (SphereGeometry, TorusGeometry, build_sphere_geometry,
-                       build_torus_geometry)
+from .geometry import SphereGeometry, TorusGeometry
 from .kahler import MetricState, laplacian_phi, scalar_curvature, trace_ric0, validate_kahler
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadGrid", "CheckpointError", "ConfigParseError",
-    "ConfigValidationError", "FlowConfig", "FlowKind", "MetricState",
-    "NonPositiveDensity", "NotKahler", "PcflowError",
+    "BadGrid", "CheckpointError", "ConfigParseError", "ConfigValidationError", "FlowConfig",
+    "FlowKind", "MetricState", "NonPositiveDensity", "NotKahler", "PcflowError",
     "PoissonSolution", "RandomInitial", "ScenarioConfig", "Scheme", "ShapeError",
-    "SingularSolve", "SphereGeometry", "Termination", "ToleranceNotMet",
-    "TorusGeometry", "TraceRecord", "Trajectory", "build_geometry",
-    "build_sphere_geometry", "build_torus_geometry", "calabi_energy", "closed_form_P",
-    "dissipation",
-    "emit_csv", "entropy", "estimate_probes", "format_config", "i_functional",
-    "k_energy", "k_energy_parts", "laplacian_phi",
-    "make_initial", "make_trace_record", "nkrf_rhs",
-    "parse_config", "pcf_rhs", "read_checkpoint", "rk4_step", "run",
-    "scalar_curvature", "semi_implicit_step",
-    "solve_P", "solve_poisson_phi", "solve_ricci_potential", "suggest_dt",
-    "trace_ric0", "validate_kahler", "write_checkpoint",
+    "SingularSolve", "SphereGeometry", "Termination", "ToleranceNotMet", "TorusGeometry",
+    "TraceRecord", "Trajectory", "build_geometry", "calabi_energy", "closed_form_P",
+    "dissipation", "emit_csv", "entropy", "estimate_probes", "format_config", "i_functional",
+    "k_energy", "k_energy_parts", "laplacian_phi", "make_initial", "make_trace_record",
+    "nkrf_rhs", "parse_config", "pcf_rhs", "read_checkpoint", "rk4_step", "run",
+    "scalar_curvature", "semi_implicit_step", "solve_P", "solve_poisson_phi",
+    "solve_ricci_potential", "suggest_dt", "trace_ric0", "validate_kahler", "write_checkpoint",
 ]

@@ -3,16 +3,15 @@
 Layout (all little-endian): magic "PCF1"; version u32; geometry kind u8
 (0 = torus, 1 = sphere); geometry params (torus: nx u64, ny u64, length f64;
 sphere: nmu u64); time f64; the field data; CRC32 (u32) of every byte after
-the magic and before the checksum. The field data is phi as row-major
-float64 in version 1 (what the sphere writes: its coefficients are phi);
-phi, then its coefficients as row-major complex128 in version 2 (read only);
-and the coefficients alone in version 3 (what the torus writes, in the rfft2
-layout, nx by ny//2 + 1), from which read_checkpoint forms phi by the
-backend's field_from_coeffs. The reference density modes are not stored —
-the resuming run supplies them through its config, which must describe the
-same geometry. The kind byte and the params are each backend's
-checkpoint_tag, grid_params and grid_format, and the coefficient shape its
-coeffs_shape.
+the magic and before the checksum. The field data is one row-major array:
+phi as float64 in version 1 (what the sphere writes: its coefficients are
+phi), or phi's coefficients as complex128 in version 3 (what the torus
+writes, in the rfft2 layout, nx by ny//2 + 1), from which read_checkpoint
+forms phi by the backend's field_from_coeffs. The reference density modes
+are not stored — the resuming run supplies them through its config, which
+must describe the same geometry. The kind byte and the params are each
+backend's checkpoint_tag, grid_params and grid_format, and the coefficient
+shape its coeffs_shape. Version 2 (phi, then its coefficients) is not read.
 """
 
 import math
@@ -25,7 +24,7 @@ from .errors import CheckpointError
 from .geometry import BACKENDS
 
 MAGIC = b"PCF1"
-VERSIONS = (1, 2, 3)  # 2 adds phi's coefficients to phi; 3 stores them alone
+VERSIONS = (1, 3)  # 1 stores phi, 3 phi's coefficients
 
 
 def write_checkpoint(path, geom, state):
@@ -62,8 +61,8 @@ def read_checkpoint(path):
     backend = next((cls for cls in BACKENDS if cls.checkpoint_tag == tag), None)
     if backend is None:
         raise CheckpointError(f"{path}: unknown geometry kind {tag}")
-    if version != 1 and backend.coeffs_shape is None:
-        raise CheckpointError(f"{path}: version {version} on the {backend.kind}, "
+    if version == 3 and backend.coeffs_shape is None:
+        raise CheckpointError(f"{path}: version 3 on the {backend.kind}, "
                               "whose coefficients are phi itself")
     header_format = backend.grid_format + "d"  # the params, then the time
     off = 5 + struct.calcsize(header_format)
@@ -73,19 +72,15 @@ def read_checkpoint(path):
     *values, time = struct.unpack_from(header_format, payload, 5)
     # the integer params are the grid's axis lengths
     shape = tuple(v for v in values if isinstance(v, int))
-    phi_end = off + (8 * math.prod(shape) if version != 3 else 0)
-    coeffs_shape = backend.coeffs_shape(shape) if version != 1 else None
-    expected = phi_end + (16 * math.prod(coeffs_shape) if coeffs_shape else 0)
+    if 0 in shape:
+        raise CheckpointError(f"{path}: grid {shape} has an empty axis")
+    dtype, data_shape = ("<f8", shape) if version == 1 else ("<c16", backend.coeffs_shape(shape))
+    expected = off + np.dtype(dtype).itemsize * math.prod(data_shape)
     if len(payload) != expected:
         raise CheckpointError(f"{path}: truncated field data "
                               f"({len(payload)} bytes, expected {expected})")
-    coeffs = None
-    if coeffs_shape:
-        coeffs = np.frombuffer(payload, "<c16", offset=phi_end).reshape(coeffs_shape).copy()
-    if version == 3:
-        phi = backend.field_from_coeffs(coeffs, shape)
-    else:
-        phi = np.frombuffer(payload, "<f8", math.prod(shape), off).reshape(shape).copy()
+    data = np.frombuffer(payload, dtype, offset=off).reshape(data_shape).copy()
+    phi, coeffs = (data, None) if version == 1 else (backend.field_from_coeffs(data, shape), data)
     return {"kind": backend.kind, "params": dict(zip(backend.grid_params, values)),
             "time": float(time), "phi": phi, "coeffs": coeffs}
 

@@ -186,8 +186,9 @@ _KEYS = (
 
 
 def parse_config(text):
-    """Parse and validate a scenario; keys not given keep the dataclass defaults."""
-    raw = {}
+    """Parse and validate a scenario; keys not given keep the dataclass defaults,
+    and a key given twice raises ConfigValidationError."""
+    raw, line_of = {}, {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -198,7 +199,9 @@ def parse_config(text):
         key, value = key.strip(), value.strip()
         if not _KEY_RE.match(key):
             raise ConfigParseError(line_no, f"malformed key {key!r}")
-        raw[key] = value
+        if key in line_of:
+            raise ConfigValidationError(key, f"given twice, on lines {line_of[key]} and {line_no}")
+        raw[key], line_of[key] = value, line_no
 
     kind = raw.get("geometry.kind")
     if kind is None:

@@ -82,7 +82,7 @@ def _check_identity(geom, state):
     ref_laplacian(phi))/rho| of the identity that a closed form's lambda*phi
     part rests on exceeds _IDENTITY_TOL."""
     rho = state.rho
-    phi_lap = geom.ref_laplacian_from_coeffs(geom.to_coeffs(state.phi))
+    phi_lap = geom.ref_laplacian_from_coeffs(state.coeffs)
     defect_linf = float(np.abs(geom.lambda_ke * (rho - 1.0 - phi_lap) / rho).max())
     if not defect_linf <= _IDENTITY_TOL:
         raise ToleranceNotMet(
@@ -90,14 +90,15 @@ def _check_identity(geom, state):
 
 
 def solve_P(geom, state):
-    """PCF potential by a Poisson solve: Delta_phi(P) = rbar - tr_phi Ric(omega0),
-    mean-zero. Trace records call it, so each record cross-checks the
-    closed_form_P that the steps take.
+    """PCF potential by a Poisson solve: Delta_phi(P) = lambda_ke - tr_phi Ric(omega0),
+    mean-zero (lambda_ke is R-bar). Only trace records call it: a record reports
+    its sup_P, its residual (poisson_residual) and the dissipation of F + P, and
+    compares it with nothing; the steps take closed_form_P.
 
     On a flat torus the RHS is 0.0: P is the zero field, with no quadrature.
     """
     return solve_poisson_phi(
-        geom, state, 0.0 if geom.ricci_flat else geom.rbar - trace_ric0(geom, state))
+        geom, state, 0.0 if geom.ricci_flat else geom.lambda_ke - trace_ric0(geom, state))
 
 
 def closed_form_P(geom, state):

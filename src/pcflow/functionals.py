@@ -4,11 +4,12 @@ Conventions (complex dimension 1): entropy = int F omega_phi; K = entropy +
 J_{-Ric(omega0)}, where J_chi integrates its variational formula delta J =
 int dphi (tr_phi chi - chibar) omega_phi along t*phi: rho is affine in t, so
 J_chi = <phi, chi>_chart - chibar * I, and for chi = -Ric(omega0) (chibar =
--rbar) J_{-Ric} = <phi, -Ric0>_chart + rbar * I; I = (1/2) int phi (rho + 1)
+-Rbar) J_{-Ric} = <phi, -Ric0>_chart + Rbar * I; I = (1/2) int phi (rho + 1)
 omega0; dissipation = int |grad_phi(F+P)|^2 omega_phi, a sum over the
-coefficients of F + P (Parseval on the torus); Calabi energy = int (R - rbar)^2
-omega_phi. The L^p probes are raw monitors, never asserted against constants.
-A trace record forms phi once, for I and J, and transforms F once.
+coefficients of F + P (Parseval on the torus); Calabi energy = int (R - Rbar)^2
+omega_phi, where Rbar is the class constant geom.lambda_ke. The L^p probes
+are raw monitors, never asserted against constants. A trace record forms phi
+once, for I and J, and transforms F once.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ def k_energy_parts(geom, state):
     phi = state.phi
     i_value = _i_of(geom, state, phi)
     # this operand order keeps a flat torus's J_{-Ric} at +0.0, not -0.0
-    j_neg_ric = geom.chart_integral(phi * -geom.ric0_density) + geom.rbar * i_value
+    j_neg_ric = geom.chart_integral(phi * -geom.ric0_density) + geom.lambda_ke * i_value
     return entropy(geom, state), j_neg_ric, i_value
 
 
@@ -55,9 +56,9 @@ def _i_of(geom, state, phi):
 
 
 def calabi_energy(geom, state, big_f_hat=None):
-    """int (R(omega_phi) - rbar)^2 omega_phi >= 0; zero iff cscK on the grid."""
+    """int (R(omega_phi) - Rbar)^2 omega_phi >= 0; zero iff cscK on the grid."""
     deviation = scalar_curvature(geom, state, big_f_hat)  # a new field: squared in place
-    deviation -= geom.rbar
+    deviation -= geom.lambda_ke
     deviation *= deviation
     return geom.integrate(deviation, weight=state.rho)
 

@@ -45,7 +45,9 @@ class GridGeometry:
     Ric(omega0) = lambda_ke * omega0 + i d dbar(h0) on every reference. Each
     backend carries the class constant lambda_ke (1 on the sphere, 0 on every
     torus), ricci_potential0 = h0, or None where omega0 is Einstein (h0 = 0),
-    ricci_flat (Ric(omega0) = 0, so P = 0), and rbar, the average of R(omega0).
+    and ricci_flat (Ric(omega0) = 0, so P = 0). As i d dbar(h0) integrates to
+    0, lambda_ke is exactly R-bar, the average of R(omega0) (and of every
+    R(omega_phi)) that the K-energy and the Calabi energy read.
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
     field there and back, truncate returns filtered copies, and the *_from_coeffs
@@ -97,10 +99,11 @@ class _WorkArray(threading.local):
 class TorusGeometry(GridGeometry):
     """Flat-chart torus [0, L)^2 with reference density sigma0(x, y).
 
-    Fields live on an (nx, ny) grid, x along axis 0. sigma0 is a finite sum
-    of cosine modes so oracles have closed forms. Coefficients are rfft2
-    arrays of shape (nx, ny//2 + 1): to_coeffs is one forward transform, and
-    from_coeffs, mixed_ and ref_laplacian_from_coeffs one inverse transform each.
+    Fields live on an (nx, ny) grid, x along axis 0. sigma0 is 1 plus the
+    (k_x, k_y, amplitude) cosines of sigma0_modes (none: the flat torus), so
+    oracles have closed forms. Coefficients are rfft2 arrays of shape
+    (nx, ny//2 + 1): to_coeffs is one forward transform, and from_coeffs,
+    mixed_ and ref_laplacian_from_coeffs one inverse transform each.
     Every inverse transform writes into a complex work array that the
     geometry allocates once per thread, on the thread's first transform, so
     threads share a geometry: flow.run makes trace records on a worker
@@ -122,7 +125,7 @@ class TorusGeometry(GridGeometry):
         """irfft2 of fh on a grid of this shape, bitwise from_coeffs, for read_checkpoint."""
         return scipy.fft.irfft2(fh, s=shape)
 
-    def __init__(self, nx, ny, length, sigma0_modes):
+    def __init__(self, nx, ny, length, sigma0_modes=()):
         if not (_is_pow2(nx) and _is_pow2(ny)) or nx < 16 or ny < 16:
             raise BadGrid(f"torus sizes must be integer powers of two >= 16, got {nx} x {ny}")
         if not (0.0 < length < np.inf):
@@ -184,7 +187,6 @@ class TorusGeometry(GridGeometry):
         # h0*sigma0: closed_form_P takes h0's omega_phi-mean from its dot product with rho
         self.ricci_potential0_density = (None if self.ricci_flat
                                          else self.ricci_potential0 * self.sigma0)
-        self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
     # -- initial data --------------------------------------------------------
 
@@ -316,7 +318,7 @@ class SphereGeometry(GridGeometry):
     Nodes mu_i = (i + 1/2)/nmu carry quadrature weight 4*pi/nmu. The chart
     density sigma0 = 2*mu*(1-mu) (cylinder chart) makes the torus formulas
     rho = 1 + mixed/sigma0 and Delta_phi = mixed/(sigma0*rho) hold verbatim.
-    Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi, rbar = 1.
+    Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi.
 
     Usable range: R takes two second differences of phi, so its rounding
     error grows like eps*nmu^4 (max|R - 1| of a round metric pulled back by
@@ -357,7 +359,6 @@ class SphereGeometry(GridGeometry):
         self.sigma0 = 2.0 * self.mu * (1.0 - self.mu)
         self.volume = self.quad_weight * self.nmu
         self.ric0_density = self.lambda_ke * self.sigma0
-        self.rbar = self.integrate(self.ric0_density / self.sigma0) / self.volume
 
     # -- initial data --------------------------------------------------------
 
@@ -474,13 +475,3 @@ class SphereGeometry(GridGeometry):
 
 
 BACKENDS = (TorusGeometry, SphereGeometry)
-
-
-def build_torus_geometry(nx, ny, length, sigma0_modes=()):
-    """Torus backend; sigma0_modes is a list of (k_x, k_y, amplitude) cosines."""
-    return TorusGeometry(nx, ny, length, sigma0_modes)
-
-
-def build_sphere_geometry(nmu):
-    """S^1-reduced round-sphere backend with nmu cell-centered mu nodes."""
-    return SphereGeometry(nmu)

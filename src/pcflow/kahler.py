@@ -4,7 +4,7 @@ A potential phi determines omega_phi = omega0 + i d dbar(phi), whose density
 ratio is rho = omega_phi/omega0 = 1 + (mixed derivative of phi)/sigma0 in the
 chart. The Monge-Ampere log F = log(rho) and the Ricci trace close the scalar
 curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0). Its
-volume average rbar is cohomological; each backend stores it as geom.rbar.
+volume average Rbar is cohomological: the class constant geom.lambda_ke.
 
 A MetricState holds phi's backend coefficients, built from phi (validate_kahler)
 or from them (state_from_coeffs, what the steps use), and forms phi on read.
@@ -37,10 +37,10 @@ class MetricState:
         return self.from_coeffs(self.coeffs)
 
 
-def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06, stage=None):
+def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06):
     """Build a MetricState from phi's coefficients, raising NotKahler unless
     min(rho) > rho_floor."""
-    return state_from_coeffs(geom, geom.to_coeffs(geom.check_field(phi)), time, rho_floor, stage)
+    return state_from_coeffs(geom, geom.to_coeffs(geom.check_field(phi)), time, rho_floor)
 
 
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None):

@@ -34,8 +34,8 @@ def omega0_form(geom):
 
 
 def neg_ricci_form(geom):
-    """chi = -Ric(omega0), the K-energy pairing form (chibar = -rbar)."""
-    return ClosedForm11(density=-geom.ric0_density, mean=-geom.rbar)
+    """chi = -Ric(omega0), the K-energy pairing form (chibar = -Rbar = -lambda_ke)."""
+    return ClosedForm11(density=-geom.ric0_density, mean=-geom.lambda_ke)
 
 
 def j_chi_path(geom, chi, phi):
@@ -139,7 +139,7 @@ def real_space_trace_record(geom, state, dt, p_list=(1.0, 2.0, 4.0)):
                  / (geom.sigma0 * state.rho))
     inv_rho = 1.0 / state.rho
     curvature = -pf.laplacian_phi(geom, state, state.big_f) + pf.trace_ric0(geom, state)
-    deviation = curvature - geom.rbar
+    deviation = curvature - geom.lambda_ke
     return pf.TraceRecord(
         time=state.time,
         dt=float(dt),

@@ -156,7 +156,7 @@ def test_criterion_6_smoothing_rate():
 def test_criterion_7_operator_and_solver_correctness():
     # the module suites carry the full property coverage; this re-measures
     # one representative of each named identity at the stated tolerance
-    geom = pf.build_torus_geometry(64, 64, 2.0 * np.pi, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, 2.0 * np.pi, [(1, 0, 0.2)])
     rng = np.random.default_rng(7)
     state = random_valid_state(geom, rng)
 
@@ -181,7 +181,7 @@ def test_criterion_7_operator_and_solver_correctness():
     k_plus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi + eps * direction))
     k_minus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi - eps * direction))
     fd = (k_plus - k_minus) / (2.0 * eps)
-    rbar = geom.rbar
+    rbar = geom.lambda_ke
     curvature = pf.scalar_curvature(geom, state)
     grad = geom.integrate(direction * (rbar - curvature), weight=state.rho)
     assert abs(fd - grad) <= 1e-4 * max(1.0, abs(grad))

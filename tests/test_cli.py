@@ -194,6 +194,14 @@ def test_library_validates_like_parser(build, text, key):
     assert err.value.key == key
 
 
+def test_repeated_key_is_rejected():
+    # a key given twice is an error naming the key and both lines, not the
+    # last value silently overriding the first
+    with pytest.raises(pf.ConfigValidationError, match="lines 2 and 4") as err:
+        cfg("geometry.kind = sphere\nflow.t_end = 0.5\ngeometry.nmu = 64\nflow.t_end = 0.01\n")
+    assert err.value.key == "flow.t_end"
+
+
 def test_readme_scenario_keys_are_config_keys():
     # every dotted key the README's scenario example shows, commented or not,
     # must still parse, so a removed key cannot linger in the docs
@@ -580,7 +588,7 @@ def test_cli_resume_is_bitwise(tmp_path, monkeypatch, capsys):
 
 def test_cli_semi_implicit_resume_is_bitwise(tmp_path, monkeypatch, capsys):
     # a semi-implicit torus run steps phi's coefficients: its checkpoint
-    # carries them (version 2), and the resumed run continues bitwise
+    # carries them (version 3), and the resumed run continues bitwise
     monkeypatch.chdir(tmp_path)
     common = MINIMAL_TORUS + f"""
     geometry.sigma0_modes = (1,0,0.2)
@@ -636,6 +644,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         short.write_bytes(pack_checkpoint(struct.pack("<IBQ", 1, tag, 64)))
         assert cli_mod.main(["resume", str(short), str(tmp_path / "e.cfg")]) == 5
         assert "truncated header" in capsys.readouterr().err
+    empty = tmp_path / "empty.ckpt"  # CRC-valid version 3 on a 0 x 64 grid
+    empty.write_bytes(pack_checkpoint(struct.pack("<IBQQdd", 3, 0, 0, 64, 1.0, 0.0)))
+    assert cli_mod.main(["resume", str(empty), str(tmp_path / "e.cfg")]) == 5
+    assert "empty axis" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -740,8 +752,8 @@ def test_cli_thread_cap_does_not_change_results(tmp_path, monkeypatch, capsys):
     assert outputs["1"] == outputs["2"]
 
     monkeypatch.chdir(tmp_path / "1")
-    half = write_cfg(tmp_path / "1", CURVED_128 + f"""
-    flow.t_end = {4.0 * 2.0 ** -10!r}
+    half_run = CURVED_128.replace(f"t_end = {8.0 * 2.0 ** -10!r}", f"t_end = {4.0 * 2.0 ** -10!r}")
+    half = write_cfg(tmp_path / "1", half_run + """
     output.path = half.csv
     output.checkpoint = half.ckpt
     """, "half.cfg")

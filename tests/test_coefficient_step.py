@@ -26,15 +26,15 @@ DYADIC = 2.0 ** -8
 
 
 def flat64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, ())
+    return pf.TorusGeometry(64, 64, TWO_PI)
 
 
 def bumpy64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    return pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
 
 
 def sphere128():
-    return pf.build_sphere_geometry(128)
+    return pf.SphereGeometry(128)
 
 
 def preset_state(name):
@@ -53,11 +53,11 @@ def real_space_rk4_step(geom, state, dt, rhs=pf.pcf_rhs, rho_floor=0.05):
 
     phi, t = state.phi, state.time
     k1 = dealias(rhs(geom, state))
-    s2 = pf.validate_kahler(geom, phi + (0.5 * dt) * k1, t + 0.5 * dt, rho_floor, stage=2)
+    s2 = pf.validate_kahler(geom, phi + (0.5 * dt) * k1, t + 0.5 * dt, rho_floor)
     k2 = dealias(rhs(geom, s2))
-    s3 = pf.validate_kahler(geom, phi + (0.5 * dt) * k2, t + 0.5 * dt, rho_floor, stage=3)
+    s3 = pf.validate_kahler(geom, phi + (0.5 * dt) * k2, t + 0.5 * dt, rho_floor)
     k3 = dealias(rhs(geom, s3))
-    s4 = pf.validate_kahler(geom, phi + dt * k3, t + dt, rho_floor, stage=4)
+    s4 = pf.validate_kahler(geom, phi + dt * k3, t + dt, rho_floor)
     k4 = dealias(rhs(geom, s4))
     phi_new = phi + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     return pf.validate_kahler(geom, phi_new, t + dt, rho_floor)
@@ -116,7 +116,7 @@ def test_rk4_matches_real_space_step_on_torus(case):
 
 @pytest.mark.parametrize("flow_kind", [pf.FlowKind.PCF, pf.FlowKind.NKRF])
 def test_rk4_matches_real_space_step_bitwise_on_sphere(flow_kind):
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2 - 0.05 * geom.mu ** 3)
     new, old = _advance_both(geom, state, 1e-3, flow_kind)
     assert new.time == old.time
@@ -188,7 +188,7 @@ def test_transforms_per_record(transform_count):
     transform_count[0] = 0
     pf.make_trace_record(geom, stepped, 1e-3)
     assert transform_count[0] == 8
-    flat = pf.build_torus_geometry(256, 256, TWO_PI, ())
+    flat = pf.TorusGeometry(256, 256, TWO_PI)
     state = pf.validate_kahler(flat, 0.3 * np.cos(flat.x) + 0.05 * np.sin(2.0 * flat.y))
     transform_count[0] = 0
     pf.make_trace_record(flat, state, 1e-3)  # P = 0 takes no solve
@@ -310,7 +310,7 @@ def test_coefficient_residual_matches_transform_residual(name):
         return float(np.max(np.abs(geom.ref_laplacian(field) / state.rho - projected)))
 
     solution = pf.solve_P(geom, state)
-    transform = transform_residual(solution.field, geom.rbar - trace_ric0(geom, state))
+    transform = transform_residual(solution.field, geom.lambda_ke - trace_ric0(geom, state))
     assert solution.residual_linf <= 1e-12
     assert transform <= 1e-12
     assert abs(solution.residual_linf - transform) <= 1e-12
@@ -321,7 +321,7 @@ def test_coefficient_residual_matches_transform_residual(name):
 
 
 @pytest.mark.parametrize("bad_stage", [1, 2, 3, 4])
-@pytest.mark.parametrize("build", [bumpy64, lambda: pf.build_sphere_geometry(128)],
+@pytest.mark.parametrize("build", [bumpy64, lambda: pf.SphereGeometry(128)],
                          ids=["torus", "sphere"])
 def test_non_finite_stage_rhs_raises_shape_error(build, bad_stage):
     geom = build()
@@ -339,7 +339,7 @@ def test_non_finite_stage_rhs_raises_shape_error(build, bad_stage):
     assert len(calls) == bad_stage
 
 
-@pytest.mark.parametrize("build", [bumpy64, lambda: pf.build_sphere_geometry(128)],
+@pytest.mark.parametrize("build", [bumpy64, lambda: pf.SphereGeometry(128)],
                          ids=["torus", "sphere"])
 def test_non_finite_semi_implicit_rhs_raises_shape_error(build):
     geom = build()

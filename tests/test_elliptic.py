@@ -16,7 +16,7 @@ PRESETS = Path(__file__).resolve().parent.parent / "presets"
 
 
 def flat64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, ())
+    return pf.TorusGeometry(64, 64, TWO_PI)
 
 
 def zero_state(geom):
@@ -55,7 +55,7 @@ def test_flat_torus_cosine_inverse():
 
 
 def test_sphere_linear_inverse():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = zero_state(geom)
     rhs = 0.5 * (1.0 - 2.0 * geom.mu)
     sol = pf.solve_poisson_phi(geom, state, rhs)
@@ -66,8 +66,8 @@ def test_sphere_linear_inverse():
 
 def test_residuals_on_random_states():
     rng = np.random.default_rng(30)
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         for _ in range(5):
             state = random_valid_state(geom, rng)
             rhs = random_valid_state(geom, rng).phi
@@ -83,7 +83,7 @@ def test_residuals_on_random_states():
 def test_nan_reference_solve_raises_tolerance_not_met(monkeypatch):
     # a NaN residual fails "<= tol" both times, so the solve raises instead of
     # returning a NaN field
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     state = zero_state(geom)
     monkeypatch.setattr(geom, "solve_reference_poisson",
                         lambda g: np.full((geom.nx, geom.ny // 2 + 1), np.nan + 0j))
@@ -93,7 +93,7 @@ def test_nan_reference_solve_raises_tolerance_not_met(monkeypatch):
 
 def test_mean_zero_normalization():
     rng = np.random.default_rng(31)
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = random_valid_state(geom, rng)
     sol = pf.solve_poisson_phi(geom, state, random_sphere_phi(geom, rng, amp=1.0))
     vol = geom.integrate(np.ones(geom.shape))
@@ -103,7 +103,7 @@ def test_mean_zero_normalization():
 def test_exp_mass_normalization():
     # the Ricci potential is the one exp-mass field: int exp(h) omega_phi = volume
     rng = np.random.default_rng(32)
-    for geom in (flat64(), pf.build_sphere_geometry(128)):
+    for geom in (flat64(), pf.SphereGeometry(128)):
         state = random_valid_state(geom, rng)
         h = pf.solve_ricci_potential(geom, state)
         vol = geom.integrate(np.ones(geom.shape))
@@ -115,7 +115,7 @@ def test_unnormalized_linearity_via_mean_zero():
     # the MeanZero shift is itself linear in the rhs, so the whole
     # (solve + normalize) map must be linear
     rng = np.random.default_rng(33)
-    for geom in (flat64(), pf.build_sphere_geometry(128)):
+    for geom in (flat64(), pf.SphereGeometry(128)):
         state = random_valid_state(geom, rng)
         r1 = random_valid_state(geom, rng).phi
         r2 = random_valid_state(geom, rng).phi
@@ -151,7 +151,7 @@ def test_p_flat_torus_identically_zero(monkeypatch):
 
 
 def test_p_sphere_closed_form():
-    geom = pf.build_sphere_geometry(512)
+    geom = pf.SphereGeometry(512)
     rng = np.random.default_rng(35)
     checked = 0
     while checked < 20:
@@ -168,7 +168,7 @@ def test_p_sphere_closed_form():
 
 
 def test_p_torus_reference_density():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     state = zero_state(geom)
     sol = pf.solve_P(geom, state)
     # P = log sigma0 - c with c the omega0-average of log sigma0;
@@ -182,14 +182,15 @@ def test_p_torus_reference_density():
 
 
 def p_compat_defect(geom, state):
-    """|omega_phi-mass of P's right-hand side rbar - tr_phi Ric(omega0)| / volume."""
-    return abs(geom.integrate(geom.rbar - trace_ric0(geom, state), weight=state.rho)) / geom.volume
+    """|omega_phi-mass of P's right-hand side lambda_ke - tr_phi Ric(omega0)| / volume."""
+    mass = geom.integrate(geom.lambda_ke - trace_ric0(geom, state), weight=state.rho)
+    return abs(mass) / geom.volume
 
 
 def test_p_compat_defect_small():
     rng = np.random.default_rng(36)
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(256)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(256)):
         state = random_valid_state(geom, rng)
         assert p_compat_defect(geom, state) < 1e-6
 
@@ -198,7 +199,7 @@ def test_p_compat_defect_small():
 # closed forms
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("build", [lambda: pf.build_sphere_geometry(512), flat64],
+@pytest.mark.parametrize("build", [lambda: pf.SphereGeometry(512), flat64],
                          ids=["sphere", "flat_torus"])
 def test_closed_forms_match_solver_route(build):
     # P = lambda*(phi - <phi>_phi) and h = -F - lambda*phi against the Poisson
@@ -221,7 +222,7 @@ def test_closed_forms_match_solver_route(build):
 def test_closed_forms_check_the_einstein_identity():
     # a state whose rho misses 1 + ref_laplacian(phi) by 1e-8 is not one the
     # closed forms describe: both raise instead of returning a field
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     good = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     rho = good.rho + 1e-8
     bad = replace(good, rho=rho, big_f=np.log(rho))
@@ -250,7 +251,7 @@ def test_closed_form_p_matches_solver_on_curved_torus():
     rng = np.random.default_rng(41)
     cases = []
     for modes in ([(1, 0, 0.2)], [(1, 0, 0.9), (2, 3, 0.05)]):
-        geom = pf.build_torus_geometry(64, 64, TWO_PI, modes)
+        geom = pf.TorusGeometry(64, 64, TWO_PI, modes)
         cases += [(geom, random_valid_state(geom, rng)) for _ in range(8)]
     cases += list(_pbound_states(range(4)))
     assert len(cases) >= 20
@@ -267,7 +268,7 @@ def test_closed_form_p_matches_solver_on_curved_torus():
 # ---------------------------------------------------------------------------
 
 def test_ricci_potential_stationary_points():
-    sphere = pf.build_sphere_geometry(128)
+    sphere = pf.SphereGeometry(128)
     h = pf.solve_ricci_potential(sphere, zero_state(sphere))
     assert np.max(np.abs(h)) <= 1e-10
     flat = flat64()
@@ -278,7 +279,7 @@ def test_ricci_potential_stationary_points():
 def test_ricci_potential_sphere_oracle():
     # O(h^2) stencil: 256 nodes put the coarse-vs-fine gap inside 1e-6
     nmu = 256
-    geom = pf.build_sphere_geometry(nmu)
+    geom = pf.SphereGeometry(nmu)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     h = pf.solve_ricci_potential(geom, state)
 
@@ -325,7 +326,7 @@ def test_ricci_potential_sphere_oracle():
 
 def test_ricci_potential_trace_identity():
     rng = np.random.default_rng(37)
-    for geom in (flat64(), pf.build_sphere_geometry(256)):
+    for geom in (flat64(), pf.SphereGeometry(256)):
         state = random_valid_state(geom, rng)
         h = pf.solve_ricci_potential(geom, state)
         lam = 0.0 if geom.kind == "torus" else 1.0
@@ -338,7 +339,7 @@ def test_ricci_potential_trace_identity():
 
 def test_ricci_potential_exp_mass():
     rng = np.random.default_rng(38)
-    geom = pf.build_sphere_geometry(256)
+    geom = pf.SphereGeometry(256)
     state = random_valid_state(geom, rng)
     h = pf.solve_ricci_potential(geom, state)
     vol = geom.integrate(np.ones(geom.shape))
@@ -347,7 +348,7 @@ def test_ricci_potential_exp_mass():
 
 
 def test_ricci_potential_needs_einstein_reference():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     rng = np.random.default_rng(39)
     state = random_valid_state(geom, rng)
     with pytest.raises(ValueError):
@@ -360,7 +361,7 @@ def test_sphere_poisson_solves_take_one_reference_solve(monkeypatch, nmu):
     # the residual's rounding floor does (like nmu^2; about 5e-10 at nmu 4096
     # for these states). The flow takes the Ricci potential in closed form, so
     # its right-hand side R - lambda goes to solve_poisson_phi directly
-    geom = pf.build_sphere_geometry(nmu)
+    geom = pf.SphereGeometry(nmu)
     calls = []
     direct = geom.solve_reference_poisson
 

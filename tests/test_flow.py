@@ -19,15 +19,15 @@ DYADIC = 2.0 ** -8
 
 
 def flat64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, ())
+    return pf.TorusGeometry(64, 64, TWO_PI)
 
 
 def bumpy64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    return pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
 
 
 def sphere64():
-    return pf.build_sphere_geometry(64)
+    return pf.SphereGeometry(64)
 
 
 def zero_state(geom):
@@ -48,7 +48,7 @@ def test_pcf_rhs_flat_is_big_f():
 
 
 def test_pcf_rhs_sphere_closed_form():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, 0.05 * np.cos(np.pi * geom.mu))
     rhs = pf.pcf_rhs(geom, state)
     avg = (geom.integrate(state.phi, weight=state.rho)
@@ -57,7 +57,7 @@ def test_pcf_rhs_sphere_closed_form():
 
 
 def test_rhs_stationary_points():
-    sphere = pf.build_sphere_geometry(128)
+    sphere = pf.SphereGeometry(128)
     rhs = pf.pcf_rhs(sphere, zero_state(sphere))
     assert np.max(np.abs(rhs)) <= 1e-12
     rhs = pf.nkrf_rhs(sphere, zero_state(sphere))
@@ -68,7 +68,7 @@ def test_rhs_stationary_points():
 
 
 def test_nkrf_rhs_is_neg_ricci_potential():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     rhs = pf.nkrf_rhs(geom, state)
     h = pf.solve_ricci_potential(geom, state)
@@ -81,7 +81,7 @@ def test_nkrf_rhs_is_neg_ricci_potential():
 # ---------------------------------------------------------------------------
 
 def test_steppers_fix_stationary_states():
-    for geom in (flat64(), pf.build_sphere_geometry(128)):
+    for geom in (flat64(), pf.SphereGeometry(128)):
         state = zero_state(geom)
         for stepper in (pf.rk4_step, pf.semi_implicit_step):
             out = stepper(geom, state, 0.01)
@@ -177,7 +177,7 @@ def test_semi_implicit_survives_large_steps():
 
 
 def test_nkrf_gauge_invariance():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     shift = 0.5
 
@@ -199,7 +199,7 @@ def test_nkrf_gauge_invariance():
 # ---------------------------------------------------------------------------
 
 def test_suggest_dt_reference_value():
-    geom = pf.build_torus_geometry(256, 256, TWO_PI, ())
+    geom = pf.TorusGeometry(256, 256, TWO_PI)
     state = zero_state(geom)
     expected = 0.2 * (TWO_PI / 256) ** 2 * 4.0
     got = pf.suggest_dt(geom, state, cfl=0.2)
@@ -208,13 +208,13 @@ def test_suggest_dt_reference_value():
 
 
 def test_suggest_dt_scalings():
-    coarse = pf.build_torus_geometry(128, 128, TWO_PI, ())
-    fine = pf.build_torus_geometry(256, 256, TWO_PI, ())
+    coarse = pf.TorusGeometry(128, 128, TWO_PI)
+    fine = pf.TorusGeometry(256, 256, TWO_PI)
     ratio = (pf.suggest_dt(coarse, zero_state(coarse))
              / pf.suggest_dt(fine, zero_state(fine)))
     assert abs(ratio - 4.0) <= 1e-12
 
-    half = pf.build_torus_geometry(128, 128, TWO_PI, [(1, 0, -0.5)])
+    half = pf.TorusGeometry(128, 128, TWO_PI, [(1, 0, -0.5)])
     ratio = (pf.suggest_dt(half, zero_state(half))
              / pf.suggest_dt(coarse, zero_state(coarse)))
     assert abs(ratio - 0.5) <= 1e-12
@@ -295,7 +295,7 @@ def test_mobius_round_metric_is_a_fixed_point(flow_kind):
     # 4.2e-4 at nmu 128 and 1.1e-4 at 256 for a^2 = 4
     drifts = []
     for nmu in (128, 256):
-        geom = pf.build_sphere_geometry(nmu)
+        geom = pf.SphereGeometry(nmu)
         config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC, t_end=1.0,
                                record_every=256, flow_kind=flow_kind)
         trajectory = pf.run(geom, 2.0 * np.log(1.0 + 3.0 * geom.mu), config)
@@ -385,9 +385,9 @@ def test_run_checks_probes_and_thread_cap_before_any_work(monkeypatch, build, p_
 
 
 @pytest.mark.parametrize("build, shape, expected", [
-    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (32, 16), (32, 17)),
-    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (16, 17), (32, 17)),
-    (lambda: pf.build_torus_geometry(32, 32, TWO_PI, ()), (32, 32), (32, 17)),
+    (lambda: pf.TorusGeometry(32, 32, TWO_PI), (32, 16), (32, 17)),
+    (lambda: pf.TorusGeometry(32, 32, TWO_PI), (16, 17), (32, 17)),
+    (lambda: pf.TorusGeometry(32, 32, TWO_PI), (32, 32), (32, 17)),
     (sphere64, (65,), (64,)),
 ], ids=["torus_half_axis", "torus_full_axis", "torus_field_shape", "sphere_one_more"])
 def test_run_checks_start_coeffs_shape_before_any_work(monkeypatch, build, shape, expected):
@@ -446,14 +446,14 @@ def test_worker_records_run_under_the_callers_numpy_error_state(monkeypatch):
 
 
 def test_records_go_off_thread_on_tori_of_2_14_nodes_and_up():
-    assert not pf.build_torus_geometry(64, 128, TWO_PI, ()).records_off_thread
-    assert pf.build_torus_geometry(128, 128, TWO_PI, ()).records_off_thread
-    assert pf.build_torus_geometry(256, 64, TWO_PI, [(1, 0, 0.2)]).records_off_thread
-    assert not pf.build_sphere_geometry(16384).records_off_thread
+    assert not pf.TorusGeometry(64, 128, TWO_PI).records_off_thread
+    assert pf.TorusGeometry(128, 128, TWO_PI).records_off_thread
+    assert pf.TorusGeometry(256, 64, TWO_PI, [(1, 0, 0.2)]).records_off_thread
+    assert not pf.SphereGeometry(16384).records_off_thread
 
 
 def bumpy128():
-    return pf.build_torus_geometry(128, 128, TWO_PI, [(1, 0, 0.2)])
+    return pf.TorusGeometry(128, 128, TWO_PI, [(1, 0, 0.2)])
 
 
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
@@ -546,7 +546,7 @@ def test_worker_record_failure_comes_before_a_later_step_failure(monkeypatch):
 def test_run_records_honour_configured_rho_floor():
     # min rho = 5e-7 lies between the configured floor and the 1e-6 floor of
     # the public j_chi_path; the trace records must use the run's own floor
-    geom = pf.build_torus_geometry(32, 32, TWO_PI, ())
+    geom = pf.TorusGeometry(32, 32, TWO_PI)
     phi0 = 4.0 * (1.0 - 5e-7) * np.cos(geom.x)
     config = pf.FlowConfig(rho_floor=1e-7, t_end=1e-9, dt_init=1e-10)
     trajectory = pf.run(geom, phi0, config)
@@ -626,7 +626,7 @@ def test_run_takes_no_sliver_step(tmp_path):
 def test_run_semi_implicit_curved_torus_takes_dt_init():
     # sigma0 in [0.1, 1.9]: the shifted solve is direct on a curved torus
     # too, so a step of dt*c = 0.5 / min(rho) is taken without halving
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.9)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.9)])
     config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=0.5, t_end=0.5,
                            record_every=1)
     trajectory = pf.run(geom, 0.05 * np.cos(geom.x), config)
@@ -640,7 +640,7 @@ def test_curved_torus_flows_to_its_flat_metric():
     # every torus class holds a flat metric, sigma0*rho = 1: with
     # sigma0 = 1 + sum a_k cos(k.x), phi_inf = sum 4 a_k/|k|^2 cos(k.x) solves
     # phi_{z zbar} = 1 - sigma0 up to a constant. Measured 2.8e-7 and 2.2e-6
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.3), (1, 2, 0.1)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.3), (1, 2, 0.1)])
     config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=2.0 ** -6, t_end=56.0,
                            record_every=4096)
     trajectory = pf.run(geom, 0.2 * np.cos(geom.x) * np.sin(geom.y), config)
@@ -671,7 +671,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.all(meta["coeffs"] == state.coeffs)
     assert np.all(meta["phi"] == state.phi)
 
-    sphere = pf.build_sphere_geometry(128)
+    sphere = pf.SphereGeometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
     path2 = tmp_path / "sphere.ckpt"
     pf.write_checkpoint(path2, sphere, state)
@@ -717,6 +717,13 @@ def test_checkpoint_detects_corruption(tmp_path):
         with pytest.raises(pf.CheckpointError, match="truncated header"):
             pf.read_checkpoint(short)
 
+    for nx, ny in ((0, 64), (64, 0)):  # CRC-valid version 3, but a grid axis is empty
+        empty = tmp_path / f"empty{nx}x{ny}.ckpt"
+        empty.write_bytes(pack_checkpoint(struct.pack("<IBQQdd", 3, 0, nx, ny, TWO_PI, 0.0)
+                                          + bytes(16 * nx * (ny // 2 + 1))))
+        with pytest.raises(pf.CheckpointError, match=rf"grid \({nx}, {ny}\)"):
+            pf.read_checkpoint(empty)
+
 
 def test_checkpoint_layout_is_pinned(tmp_path):
     # the layout of the checkpoint module docstring, packed by hand: a torus
@@ -743,7 +750,7 @@ def test_checkpoint_layout_is_pinned(tmp_path):
     assert meta["time"] == 0.375 and meta["coeffs"] is None
     assert meta["phi"].dtype == float and np.array_equal(meta["phi"], state.phi)
 
-    sphere = pf.build_sphere_geometry(128)
+    sphere = pf.SphereGeometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
     expected = pack_checkpoint(struct.pack("<IB", 1, 1) + struct.pack("<Q", 128)
                                + struct.pack("<d", 1.5) + state.phi.astype("<f8").tobytes())
@@ -761,51 +768,42 @@ def semi_implicit_torus_state():
     return torus, state
 
 
-def v2_payload(torus, state):
-    """A version-2 payload, as earlier versions wrote for a semi-implicit torus
-    state: the version-1 fields, then the rfft2 coefficients as complex128."""
-    return (struct.pack("<IB", 2, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
-            + struct.pack("<d", 0.375) + torus.from_coeffs(state.coeffs).astype("<f8").tobytes()
-            + state.coeffs.astype("<c16").tobytes())
-
-
-def test_checkpoint_v2_layout_is_pinned(tmp_path):
-    # a hand-packed version-2 file reads back with its phi and coefficients,
-    # the same as the version-3 file of the same state does
+def test_checkpoint_v2_is_unsupported(tmp_path):
+    # version 2, phi and then its rfft2 coefficients as complex128, is not
+    # read: a CRC-valid version-2 file of either backend raises
     torus, state = semi_implicit_torus_state()
-    path = tmp_path / "torus.ckpt"
-    path.write_bytes(pack_checkpoint(v2_payload(torus, state)))
-    meta = pf.read_checkpoint(path)
-    assert meta["time"] == 0.375
-    assert np.array_equal(meta["phi"], torus.from_coeffs(state.coeffs))
-    assert meta["coeffs"].dtype == complex
-    assert np.array_equal(meta["coeffs"], state.coeffs)
-    pf.write_checkpoint(tmp_path / "v3.ckpt", torus, state)
-    v3 = pf.read_checkpoint(tmp_path / "v3.ckpt")
-    assert np.array_equal(v3["phi"], meta["phi"]) and np.array_equal(v3["coeffs"], meta["coeffs"])
+    payloads = {
+        "torus": (struct.pack("<IB", 2, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
+                  + struct.pack("<d", 0.375) + state.phi.astype("<f8").tobytes()
+                  + state.coeffs.astype("<c16").tobytes()),
+        "sphere": struct.pack("<IBQd", 2, 1, 32, 0.0) + bytes(8 * 32 + 16 * 32),
+    }
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(pack_checkpoint(payload))
+        with pytest.raises(pf.CheckpointError, match="unsupported version 2"):
+            pf.read_checkpoint(path)
 
 
-def test_checkpoint_v2_v3_detect_truncation(tmp_path):
+def test_checkpoint_v3_detects_truncation(tmp_path):
     torus, state = semi_implicit_torus_state()
     path = tmp_path / "state.ckpt"
     pf.write_checkpoint(path, torus, state)
-    for payload in (path.read_bytes()[4:-4], v2_payload(torus, state)):
-        for cut in (16, 16 * 33, 16 * 64 * 33):  # into, or all of, the coefficients
-            short = tmp_path / f"short{cut}.ckpt"
-            short.write_bytes(pack_checkpoint(payload[:-cut]))  # CRC-valid
-            with pytest.raises(pf.CheckpointError, match="truncated field data"):
-                pf.read_checkpoint(short)
+    payload = path.read_bytes()[4:-4]
+    for cut in (16, 16 * 33, 16 * 64 * 33):  # into, or all of, the coefficients
+        short = tmp_path / f"short{cut}.ckpt"
+        short.write_bytes(pack_checkpoint(payload[:-cut]))  # CRC-valid
+        with pytest.raises(pf.CheckpointError, match="truncated field data"):
+            pf.read_checkpoint(short)
     short = tmp_path / "short.ckpt"
     short.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(pf.CheckpointError):
         pf.read_checkpoint(short)
     # coefficients on a backend whose coefficients are phi itself
-    for version in (2, 3):
-        sphere_file = tmp_path / f"sphere{version}.ckpt"
-        sphere_file.write_bytes(pack_checkpoint(struct.pack("<IBQd", version, 1, 32, 0.0)
-                                                + bytes(8 * 32 + 16 * 32)))
-        with pytest.raises(pf.CheckpointError, match=f"version {version}"):
-            pf.read_checkpoint(sphere_file)
+    sphere_file = tmp_path / "sphere3.ckpt"
+    sphere_file.write_bytes(pack_checkpoint(struct.pack("<IBQd", 3, 1, 32, 0.0) + bytes(16 * 32)))
+    with pytest.raises(pf.CheckpointError, match="version 3"):
+        pf.read_checkpoint(sphere_file)
 
 
 def test_checkpoint_geometry_match(tmp_path):
@@ -817,18 +815,18 @@ def test_checkpoint_geometry_match(tmp_path):
     meta = pf.read_checkpoint(path)
     check_geometry_match(geom, meta)  # same dimensions: accepted
     with pytest.raises(pf.CheckpointError):
-        check_geometry_match(pf.build_torus_geometry(128, 64, TWO_PI, ()), meta)
+        check_geometry_match(pf.TorusGeometry(128, 64, TWO_PI), meta)
     with pytest.raises(pf.CheckpointError):
-        check_geometry_match(pf.build_sphere_geometry(64), meta)
+        check_geometry_match(pf.SphereGeometry(64), meta)
     with pytest.raises(pf.CheckpointError):
-        check_geometry_match(pf.build_torus_geometry(64, 64, 2.0 * TWO_PI, ()), meta)
+        check_geometry_match(pf.TorusGeometry(64, 64, 2.0 * TWO_PI), meta)
 
-    sphere = pf.build_sphere_geometry(64)
+    sphere = pf.SphereGeometry(64)
     pf.write_checkpoint(path, sphere, pf.validate_kahler(sphere, np.zeros(sphere.shape)))
     meta = pf.read_checkpoint(path)
     check_geometry_match(sphere, meta)
     with pytest.raises(pf.CheckpointError):
-        check_geometry_match(pf.build_sphere_geometry(128), meta)
+        check_geometry_match(pf.SphereGeometry(128), meta)
 
 
 def test_resume_is_bitwise(tmp_path):

@@ -15,7 +15,7 @@ XS = (np.arange(8192) + 0.5) * TWO_PI / 8192  # 1-D quadrature nodes
 
 
 def flat64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, ())
+    return pf.TorusGeometry(64, 64, TWO_PI)
 
 
 def cos_state(geom, amp=0.5):
@@ -47,8 +47,8 @@ def test_entropy_cosine_oracle():
 
 def test_entropy_nonnegative_random():
     rng = np.random.default_rng(40)
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         for _ in range(10):
             assert pf.entropy(geom, random_valid_state(geom, rng)) >= -1e-12
 
@@ -58,12 +58,12 @@ def test_entropy_nonnegative_random():
 # ---------------------------------------------------------------------------
 
 def test_form_means_match_chart_pairing():
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         w = omega0_form(geom)
         assert abs(w.mean - geom.chart_integral(w.density) / geom.volume) <= 1e-10
         nr = neg_ricci_form(geom)
-        assert abs(nr.mean + geom.rbar) <= 1e-10
+        assert abs(nr.mean + geom.lambda_ke) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +131,8 @@ def j_chi_quadrature(geom, chi, phi, nodes):
 
 def test_j_chi_quadrature_converged():
     rng = np.random.default_rng(43)
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         chi = neg_ricci_form(geom)
         phi = random_valid_state(geom, rng).phi
         got = j_chi_path(geom, chi, phi)
@@ -171,7 +171,7 @@ def test_k_energy_flat_equals_entropy():
 
 
 def test_k_energy_sphere_composite():
-    geom = pf.build_sphere_geometry(256)
+    geom = pf.SphereGeometry(256)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     e, j, i = pf.k_energy_parts(geom, state)
     assert e == pf.entropy(geom, state)
@@ -191,8 +191,8 @@ def test_k_energy_sphere_composite():
 def test_k_gradient_identity():
     rng = np.random.default_rng(44)
     eps = 1e-4
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         state = random_valid_state(geom, rng)
         v = random_valid_state(geom, rng).phi
         v = v - (geom.integrate(v, weight=state.rho)
@@ -201,14 +201,14 @@ def test_k_gradient_identity():
         minus = pf.k_energy(geom, pf.validate_kahler(geom, state.phi - eps * v))
         fd = (plus - minus) / (2.0 * eps)
         grad = geom.integrate(
-            v * (geom.rbar - pf.scalar_curvature(geom, state)), weight=state.rho)
+            v * (geom.lambda_ke - pf.scalar_curvature(geom, state)), weight=state.rho)
         assert abs(fd - grad) <= 1e-4 * max(1.0, abs(grad))
 
 
 def test_j_gradient_identity():
     rng = np.random.default_rng(45)
     eps = 1e-4
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     chi = omega0_form(geom)
     state = random_valid_state(geom, rng)
     v = random_valid_state(geom, rng).phi
@@ -243,7 +243,7 @@ def test_dissipation_cosine_oracle():
 
 
 def test_dissipation_sphere_composite():
-    geom = pf.build_sphere_geometry(256)
+    geom = pf.SphereGeometry(256)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     P = pf.solve_P(geom, state).field
     got = pf.dissipation(geom, state, P)
@@ -360,7 +360,7 @@ def test_i_functional_values():
 def test_calabi_energy_csck_zero():
     flat = flat64()
     assert pf.calabi_energy(flat, pf.validate_kahler(flat, np.zeros(flat.shape))) == 0.0
-    sphere = pf.build_sphere_geometry(128)
+    sphere = pf.SphereGeometry(128)
     val = pf.calabi_energy(sphere, pf.validate_kahler(sphere, np.zeros(sphere.shape)))
     assert abs(val) <= 1e-12
 
@@ -428,8 +428,8 @@ def test_probes_reject_bad_exponents():
 
 def test_trace_record_invariants():
     rng = np.random.default_rng(48)
-    for geom in (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-                 pf.build_sphere_geometry(128)):
+    for geom in (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+                 pf.SphereGeometry(128)):
         analytic = (2.0 * geom.length ** 2 * float(np.mean(geom.sigma0))
                     if geom.kind == "torus" else 4.0 * np.pi)
         for _ in range(3):

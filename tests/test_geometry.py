@@ -19,7 +19,7 @@ from oracles import (banded_solve_reference_poisson, banded_solve_shifted,
 # ---------------------------------------------------------------------------
 
 def test_flat_torus_build_and_volume():
-    geom = pf.build_torus_geometry(256, 256, TWO_PI, ())
+    geom = pf.TorusGeometry(256, 256, TWO_PI)
     assert np.all(geom.sigma0 == 1.0)
     assert geom.lambda_ke == 0.0
     assert geom.ricci_potential0 is None  # the flat reference is Einstein
@@ -30,7 +30,7 @@ def test_flat_torus_build_and_volume():
 
 
 def test_torus_volume_tracks_mean_density():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     oracle = 2.0 * geom.length ** 2 * float(np.mean(geom.sigma0))
     assert abs(geom.volume - oracle) <= 1e-12 * abs(oracle)
     assert geom.lambda_ke == 0.0  # every torus class is c_1 = 0
@@ -39,11 +39,11 @@ def test_torus_volume_tracks_mean_density():
 
 def test_torus_negative_density_rejected():
     with pytest.raises(pf.NonPositiveDensity):
-        pf.build_torus_geometry(16, 16, 1.0, [(1, 0, -1.5)])
+        pf.TorusGeometry(16, 16, 1.0, [(1, 0, -1.5)])
 
 
 def test_torus_density_extremes():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     # closed form 1 + 0.2 cos x; the grid contains x = 0 and x = pi
     assert abs(float(np.min(geom.sigma0)) - 0.8) <= 1e-12
     assert abs(float(np.max(geom.sigma0)) - 1.2) <= 1e-12
@@ -61,17 +61,17 @@ def test_torus_density_extremes():
 ])
 def test_torus_bad_grid(nx, ny, length):
     with pytest.raises(pf.BadGrid):
-        pf.build_torus_geometry(nx, ny, length, ())
+        pf.TorusGeometry(nx, ny, length)
 
 
 @pytest.mark.parametrize("modes", [[(1, 0, np.nan)], [(1, 0, 0.2), (0, 1, np.inf)]])
 def test_torus_rejects_non_finite_sigma0_amplitude(modes):
     with pytest.raises(pf.BadGrid):
-        pf.build_torus_geometry(16, 16, TWO_PI, modes)
+        pf.TorusGeometry(16, 16, TWO_PI, modes)
 
 
 def test_sphere_build_and_volume():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     # quadrature of the constant 1 against omega0 equals 4 pi exactly
     assert geom.integrate(np.ones(geom.shape)) == 4.0 * np.pi
     assert geom.volume == 4.0 * np.pi
@@ -80,7 +80,7 @@ def test_sphere_build_and_volume():
 
 
 def test_sphere_nodes_interior():
-    geom = pf.build_sphere_geometry(64)
+    geom = pf.SphereGeometry(64)
     assert np.all(geom.mu > 0.0)
     assert np.all(geom.mu < 1.0)
     assert np.all(np.diff(geom.mu) > 0.0)
@@ -88,14 +88,14 @@ def test_sphere_nodes_interior():
 
 def test_sphere_min_grid():
     with pytest.raises(pf.BadGrid):
-        pf.build_sphere_geometry(31)
+        pf.SphereGeometry(31)
     with pytest.raises(pf.BadGrid):  # used to build 100 nodes
-        pf.build_sphere_geometry(100.7)
-    pf.build_sphere_geometry(32)
+        pf.SphereGeometry(100.7)
+    pf.SphereGeometry(32)
 
 
 def test_sphere_round_metric_curvature():
-    geom = pf.build_sphere_geometry(64)
+    geom = pf.SphereGeometry(64)
     state = pf.validate_kahler(geom, np.zeros(geom.shape))
     r = pf.scalar_curvature(geom, state)
     assert np.max(np.abs(r - 1.0)) <= 1e-10
@@ -106,15 +106,15 @@ def test_sphere_round_metric_curvature():
 # ---------------------------------------------------------------------------
 
 def test_mixed_torus_cosine():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    geom = pf.TorusGeometry(64, 64, TWO_PI)
     f = np.cos(geom.x)
     got = geom.mixed_second_derivative(f)
     assert np.max(np.abs(got + 0.25 * np.cos(geom.x))) <= 1e-12
 
 
 def test_mixed_annihilates_constants():
-    torus = pf.build_torus_geometry(32, 32, 1.5, ())
-    sphere = pf.build_sphere_geometry(64)
+    torus = pf.TorusGeometry(32, 32, 1.5)
+    sphere = pf.SphereGeometry(64)
     assert np.max(np.abs(torus.mixed_second_derivative(np.full(torus.shape, 3.7)))) <= 1e-14
     assert np.max(np.abs(sphere.mixed_second_derivative(np.full(sphere.shape, 3.7)))) <= 1e-14
 
@@ -138,12 +138,12 @@ def _sphere_mixed_oracle(fn, nmu, factor=8):
 
 
 def test_mixed_sphere_oracle():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     got = geom.mixed_second_derivative(geom.mu ** 2)
     oracle = _sphere_mixed_oracle(lambda m: m ** 2, 128)
     assert np.max(np.abs(got - oracle)) <= 1e-5
 
-    fine = pf.build_sphere_geometry(256)
+    fine = pf.SphereGeometry(256)
     got = fine.mixed_second_derivative(fine.mu ** 2)
     # mu(1-mu) d/dmu (mu(1-mu) * 2 mu) = 2 mu^2 (1-mu)(2 - 3 mu)
     closed = 2.0 * fine.mu ** 2 * (1.0 - fine.mu) * (2.0 - 3.0 * fine.mu)
@@ -152,8 +152,8 @@ def test_mixed_sphere_oracle():
 
 def test_mixed_linearity():
     rng = np.random.default_rng(11)
-    torus = pf.build_torus_geometry(64, 64, TWO_PI, ())
-    sphere = pf.build_sphere_geometry(128)
+    torus = pf.TorusGeometry(64, 64, TWO_PI)
+    sphere = pf.SphereGeometry(128)
     for geom, draw in ((torus, random_torus_phi), (sphere, random_sphere_phi)):
         f = draw(geom, rng, amp=1.0)
         g = draw(geom, rng, amp=1.0)
@@ -166,7 +166,7 @@ def test_mixed_linearity():
 
 def test_integration_by_parts():
     rng = np.random.default_rng(12)
-    flat = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    flat = pf.TorusGeometry(64, 64, TWO_PI)
     u = random_torus_phi(flat, rng, amp=1.0)
     v = random_torus_phi(flat, rng, amp=1.0)
     lhs = flat.integrate(v * flat.mixed_second_derivative(u))
@@ -174,8 +174,8 @@ def test_integration_by_parts():
     assert abs(lhs - rhs) <= 1e-10
 
     for geom, draw in (
-        (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]), random_torus_phi),
-        (pf.build_sphere_geometry(128), random_sphere_phi),
+        (pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]), random_torus_phi),
+        (pf.SphereGeometry(128), random_sphere_phi),
     ):
         u = draw(geom, rng, amp=1.0)
         v = draw(geom, rng, amp=1.0)
@@ -187,8 +187,8 @@ def test_integration_by_parts():
 def test_mixed_has_zero_chart_mean():
     rng = np.random.default_rng(13)
     for geom, draw in (
-        (pf.build_torus_geometry(64, 64, TWO_PI, [(2, 1, 0.1)]), random_torus_phi),
-        (pf.build_sphere_geometry(128), random_sphere_phi),
+        (pf.TorusGeometry(64, 64, TWO_PI, [(2, 1, 0.1)]), random_torus_phi),
+        (pf.SphereGeometry(128), random_sphere_phi),
     ):
         u = draw(geom, rng, amp=1.0)
         assert abs(geom.chart_integral(geom.mixed_second_derivative(u))) <= 1e-10
@@ -199,30 +199,30 @@ def test_mixed_has_zero_chart_mean():
 # ---------------------------------------------------------------------------
 
 def test_integrate_flat_constant():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    geom = pf.TorusGeometry(64, 64, TWO_PI)
     assert abs(geom.integrate(np.ones(geom.shape)) - 8.0 * np.pi ** 2) <= 1e-10
 
 
 def test_integrate_mean_zero_mode():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    geom = pf.TorusGeometry(64, 64, TWO_PI)
     assert abs(geom.integrate(np.cos(geom.x))) <= 1e-13
 
 
 def test_integrate_weighted():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    geom = pf.TorusGeometry(64, 64, TWO_PI)
     f = np.cos(geom.x)
     # int cos^2 x * 2 dx dy = (2pi)^2
     assert abs(geom.integrate(f, weight=f) - TWO_PI ** 2) <= 1e-10
 
 
 def test_shape_errors():
-    geom = pf.build_torus_geometry(32, 32, 1.0, ())
+    geom = pf.TorusGeometry(32, 32, 1.0)
     bad = np.zeros((16, 32))
     for op in (geom.mixed_second_derivative, geom.integrate,
                geom.ref_laplacian, geom.chart_integral):
         with pytest.raises(pf.ShapeError):
             op(bad)
-    sphere = pf.build_sphere_geometry(64)
+    sphere = pf.SphereGeometry(64)
     with pytest.raises(pf.ShapeError):
         sphere.integrate(np.zeros(65))
     with pytest.raises(pf.ShapeError):
@@ -230,9 +230,9 @@ def test_shape_errors():
 
 
 BACKENDS = {
-    "flat_torus": lambda: pf.build_torus_geometry(64, 64, TWO_PI, ()),
-    "curved_torus": lambda: pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-    "sphere": lambda: pf.build_sphere_geometry(128),
+    "flat_torus": lambda: pf.TorusGeometry(64, 64, TWO_PI),
+    "curved_torus": lambda: pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+    "sphere": lambda: pf.SphereGeometry(128),
 }
 
 
@@ -273,14 +273,14 @@ def test_integrals_check_their_sum(name):
 # ---------------------------------------------------------------------------
 
 def test_dirichlet_constant_zero():
-    torus = pf.build_torus_geometry(32, 32, 1.0, ())
-    sphere = pf.build_sphere_geometry(64)
+    torus = pf.TorusGeometry(32, 32, 1.0)
+    sphere = pf.SphereGeometry(64)
     assert torus.dirichlet_energy_from_coeffs(torus.to_coeffs(np.full(torus.shape, 2.5))) == 0.0
     assert sphere.dirichlet_energy_from_coeffs(sphere.to_coeffs(np.full(sphere.shape, 2.5))) == 0.0
 
 
 def test_dirichlet_torus_cosine():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, ())
+    geom = pf.TorusGeometry(64, 64, TWO_PI)
     u = 0.5 * np.cos(geom.x)
     val = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(u))
     assert abs(val - np.pi ** 2 / 4.0) <= 1e-12
@@ -292,7 +292,7 @@ def test_dirichlet_torus_cosine():
 
 @pytest.mark.parametrize("shape", [(16, 16), (32, 64), (64, 32), (128, 128)])
 def test_dirichlet_torus_parseval_matches_grid_sum(shape):
-    geom = pf.build_torus_geometry(shape[0], shape[1], 3.0, [(1, 1, 0.2)])
+    geom = pf.TorusGeometry(shape[0], shape[1], 3.0, [(1, 1, 0.2)])
     rng = np.random.default_rng(shape[0] + shape[1])
     nyquist_row = np.cos(np.pi * np.arange(shape[0]))[:, None]
     nyquist_col = np.cos(np.pi * np.arange(shape[1]))[None, :]
@@ -317,7 +317,7 @@ INVERSE_SHAPES = [(16, 16), (16, 64), (64, 16), (32, 32), (128, 64), (256, 256)]
 def test_torus_inverse_transforms_are_thread_safe():
     """Threads sharing a geometry each transform through their own work array,
     so each gets its single-threaded bits; a shared array would mix inputs."""
-    geom = pf.build_torus_geometry(128, 128, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(128, 128, TWO_PI, [(1, 0, 0.2)])
     rng = np.random.default_rng(7)
     inputs = [scipy.fft.rfft2(rng.standard_normal(geom.shape)) for _ in range(4)]
     expected = [geom.mixed_from_coeffs(fh) for fh in inputs]
@@ -349,7 +349,7 @@ def test_torus_inverse_operators_are_bitwise_irfft2(shape):
     the coefficients it is given as they were. So is the field_from_coeffs
     that a checkpoint reader forms phi with."""
     rng = np.random.default_rng(shape[0] * shape[1])
-    geoms = [pf.build_torus_geometry(shape[0], shape[1], 3.0, modes)
+    geoms = [pf.TorusGeometry(shape[0], shape[1], 3.0, modes)
              for modes in ((), [(1, 1, 0.2), (0, 2, 0.1)])]
 
     def irfft2(fh):
@@ -382,7 +382,7 @@ def test_torus_inverse_operators_are_bitwise_irfft2(shape):
     ((256, 256), 8, 2.0),  # pbound_torus
 ])
 def test_torus_random_initial_matches_cosine_sum(shape, modes, decay):
-    geom = pf.build_torus_geometry(shape[0], shape[1], TWO_PI, [(1, 0, 0.3)])
+    geom = pf.TorusGeometry(shape[0], shape[1], TWO_PI, [(1, 0, 0.3)])
     phi = geom.random_initial(np.random.default_rng(7), modes, decay)
     oracle = cosine_random_initial(geom, np.random.default_rng(7), modes, decay)
     assert phi.shape == shape and phi.dtype == np.float64
@@ -391,7 +391,7 @@ def test_torus_random_initial_matches_cosine_sum(shape, modes, decay):
 
 
 def test_dirichlet_sphere_linear():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     val = geom.dirichlet_energy_from_coeffs(geom.to_coeffs(geom.mu.copy()))
     # independent plain-Python face sum of 2 pi h * mu_f (1-mu_f) (du/dmu)^2
     total = 0.0
@@ -403,7 +403,7 @@ def test_dirichlet_sphere_linear():
     assert abs(val - oracle) <= 1e-13
     assert abs(val - np.pi / 3.0) <= 1e-4
 
-    fine = pf.build_sphere_geometry(512)
+    fine = pf.SphereGeometry(512)
     energy = fine.dirichlet_energy_from_coeffs(fine.to_coeffs(fine.mu.copy()))
     assert abs(energy - np.pi / 3.0) <= 1e-5
 
@@ -411,8 +411,8 @@ def test_dirichlet_sphere_linear():
 def test_dirichlet_nonnegative_and_laplacian_pairing():
     rng = np.random.default_rng(14)
     for geom, draw in (
-        (pf.build_torus_geometry(64, 64, TWO_PI, [(1, 1, 0.15)]), random_torus_phi),
-        (pf.build_sphere_geometry(128), random_sphere_phi),
+        (pf.TorusGeometry(64, 64, TWO_PI, [(1, 1, 0.15)]), random_torus_phi),
+        (pf.SphereGeometry(128), random_sphere_phi),
     ):
         for _ in range(5):
             u = draw(geom, rng, amp=1.0)
@@ -427,7 +427,7 @@ def test_dirichlet_nonnegative_and_laplacian_pairing():
 # ---------------------------------------------------------------------------
 
 def test_reference_poisson_roundtrip_torus():
-    geom = pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    geom = pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
     rng = np.random.default_rng(15)
     u = random_torus_phi(geom, rng, amp=1.0)
     u -= geom.chart_integral(u) / geom.chart_integral(np.ones(geom.shape))
@@ -437,7 +437,7 @@ def test_reference_poisson_roundtrip_torus():
 
 
 def test_reference_poisson_roundtrip_sphere():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     rng = np.random.default_rng(16)
     u = random_sphere_phi(geom, rng, amp=1.0)
     got = geom.from_coeffs(geom.solve_reference_poisson(geom.ref_laplacian(u)))
@@ -451,9 +451,9 @@ def test_reference_poisson_roundtrip_sphere():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("build", [
-    lambda: pf.build_torus_geometry(64, 64, TWO_PI, ()),
-    lambda: pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
-    lambda: pf.build_sphere_geometry(128),
+    lambda: pf.TorusGeometry(64, 64, TWO_PI),
+    lambda: pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)]),
+    lambda: pf.SphereGeometry(128),
 ], ids=["flat_torus", "curved_torus", "sphere"])
 def test_solve_shifted_meets_tolerance(build):
     geom = build()
@@ -478,7 +478,7 @@ def test_solve_shifted_meets_tolerance(build):
 
 
 def test_sphere_solves_raise_singular_solve_on_nan():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     b = np.zeros(geom.shape)
     b[5] = np.nan
     with pytest.raises(pf.SingularSolve):
@@ -492,7 +492,7 @@ def test_sphere_solves_are_bitwise_solve_banded(nmu):
     # one dgtsv call is the routine solve_banded((1, 1), ...) ends in, so both
     # sphere solves return its bytes: smooth and rough right-hand sides, and
     # dt_c = 0 (the identity) to 10 for the shifted solve
-    geom = pf.build_sphere_geometry(nmu)
+    geom = pf.SphereGeometry(nmu)
     rng = np.random.default_rng(nmu)
     for b in (random_sphere_phi(geom, rng, amp=1.0), rng.standard_normal(nmu)):
         for dt_c in (0.0, 1e-3, 0.1, 1.0, 10.0):
@@ -520,7 +520,7 @@ def test_torus_solve_shifted_is_bitwise_the_division(name):
 def test_sphere_solve_shifted_factors_only_its_own_band():
     # the shifted band is made afresh on each call and factored in place; the
     # stored band that solve_reference_poisson factors, and b, are left as they were
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     rng = np.random.default_rng(33)
     b = random_sphere_phi(geom, rng, amp=1.0)
     b_before = b.copy()
@@ -551,7 +551,7 @@ def test_density_is_bitwise_one_plus_mixed_over_sigma0(name):
 
 
 def test_sphere_band_solve_raises_singular_solve_on_zero_pivot():
-    geom = pf.build_sphere_geometry(64)
+    geom = pf.SphereGeometry(64)
     ab = np.ones((3, geom.nmu))
     ab[1, 0] = ab[2, 0] = 0.0  # the first column is zero: dgtsv reports info = 1
     with pytest.raises(pf.SingularSolve, match="info 1"):
@@ -563,7 +563,7 @@ def test_solve_shifted_strongly_curved_torus_closed_form():
     # cos x (symbol -1/4) and sin 2y (symbol -1), so with a = dt_c/min(sigma0)
     # the solution is exact; the forward defect would only show the 1e-12
     # rounding floor of applying L0 at large dt_c
-    geom = pf.build_torus_geometry(256, 256, TWO_PI, [(1, 0, 0.9)])
+    geom = pf.TorusGeometry(256, 256, TWO_PI, [(1, 0, 0.9)])
     b = np.cos(geom.x) + 0.5 * np.sin(2.0 * geom.y)
     for dt_c in (1e-3, 0.1, 1.0, 10.0):
         a = dt_c / geom.sigma0.min()

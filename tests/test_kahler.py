@@ -9,11 +9,11 @@ from oracles import scalar_curvature_forms
 
 
 def flat64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, ())
+    return pf.TorusGeometry(64, 64, TWO_PI)
 
 
 def bumpy64():
-    return pf.build_torus_geometry(64, 64, TWO_PI, [(1, 0, 0.2)])
+    return pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.2)])
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +21,7 @@ def bumpy64():
 # ---------------------------------------------------------------------------
 
 def test_ma_density_identity():
-    for geom in (flat64(), pf.build_sphere_geometry(64)):
+    for geom in (flat64(), pf.SphereGeometry(64)):
         rho = pf.validate_kahler(geom, np.zeros(geom.shape), rho_floor=0.0).rho
         assert np.all(rho == 1.0)
 
@@ -33,7 +33,7 @@ def test_ma_density_torus_cosine():
 
 
 def test_ma_density_sphere_quadratic():
-    geom = pf.build_sphere_geometry(256)
+    geom = pf.SphereGeometry(256)
     rho = pf.validate_kahler(geom, 0.1 * geom.mu ** 2, rho_floor=0.0).rho
     closed = 1.0 + 0.2 * geom.mu - 0.3 * geom.mu ** 2
     assert np.max(np.abs(rho - closed)) <= 1e-6
@@ -63,7 +63,7 @@ def test_cone_check_rejects_non_finite_coefficients():
     # fail on it, since a semi-implicit torus step passes no real phi
     # through check_field
     from pcflow.kahler import state_from_coeffs
-    geom = pf.build_torus_geometry(16, 16, TWO_PI, ())
+    geom = pf.TorusGeometry(16, 16, TWO_PI)
     phi_hat = geom.to_coeffs(0.1 * np.cos(geom.x))
     phi_hat[1, 0] = np.nan
     with pytest.raises(pf.NotKahler):
@@ -71,7 +71,7 @@ def test_cone_check_rejects_non_finite_coefficients():
 
 
 def test_validate_sphere_margin():
-    geom = pf.build_sphere_geometry(512)
+    geom = pf.SphereGeometry(512)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     # min of 1 + 0.2 mu - 0.3 mu^2 approaches 0.9 at the mu -> 1 endpoint
     assert abs(float(np.min(state.rho)) - 0.9) <= 5e-3
@@ -107,7 +107,7 @@ def test_laplacian_flat_reference():
 
 
 def test_laplacian_sphere_linear():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, np.zeros(geom.shape))
     out = pf.laplacian_phi(geom, state, geom.mu.copy())
     assert np.max(np.abs(out - 0.5 * (1.0 - 2.0 * geom.mu))) <= 1e-13
@@ -115,7 +115,7 @@ def test_laplacian_sphere_linear():
 
 def test_laplacian_integrates_to_zero():
     rng = np.random.default_rng(21)
-    for geom in (bumpy64(), pf.build_sphere_geometry(128)):
+    for geom in (bumpy64(), pf.SphereGeometry(128)):
         state = random_valid_state(geom, rng)
         f = random_valid_state(geom, rng).phi
         val = geom.integrate(pf.laplacian_phi(geom, state, f), weight=state.rho)
@@ -124,7 +124,7 @@ def test_laplacian_integrates_to_zero():
 
 def test_laplacian_self_adjoint():
     rng = np.random.default_rng(22)
-    for geom in (bumpy64(), pf.build_sphere_geometry(128)):
+    for geom in (bumpy64(), pf.SphereGeometry(128)):
         state = random_valid_state(geom, rng)
         u = random_valid_state(geom, rng).phi
         v = random_valid_state(geom, rng).phi
@@ -145,13 +145,13 @@ def test_trace_flat_zero():
 
 
 def test_trace_sphere_round():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     state = pf.validate_kahler(geom, np.zeros(geom.shape))
     assert np.max(np.abs(pf.trace_ric0(geom, state) - 1.0)) <= 1e-14
 
 
 def test_trace_sphere_inverse_density():
-    geom = pf.build_sphere_geometry(256)
+    geom = pf.SphereGeometry(256)
     state = pf.validate_kahler(geom, 0.1 * geom.mu ** 2)
     closed = 1.0 / (1.0 + 0.2 * geom.mu - 0.3 * geom.mu ** 2)
     assert np.max(np.abs(pf.trace_ric0(geom, state) - closed)) <= 1e-6
@@ -163,7 +163,7 @@ def test_scalar_curvature_flat_zero():
     assert np.max(np.abs(pf.scalar_curvature(geom, state))) == 0.0
 
 
-@pytest.mark.parametrize("build", [flat64, bumpy64, lambda: pf.build_sphere_geometry(128)],
+@pytest.mark.parametrize("build", [flat64, bumpy64, lambda: pf.SphereGeometry(128)],
                          ids=["flat64", "bumpy64", "sphere128"])
 def test_scalar_curvature_is_bitwise_the_trace_identity(build):
     # -Delta_phi(F) + tr_phi Ric(omega0) as a sum, signed zeros included: a
@@ -192,7 +192,7 @@ def test_scalar_curvature_reference_density():
 
 def test_scalar_curvature_two_forms_agree():
     rng = np.random.default_rng(24)
-    for geom in (bumpy64(), pf.build_sphere_geometry(256)):
+    for geom in (bumpy64(), pf.SphereGeometry(256)):
         for _ in range(5):
             state = random_valid_state(geom, rng)
             primary, alternative, gap = scalar_curvature_forms(geom, state)
@@ -207,7 +207,7 @@ def test_sphere_curvature_rounding_ceiling():
     # 1.5e-4, 4.0e-5, 1.4e-5, 1.9e-4, 2.9e-3, 5.3e-2 at nmu 128 ... 4096
     errors = {}
     for nmu in (128, 256, 512, 2048, 4096):
-        geom = pf.build_sphere_geometry(nmu)
+        geom = pf.SphereGeometry(nmu)
         state = pf.validate_kahler(geom, 2.0 * np.log(1.0 + 3.0 * geom.mu))
         errors[nmu] = float(np.max(np.abs(pf.scalar_curvature(geom, state) - 1.0)))
     assert errors[128] >= 2.5 * errors[256]
@@ -216,19 +216,28 @@ def test_sphere_curvature_rounding_ceiling():
 
 
 # ---------------------------------------------------------------------------
-# rbar and cohomology invariance
+# Rbar and cohomology invariance
 # ---------------------------------------------------------------------------
 
-def test_rbar_values():
-    assert flat64().rbar == 0.0
-    assert abs(bumpy64().rbar) <= 1e-10
-    assert abs(pf.build_sphere_geometry(128).rbar - 1.0) <= 1e-10
+def mean_ref_curvature(geom):
+    """The omega0-average of R(omega0), the scalar curvature of phi = 0."""
+    zero = pf.validate_kahler(geom, np.zeros(geom.shape))
+    return geom.integrate(pf.scalar_curvature(geom, zero)) / geom.volume
+
+
+def test_lambda_ke_is_mean_ref_curvature():
+    # Rbar is the class constant lambda_ke, which every reader takes
+    assert mean_ref_curvature(flat64()) == flat64().lambda_ke == 0.0
+    assert abs(mean_ref_curvature(bumpy64()) - bumpy64().lambda_ke) <= 1e-10
+    sphere = pf.SphereGeometry(128)
+    assert sphere.lambda_ke == 1.0
+    assert abs(mean_ref_curvature(sphere) - sphere.lambda_ke) <= 1e-10
 
 
 def test_cohomology_invariance():
     rng = np.random.default_rng(25)
-    for geom in (bumpy64(), pf.build_sphere_geometry(256)):
-        rb = geom.rbar
+    for geom in (bumpy64(), pf.SphereGeometry(256)):
+        rb = geom.lambda_ke
         vol = geom.integrate(np.ones(geom.shape))
         for _ in range(20):
             state = random_valid_state(geom, rng)
@@ -243,7 +252,7 @@ def test_cohomology_invariance():
 # ---------------------------------------------------------------------------
 
 def test_gauge_covariance_sphere_bitwise():
-    geom = pf.build_sphere_geometry(128)
+    geom = pf.SphereGeometry(128)
     rng = np.random.default_rng(26)
     # exactly representable potential (multiples of 2^-20) and shift c = 1.0:
     # the difference stencils subtract the constant away without rounding

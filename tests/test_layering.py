@@ -1,5 +1,5 @@
-"""The layering of the package: flow, elliptic and functionals reach the
-grid only through the backends' public operators and descriptors."""
+"""The layering of the package: flow, elliptic, functionals and kahler reach
+the grid only through the backends' public operators and descriptors."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,7 @@ def _attributes(module):
     return [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
 
 
-@pytest.mark.parametrize("module", ["flow", "elliptic", "functionals"])
+@pytest.mark.parametrize("module", ["flow", "elliptic", "functionals", "kahler"])
 def test_no_backend_branch_or_private_attribute(module):
     found = [f"line {node.lineno}: .{node.attr}" for node in _attributes(module)
              if node.attr == "kind"
