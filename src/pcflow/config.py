@@ -73,12 +73,9 @@ class ScenarioConfig:
                 raise ConfigValidationError(key, f"not applicable to the {kind} backend")
             if parse is _parse_int and not isinstance(value, numbers.Integral):
                 raise ConfigValidationError(key, f"must be an integer, got {value!r}")
-        if not self.p_list:
-            raise ConfigValidationError("output.p_list", "needs at least one exponent")
-        try:
-            check_p_list(self.p_list)
-        except ValueError as exc:
-            raise ConfigValidationError("output.p_list", str(exc)) from None
+            if isinstance(value, str) and not value:  # output.path, output.checkpoint
+                raise ConfigValidationError(key, "must not be empty")
+        check_p_list(self.p_list)
         if self.random is not None and (self.initial_modes or self.initial_poly_mu):
             raise ConfigValidationError("initial.random.seed",
                                         "random initial data excludes explicit modes")

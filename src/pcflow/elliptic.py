@@ -47,13 +47,11 @@ def _mean_zero(geom, u, rho, vol_phi):
 
 
 def solve_poisson_phi(geom, state, rhs):
-    """Solve Delta_phi(u) = rhs - mean_phi(rhs) for the mean-zero u; rhs is a
-    field, or 0.0 for a zero one. A residual above the backward-error bound
-    raises ToleranceNotMet."""
-    if np.ndim(rhs) != 0:
-        rhs = geom.check_field(rhs)
+    """Solve Delta_phi(u) = rhs - mean_phi(rhs) for the mean-zero u of a field
+    rhs (a scalar raises ShapeError; a zero field gives u = 0 with no quadrature
+    or solve). A residual above the backward-error bound raises ToleranceNotMet."""
+    rhs = geom.check_field(rhs)
     if not np.any(rhs):
-        # a zero RHS (P on a Ricci-flat reference): no quadrature, no solve
         return PoissonSolution(np.zeros(geom.shape), 0.0, 0.0)
     rho = state.rho
     vol_phi = geom.integrate(rho)
@@ -91,14 +89,11 @@ def _check_identity(geom, state):
 
 def solve_P(geom, state):
     """PCF potential by a Poisson solve: Delta_phi(P) = lambda_ke - tr_phi Ric(omega0),
-    mean-zero (lambda_ke is R-bar). Only trace records call it: a record reports
-    its sup_P, its residual (poisson_residual) and the dissipation of F + P, and
-    compares it with nothing; the steps take closed_form_P.
-
-    On a flat torus the RHS is 0.0: P is the zero field, with no quadrature.
-    """
-    return solve_poisson_phi(
-        geom, state, 0.0 if geom.ricci_flat else geom.lambda_ke - trace_ric0(geom, state))
+    mean-zero (lambda_ke is R-bar; on a flat torus the RHS is zero, and so is P).
+    Only trace records call it: a record reports its sup_P, its residual
+    (poisson_residual) and the dissipation of F + P, and compares it with
+    nothing; the steps take closed_form_P."""
+    return solve_poisson_phi(geom, state, geom.lambda_ke - trace_ric0(geom, state))
 
 
 def closed_form_P(geom, state):

@@ -211,10 +211,10 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     """Advance from start_time to t_end, recording every record_every steps.
 
     Before any work it raises ConfigValidationError for NKRF off an Einstein
-    reference (flow.kind), for a start_time not before t_end (flow.t_end)
-    and for an invalid PCFLOW_THREADS, ShapeError for start_coeffs not of
-    the backend's coefficient shape, and ValueError for a probe exponent
-    outside [1, 8]. Terminal conditions are reported on the Trajectory, never
+    reference (flow.kind), for a start_time not before t_end (flow.t_end), for
+    a p_list that check_p_list rejects (output.p_list) and for an invalid
+    PCFLOW_THREADS, and ShapeError for start_coeffs not of the backend's
+    coefficient shape. Terminal conditions are reported on the Trajectory, never
     raised: a non-Kahler initial state, a step floor hit after max_halvings
     halvings, or the end time reached. A record's solve_P is the only
     Poisson solve in a run, and its residual bound sits above the grid's

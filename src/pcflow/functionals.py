@@ -15,6 +15,7 @@ once, for I and J, and transforms F once.
 from dataclasses import dataclass
 
 from .elliptic import solve_P
+from .errors import ConfigValidationError
 from .kahler import scalar_curvature
 
 DEFAULT_P_LIST = (1.0, 2.0, 4.0)
@@ -64,10 +65,13 @@ def calabi_energy(geom, state, big_f_hat=None):
 
 
 def check_p_list(p_list):
-    """Raise ValueError unless every probe exponent lies in [1, 8]."""
+    """The probe rule: raise ConfigValidationError("output.p_list") unless
+    p_list holds at least one exponent and each lies in [1, 8]."""
+    if not p_list:
+        raise ConfigValidationError("output.p_list", "needs at least one exponent")
     for p in p_list:
         if not 1.0 <= p <= 8.0:
-            raise ValueError(f"probe exponent {p} outside [1, 8]")
+            raise ConfigValidationError("output.p_list", f"probe exponent {p} outside [1, 8]")
 
 
 def estimate_probes(geom, state, p_list=DEFAULT_P_LIST, big_f_hat=None):

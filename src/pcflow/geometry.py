@@ -15,10 +15,10 @@ conservative flux form with zero flux at the boundary faces (pole regularity).
 
 Each backend class describes itself, so no other module decides what a
 backend is: kind, checkpoint_tag, grid_params (what a config sets and a
-checkpoint stores, packed as grid_format), coeffs_shape (the shape of the
-coefficients a version-3 checkpoint stores, None where they are the field,
-and field_from_coeffs to form phi from them), explicit_initial and
-random_initial. BACKENDS lists the backend classes.
+checkpoint stores, packed as grid_format), coeffs_shape (the shape of phi's
+coefficients, None where they are the field; field_from_coeffs forms phi),
+checkpoint_layout (a checkpoint's one version and dtype), explicit_initial
+and random_initial. BACKENDS lists the backend classes.
 """
 
 import math
@@ -114,6 +114,7 @@ class TorusGeometry(GridGeometry):
     checkpoint_tag = 0
     grid_params = ("nx", "ny", "length")
     grid_format = "<QQd"
+    checkpoint_layout = (3, "<c16")  # (version, dtype): phi's rfft2 coefficients
 
     @staticmethod
     def coeffs_shape(shape):
@@ -332,6 +333,7 @@ class SphereGeometry(GridGeometry):
     grid_params = ("nmu",)
     grid_format = "<Q"
     coeffs_shape = None  # coefficients are the field: a checkpoint stores phi alone
+    checkpoint_layout = (1, "<f8")
 
     def __init__(self, nmu):
         if not isinstance(nmu, numbers.Integral) or nmu < 32:

@@ -59,18 +59,15 @@ def laplacian_phi(geom, state, f):
 
 
 def trace_ric0(geom, state):
-    """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho); zero when Ricci-flat."""
-    if geom.ricci_flat:
-        return np.zeros(geom.shape)
+    """tr_{omega_phi} Ric(omega0) = ric0_density/(sigma0*rho), zeros on a flat torus."""
     return geom.ric0_density / (geom.sigma0 * state.rho)
 
 
 def scalar_curvature(geom, state, big_f_hat=None):
     """Scalar curvature of omega_phi via the trace identity R = -Delta_phi(F) +
-    tr_phi Ric(omega0) (0.0 if Ricci-flat), from F's coefficients big_f_hat if given."""
+    tr_phi Ric(omega0), from F's coefficients big_f_hat if given."""
     if big_f_hat is None:
         big_f_hat = geom.to_coeffs(geom.check_field(state.big_f))
-    ric = 0.0 if geom.ricci_flat else trace_ric0(geom, state)
     lap = geom.ref_laplacian_from_coeffs(big_f_hat)  # a new field: R is formed in it
     lap /= state.rho
-    return np.subtract(ric, lap, out=lap)
+    return np.subtract(trace_ric0(geom, state), lap, out=lap)

@@ -160,6 +160,11 @@ def test_parse_rejects_invalid_values(snippet, key):
      MINIMAL_TORUS + "output.p_list = 9", "output.p_list"),
     (lambda: pf.ScenarioConfig("torus", p_list=()),
      MINIMAL_TORUS + "output.p_list =", "output.p_list"),
+    # an empty path would fail only when the finished run writes to it
+    (lambda: pf.ScenarioConfig("torus", output_path=""),
+     MINIMAL_TORUS + "output.path =", "output.path"),
+    (lambda: pf.ScenarioConfig("sphere", checkpoint_path=""),
+     MINIMAL_SPHERE + "output.checkpoint =", "output.checkpoint"),
     (lambda: pf.ScenarioConfig("klein_bottle"),
      "geometry.kind = klein_bottle", "geometry.kind"),
     (lambda: pf.ScenarioConfig("torus", initial_modes=((1, 0, 0.1),),
@@ -182,7 +187,7 @@ def test_parse_rejects_invalid_values(snippet, key):
 ], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
         "record_every_fraction", "scheme_string", "kind_string", "modes", "decay",
         "target_sup_f", "p_below", "p_above",
-        "p_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
+        "p_empty", "path_empty", "checkpoint_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
         "torus_nx_on_sphere", "sphere_poly_on_torus", "nmu_fraction", "nx_float",
         "ny_fraction"])
 def test_library_validates_like_parser(build, text, key):
@@ -615,6 +620,36 @@ def test_cli_semi_implicit_resume_is_bitwise(tmp_path, monkeypatch, capsys):
     assert tail_rows[1:] == full_rows[-len(tail_rows) + 1:]
 
 
+def test_cli_sphere_resume_is_bitwise(tmp_path, monkeypatch, capsys):
+    # a sphere checkpoint stores phi, which is the sphere's coefficients:
+    # read_checkpoint returns it as coeffs, and resume continues bitwise from
+    # them as on the torus
+    monkeypatch.chdir(tmp_path)
+    common = MINIMAL_SPHERE + f"""
+    initial.poly_mu = 0 0 0.1
+    flow.scheme = SemiImplicit
+    flow.dt_init = {DYADIC!r}
+    output.record_every = 16
+    """
+    for name, t_end in (("full", 64.0 * DYADIC), ("half", 32.0 * DYADIC),
+                        ("tail", 64.0 * DYADIC)):
+        write_cfg(tmp_path, common + f"""
+        flow.t_end = {t_end!r}
+        output.path = {name}.csv
+        output.checkpoint = {name}.ckpt
+        """, f"{name}.cfg")
+    assert cli_mod.main(["run", "full.cfg"]) == 0
+    assert cli_mod.main(["run", "half.cfg"]) == 0
+    meta = pf.read_checkpoint("half.ckpt")
+    assert np.array_equal(meta["coeffs"], meta["phi"])
+    assert cli_mod.main(["resume", "half.ckpt", "tail.cfg"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tail.ckpt").read_bytes() == (tmp_path / "full.ckpt").read_bytes()
+    full_rows = (tmp_path / "full.csv").read_text().splitlines()
+    tail_rows = (tmp_path / "tail.csv").read_text().splitlines()
+    assert tail_rows[1:] == full_rows[-len(tail_rows) + 1:]
+
+
 def test_cli_resume_rejects_finished_checkpoint(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     done = write_cfg(tmp_path, QUICK_RUN + "output.checkpoint = done.ckpt\n", "done.cfg")
@@ -630,6 +665,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # validation failures
     assert cli_mod.main(["run", write_cfg(tmp_path, "geometry.kind = klein_bottle\n", "b.cfg")]) == 3
     assert cli_mod.main(["run", write_cfg(tmp_path, MINIMAL_TORUS + "flow.cfl = 1.5\n", "c.cfg")]) == 3
+    no_checkpoint = write_cfg(tmp_path, QUICK_RUN + "output.checkpoint =\n", "f.cfg")
+    assert cli_mod.main(["run", no_checkpoint]) == 3  # before any step, not after the run
+    assert "output.checkpoint: must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
     # runtime failure: initial data far outside the Kahler cone
     bad = write_cfg(tmp_path, MINIMAL_TORUS + "initial.modes = (1,0,9.0)\n", "d.cfg")
     assert cli_mod.main(["probe", bad]) == 4
@@ -639,9 +678,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     garbage = tmp_path / "garbage.ckpt"
     garbage.write_bytes(b"not a checkpoint at all")
     assert cli_mod.main(["resume", str(garbage), write_cfg(tmp_path, QUICK_RUN, "e.cfg")]) == 5
-    for tag in (0, 1):  # CRC-valid, but the header ends 8 bytes after the kind byte
-        short = tmp_path / f"short{tag}.ckpt"
-        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", 1, tag, 64)))
+    for version, tag in ((3, 0), (1, 1)):  # CRC-valid, but the header ends 8 bytes
+        short = tmp_path / f"short{tag}.ckpt"  # after the kind byte
+        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", version, tag, 64)))
         assert cli_mod.main(["resume", str(short), str(tmp_path / "e.cfg")]) == 5
         assert "truncated header" in capsys.readouterr().err
     empty = tmp_path / "empty.ckpt"  # CRC-valid version 3 on a 0 x 64 grid

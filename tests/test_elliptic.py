@@ -35,13 +35,15 @@ def test_zero_rhs_gives_zero_field():
 
 
 def test_scalar_rhs_is_zero_or_a_shape_error():
-    # 0.0 stands for a zero RHS field (solve_P on a Ricci-flat reference)
+    # the RHS is a field: a zero one gives the zero solution, and no scalar,
+    # not even 0.0, stands for a field
     geom = flat64()
-    sol = pf.solve_poisson_phi(geom, zero_state(geom), 0.0)
+    sol = pf.solve_poisson_phi(geom, zero_state(geom), np.zeros(geom.shape))
     assert sol.field.shape == geom.shape and np.all(sol.field == 0.0)
     assert (sol.residual_linf, sol.coeffs) == (0.0, 0.0)
-    with pytest.raises(pf.ShapeError):
-        pf.solve_poisson_phi(geom, zero_state(geom), 1.0)
+    for scalar in (0.0, 1.0):
+        with pytest.raises(pf.ShapeError):
+            pf.solve_poisson_phi(geom, zero_state(geom), scalar)
 
 
 def test_flat_torus_cosine_inverse():
@@ -91,6 +93,26 @@ def test_nan_reference_solve_raises_tolerance_not_met(monkeypatch):
         pf.solve_poisson_phi(geom, state, np.cos(geom.x))
 
 
+@pytest.mark.parametrize("build, phi_of, factor", [
+    (lambda: pf.TorusGeometry(64, 64, TWO_PI, [(1, 0, 0.3)]),
+     lambda g: 0.1 * np.cos(g.x) + 0.05 * np.sin(2.0 * g.y), 1.0 + 1e-12),
+    (lambda: pf.SphereGeometry(256),
+     lambda g: 0.1 * g.mu ** 2 + 0.02 * np.cos(3.0 * np.pi * g.mu), 1.0 + 1e-10),
+], ids=["curved_torus", "sphere"])
+def test_backward_error_bound_is_tight(monkeypatch, build, phi_of, factor):
+    # the bound sits just above the rounding floor: an exact solve meets it,
+    # and the same solve off by a relative 1e-12 (torus) or 1e-10 (sphere)
+    # does not. Measured residuals 1.6e-13 against a bound of 4.6e-14, and
+    # 2.5e-11 against 6.1e-12, so a bound five times as loose passes both
+    geom = build()
+    state = pf.validate_kahler(geom, phi_of(geom))
+    assert pf.solve_P(geom, state).residual_linf > 0.0  # solved, not short-cut
+    exact = geom.solve_reference_poisson
+    monkeypatch.setattr(geom, "solve_reference_poisson", lambda g: exact(g) * factor)
+    with pytest.raises(pf.ToleranceNotMet, match="poisson residual"):
+        pf.solve_P(geom, state)
+
+
 def test_mean_zero_normalization():
     rng = np.random.default_rng(31)
     geom = pf.SphereGeometry(128)
@@ -131,7 +153,7 @@ def test_unnormalized_linearity_via_mean_zero():
 # ---------------------------------------------------------------------------
 
 def test_p_flat_torus_identically_zero(monkeypatch):
-    # on a Ricci-flat reference the RHS of P is exactly zero, so solve_P and
+    # on a Ricci-flat reference the RHS of P is the zero field, so solve_P and
     # closed_form_P return exact zeros without integrating or solving anything
     geom = flat64()
     rng = np.random.default_rng(34)
@@ -142,7 +164,6 @@ def test_p_flat_torus_identically_zero(monkeypatch):
 
     monkeypatch.setattr(geom, "solve_reference_poisson", forbidden)
     monkeypatch.setattr(geom, "integrate", forbidden)
-    monkeypatch.setattr(geom, "check_field", forbidden)  # no RHS field is built
     for state in states:
         sol = pf.solve_P(geom, state)
         assert np.all(sol.field == 0.0)

@@ -1,6 +1,7 @@
 """Time integration: right-hand sides, steppers, the run loop, checkpoints."""
 
 import functools
+import logging
 import os
 import struct
 import threading
@@ -220,6 +221,20 @@ def test_suggest_dt_scalings():
     assert abs(ratio - 0.5) <= 1e-12
 
 
+def test_sphere_rk4_at_its_heat_cap_is_stable(caplog):
+    # cfl 1.0, the largest a config allows: RK4 at the sphere's cap takes no
+    # rejected step and stays smooth. Measured: no rejection and a final sup_F
+    # of 0.1442; a cap twice as large makes 58 rejections and ends at 0.285
+    geom = pf.SphereGeometry(128)
+    phi0 = 0.1 * geom.mu ** 2 + 0.02 * np.cos(3.0 * np.pi * geom.mu)
+    config = pf.FlowConfig(cfl=1.0, t_end=0.05, record_every=1000)
+    with caplog.at_level(logging.INFO, logger="pcflow"):
+        trajectory = pf.run(geom, phi0, config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    assert [r.message for r in caplog.records if "step rejected" in r.message] == []
+    assert trajectory.records[-1].sup_F <= 0.15
+
+
 # ---------------------------------------------------------------------------
 # run loop
 # ---------------------------------------------------------------------------
@@ -357,14 +372,14 @@ def test_run_checks_preconditions_before_any_work(monkeypatch, build, flow_kind,
     assert err.value.key == key
 
 
-@pytest.mark.parametrize("build, p_list, threads, error", [
-    (flat64, (1.0, 9.0), None, ValueError),
-    (sphere64, (0.5,), None, ValueError),
-    (flat64, (1.0,), "0", pf.ConfigValidationError),
-    (sphere64, (1.0,), "two", pf.ConfigValidationError),
+@pytest.mark.parametrize("build, p_list, threads, key", [
+    (flat64, (1.0, 9.0), None, "output.p_list"),
+    (sphere64, (0.5,), None, "output.p_list"),
+    (flat64, (1.0,), "0", "PCFLOW_THREADS"),
+    (sphere64, (1.0,), "two", "PCFLOW_THREADS"),
 ], ids=["exponent_above_8", "exponent_below_1", "threads_zero", "threads_not_integer"])
 def test_run_checks_probes_and_thread_cap_before_any_work(monkeypatch, build, p_list,
-                                                          threads, error):
+                                                          threads, key):
     # a bad exponent would otherwise surface only when a record is collected,
     # after steps have run; an invalid PCFLOW_THREADS is refused on a sphere
     # too, whose records never leave the calling thread
@@ -376,12 +391,11 @@ def test_run_checks_probes_and_thread_cap_before_any_work(monkeypatch, build, p_
     if threads is not None:
         monkeypatch.setenv("PCFLOW_THREADS", threads)
     geom = build()
-    with pytest.raises(error) as err:
+    with pytest.raises(pf.ConfigValidationError) as err:
         pf.run(geom, np.zeros(geom.shape), pf.FlowConfig(t_end=1.0), p_list=p_list)
-    if error is ValueError:
-        assert str(err.value) == f"probe exponent {p_list[-1]} outside [1, 8]"
-    else:
-        assert err.value.key == "PCFLOW_THREADS"
+    assert err.value.key == key
+    if key == "output.p_list":
+        assert str(err.value) == f"output.p_list: probe exponent {p_list[-1]} outside [1, 8]"
 
 
 @pytest.mark.parametrize("build, shape, expected", [
@@ -623,6 +637,21 @@ def test_run_takes_no_sliver_step(tmp_path):
     assert float(np.max(np.abs(real_only.states[-1].phi - full.states[-1].phi))) <= 1e-14
 
 
+def test_run_takes_a_short_last_step_above_rounding():
+    # t_end = 1 + 1e-11 in steps of 2^-10: the 1e-11 left after 1024 steps is
+    # far above the rounding of their sum (about 2.3e-13), so a 1025th step of
+    # that length ends the run. A rounding window 1000 times as wide swallows
+    # it, and the run ends after 1024 steps
+    geom = pf.SphereGeometry(32)
+    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=2.0 ** -10,
+                           t_end=1.0 + 1e-11, record_every=1)
+    trajectory = pf.run(geom, 0.1 * geom.mu ** 2, config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    assert len(trajectory.records) == 1026  # the initial state and 1025 steps
+    assert abs(trajectory.records[-1].dt - 1e-11) <= 1e-15
+    assert trajectory.states[-1].time == config.t_end
+
+
 def test_run_semi_implicit_curved_torus_takes_dt_init():
     # sigma0 in [0.1, 1.9]: the shifted solve is direct on a curved torus
     # too, so a step of dt*c = 0.5 / min(rho) is taken without halving
@@ -711,9 +740,9 @@ def test_checkpoint_detects_corruption(tmp_path):
     with pytest.raises(pf.CheckpointError):
         pf.read_checkpoint(renamed)
 
-    for tag in (0, 1):  # CRC-valid, but the header ends 8 bytes after the kind byte
-        short = tmp_path / f"short{tag}.ckpt"
-        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", 1, tag, 64)))
+    for version, tag in ((3, 0), (1, 1)):  # CRC-valid, but the header ends 8 bytes
+        short = tmp_path / f"short{tag}.ckpt"  # after the kind byte
+        short.write_bytes(pack_checkpoint(struct.pack("<IBQ", version, tag, 64)))
         with pytest.raises(pf.CheckpointError, match="truncated header"):
             pf.read_checkpoint(short)
 
@@ -740,22 +769,26 @@ def test_checkpoint_layout_is_pinned(tmp_path):
     assert np.array_equal(meta["phi"], torus.from_coeffs(state.coeffs))
     assert np.array_equal(meta["phi"], scipy.fft.irfft2(state.coeffs, s=torus.shape))
 
-    # a version-1 torus file, as earlier versions wrote for every RK4 state,
-    # reads back with its phi and no coefficients
+    # each backend reads only the version it writes: a version-1 torus file,
+    # phi alone, is not read
     path = tmp_path / "torus_v1.ckpt"
     path.write_bytes(pack_checkpoint(struct.pack("<IB", 1, 0) + struct.pack("<QQd", 64, 64, TWO_PI)
                                      + struct.pack("<d", 0.375)
                                      + state.phi.astype("<f8").tobytes()))
-    meta = pf.read_checkpoint(path)
-    assert meta["time"] == 0.375 and meta["coeffs"] is None
-    assert meta["phi"].dtype == float and np.array_equal(meta["phi"], state.phi)
+    with pytest.raises(pf.CheckpointError, match="unsupported version 1 on the torus"):
+        pf.read_checkpoint(path)
 
+    # a sphere state is written as version 1, phi alone, which is its coefficients
     sphere = pf.SphereGeometry(128)
     state = pf.validate_kahler(sphere, 0.1 * sphere.mu ** 2, time=1.5)
     expected = pack_checkpoint(struct.pack("<IB", 1, 1) + struct.pack("<Q", 128)
                                + struct.pack("<d", 1.5) + state.phi.astype("<f8").tobytes())
     pf.write_checkpoint(tmp_path / "sphere.ckpt", sphere, state)
     assert (tmp_path / "sphere.ckpt").read_bytes() == expected
+    meta = pf.read_checkpoint(tmp_path / "sphere.ckpt")
+    assert meta["time"] == 1.5 and meta["coeffs"].dtype == float
+    assert np.array_equal(meta["coeffs"], meta["phi"])
+    assert np.array_equal(meta["phi"], state.phi)
 
 
 def semi_implicit_torus_state():

@@ -418,8 +418,9 @@ def test_probes_reject_bad_exponents():
     geom = flat64()
     state = cos_state(geom)
     for bad in (0.5, 9.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(pf.ConfigValidationError) as err:
             pf.estimate_probes(geom, state, p_list=(bad,))
+        assert err.value.key == "output.p_list"
 
 
 # ---------------------------------------------------------------------------

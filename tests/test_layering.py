@@ -26,3 +26,10 @@ def test_no_backend_branch_or_private_attribute(module):
 def test_flow_reads_no_class_constant():
     # which backend's coefficients are the field is geom.coeffs_shape's to say
     assert [node.lineno for node in _attributes("flow") if node.attr == "lambda_ke"] == []
+
+
+@pytest.mark.parametrize("module", ["kahler", "functionals"])
+def test_ricci_flat_is_decided_by_the_step_and_closed_form_p_alone(module):
+    # the flat torus's zero P comes from its all-zero ric0_density here: only
+    # flow.pcf_rhs and elliptic.closed_form_P branch on geom.ricci_flat
+    assert [node.lineno for node in _attributes(module) if node.attr == "ricci_flat"] == []
