@@ -67,18 +67,12 @@ def _load_config(path):
         return parse_config(fh.read())
 
 
-def _field_snapshot_paths(output_path, count):
-    stem = os.path.splitext(output_path)[0]
-    return [f"{stem}.field{i:05d}.ckpt" for i in range(count)]
-
-
 def _emit_outputs(config, geom, trajectory):
     emit_csv(trajectory, config.output_path)
     if config.emit_fields:
-        for state, path in zip(trajectory.states,
-                               _field_snapshot_paths(config.output_path,
-                                                     len(trajectory.states))):
-            write_checkpoint(path, geom, state)
+        stem = os.path.splitext(config.output_path)[0]
+        for i, state in enumerate(trajectory.states):
+            write_checkpoint(f"{stem}.field{i:05d}.ckpt", geom, state)
     if config.checkpoint_path is not None and trajectory.states:
         write_checkpoint(config.checkpoint_path, geom, trajectory.states[-1])
 

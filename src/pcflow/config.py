@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigParseError, ConfigValidationError, NotKahler
 from .flow import FlowConfig, FlowKind, Scheme
 from .functionals import DEFAULT_P_LIST, check_p_list
-from .geometry import BACKENDS
+from .geometry import BACKENDS, valid_modes
 
 _BACKENDS = {backend.kind: backend for backend in BACKENDS}
 
@@ -73,6 +73,8 @@ class ScenarioConfig:
                 raise ConfigValidationError(key, f"not applicable to the {kind} backend")
             if parse is _parse_int and not isinstance(value, numbers.Integral):
                 raise ConfigValidationError(key, f"must be an integer, got {value!r}")
+            if parse is _parse_modes and not valid_modes(value):
+                raise ConfigValidationError(key, f"needs (int, int, finite) triples: {value!r}")
             if isinstance(value, str) and not value:  # output.path, output.checkpoint
                 raise ConfigValidationError(key, "must not be empty")
         check_p_list(self.p_list)

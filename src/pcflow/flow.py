@@ -111,7 +111,10 @@ class Trajectory:
 
 def pcf_rhs(geom, state):
     """d(phi)/dt for the pseudo-Calabi flow: F + P, P from closed_form_P (F if Ricci-flat)."""
-    return state.big_f if geom.ricci_flat else state.big_f + closed_form_P(geom, state)
+    if geom.ricci_flat:
+        return state.big_f
+    rhs = closed_form_P(geom, state)  # a new field: F added in place
+    return np.add(rhs, state.big_f, out=rhs)
 
 
 def nkrf_rhs(geom, state):
@@ -122,13 +125,13 @@ def nkrf_rhs(geom, state):
 def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
     """Classical RK4 step of d(phi)/dt = rhs(geom, state) in coefficient space.
 
-    A stage potential is phi_hat + c*k_hat, and one inverse transform gives
-    its rho. Each right-hand side is truncated by one forward transform and
-    the 2/3 mask, which restores the heat-limit cap of suggest_dt (RK4 does
-    not damp the corner modes the nonlinearity injects). The step ends on
-    phi_hat + (dt/6)(k1 + 2 k2 + 2 k3 + k4) and one inverse transform for its
-    rho, so a torus step, curved or flat, makes 8 transforms (4 truncations,
-    4 densities), the first of a run included.
+    A stage potential is phi_hat + c*k_hat, formed in one new array, and one
+    inverse transform gives its rho. Each right-hand side is truncated by one
+    forward transform and the 2/3 rule, which zeroes that transform's new array
+    in place and restores the heat-limit cap of suggest_dt (RK4 does not damp
+    the corner modes the nonlinearity injects). The step ends on phi_hat +
+    (dt/6)(k1 + 2 k2 + 2 k3 + k4), summed in k2, and one inverse transform
+    gives its rho.
     """
     phi_hat, t = state.coeffs, state.time
 
@@ -136,7 +139,9 @@ def rk4_step(geom, state, dt, rhs=pcf_rhs, rho_floor=0.05):
         return geom.truncate(geom.to_coeffs(geom.check_field(rhs(geom, stage_state))))
 
     def stage(c, k_hat, number):
-        return state_from_coeffs(geom, phi_hat + c * k_hat, t + c, rho_floor, stage=number)
+        potential = np.multiply(k_hat, c)  # bitwise phi_hat + c*k_hat, with one temporary
+        potential += phi_hat
+        return state_from_coeffs(geom, potential, t + c, rho_floor, stage=number)
 
     k1 = truncated(state)
     k2 = truncated(stage(0.5 * dt, k1, 2))

@@ -112,8 +112,7 @@ class TraceRecord:
 
 
 def make_trace_record(geom, state, dt, p_list=DEFAULT_P_LIST):
-    """Evaluate every monitored quantity at one state, with P by solve_P: 8
-    transforms on a curved torus (1 forms phi, 3 in solve_P), 5 flat. The
+    """Evaluate every monitored quantity at one state, with P by solve_P. The
     solved P is dropped once sup_P, its residual and the dissipation, a sum
     over the coefficients of F + P, are read, before the probes allocate."""
     ent, j, i_value = k_energy_parts(geom, state)  # phi is freed on return

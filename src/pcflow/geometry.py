@@ -38,6 +38,12 @@ def _is_pow2(n):
     return isinstance(n, numbers.Integral) and n >= 1 and (n & (n - 1)) == 0
 
 
+def valid_modes(modes):
+    """Whether each mode is a (k_x, k_y, amplitude) triple: two integers, a finite number."""
+    return all(np.shape(mode) == (3,) and all(isinstance(k, numbers.Integral) for k in mode[:2])
+               and isinstance(mode[2], numbers.Real) and math.isfinite(mode[2]) for mode in modes)
+
+
 class GridGeometry:
     """Field plumbing shared by the backends.
 
@@ -50,13 +56,14 @@ class GridGeometry:
     R(omega_phi)) that the K-energy and the Calabi energy read.
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
-    field there and back, truncate returns filtered copies, and the *_from_coeffs
-    operators (density_from_coeffs gives rho) return real fields or numbers.
-    Sphere coefficients are the field. The public real-field operators pass
-    their input through check_field (grid shape, finite entries); the integrals
-    check the shape and the finiteness of their sum, and the *_from_coeffs
-    operators check nothing. records_off_thread says whether a trace record on
-    this grid costs enough for flow.run to make it on a worker thread.
+    field there and back, truncate filters to_coeffs's new array (in place on
+    the torus; the sphere copies), and the *_from_coeffs operators
+    (density_from_coeffs gives rho) return real fields or numbers. Sphere
+    coefficients are the field. The public real-field operators pass their
+    input through check_field (grid shape, finite entries); the integrals check
+    the shape and the finiteness of their sum, and the *_from_coeffs operators
+    check nothing. records_off_thread says whether a trace record on this grid
+    costs enough for flow.run to make it on a worker thread.
     """
 
     def mixed_second_derivative(self, f):
@@ -134,9 +141,9 @@ class TorusGeometry(GridGeometry):
         self.nx = int(nx)
         self.ny = int(ny)
         self.length = float(length)
+        if not valid_modes(sigma0_modes):
+            raise BadGrid(f"sigma0 modes must be (int, int, finite) triples, got {sigma0_modes}")
         self.sigma0_modes = tuple((int(kx), int(ky), float(a)) for kx, ky, a in sigma0_modes)
-        if not np.isfinite([amp for _, _, amp in self.sigma0_modes]).all():
-            raise BadGrid(f"sigma0 amplitudes must be finite, got {self.sigma0_modes}")
         self.shape = (self.nx, self.ny)
 
         x = np.arange(self.nx) * (self.length / self.nx)
@@ -152,12 +159,14 @@ class TorusGeometry(GridGeometry):
         my = scipy.fft.rfftfreq(self.ny, d=1.0 / self.ny)
         kx = (TWO_PI / self.length) * mx[:, None]
         ky = (TWO_PI / self.length) * my[None, :]
-        self._mixed_symbol = -0.25 * (kx * kx + ky * ky)
+        # complex: numpy casts a real factor of a complex product to x+0j through
+        # a buffer, so this gives the same bits with no cast (solve_shifted reads .real)
+        self._mixed_symbol = (-0.25 * (kx * kx + ky * ky)).astype(complex)
         # 0 at the zero mode; numpy divides complex by real as a product with
         # 1/real, so multiplying by this is bitwise that division
         with np.errstate(divide="ignore"):
-            inverse = 1.0 / self._mixed_symbol
-        self._inverse_symbol = np.where(self._mixed_symbol != 0.0, inverse, 0.0)
+            inverse = 1.0 / self._mixed_symbol.real
+        self._inverse_symbol = np.where(self._mixed_symbol.real != 0.0, inverse, 0.0)
         # first-derivative symbols zero the Nyquist mode (odd derivative of a
         # real signal has no consistent Nyquist phase)
         kx_d = kx.copy()
@@ -170,8 +179,6 @@ class TorusGeometry(GridGeometry):
         # Parseval: rfft2 columns 0 and ny/2 hold one mode, the others a conjugate pair
         pairs = np.where((my == 0) | (my == self.ny // 2), 0.25, 0.5) / (self.nx * self.ny)
         self._dirichlet_weight = self._cell * pairs * (kx_d * kx_d + ky_d * ky_d)
-        # 2/3-rule truncation mask used by the time steppers
-        self._keep_mask = (np.abs(mx[:, None]) <= self.nx // 3) & (my[None, :] <= self.ny // 3)
         self._work = _WorkArray(self.coeffs_shape(self.shape))
         # a record outweighs a worker thread's overhead from 128^2 nodes on, not at 64^2
         self.records_off_thread = self.nx * self.ny >= 2 ** 14
@@ -238,8 +245,11 @@ class TorusGeometry(GridGeometry):
         return self._inverse(fh)
 
     def truncate(self, fh):
-        """New coefficients: fh with its modes outside the 2/3 ball zeroed (steppers)."""
-        return fh * self._keep_mask
+        """fh with its modes outside the 2/3 rule's |m_x| <= nx//3, m_y <= ny//3 zeroed
+        in place (steppers): fh must be the caller's own new array, as to_coeffs returns."""
+        fh[self.nx // 3 + 1:self.nx - self.nx // 3] = 0.0
+        fh[:, self.ny // 3 + 1:] = 0.0
+        return fh
 
     def mixed_from_coeffs(self, fh):
         """f_{z zbar} = (f_xx + f_yy)/4, spectrally: one inverse transform."""
@@ -303,7 +313,7 @@ class TorusGeometry(GridGeometry):
         (the two are equal on the flat torus), so the solve is one forward
         transform and one diagonal division, exact to rounding for any dt_c >= 0.
         """
-        inverse = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol  # a new array
+        inverse = 1.0 - (dt_c / self._sigma0_min) * self._mixed_symbol.real  # a new array
         bh = self.to_coeffs(b)  # times 1/inverse in place: bitwise bh/inverse (_inverse_symbol)
         return np.multiply(bh, np.divide(1.0, inverse, out=inverse), out=bh)
 
@@ -394,7 +404,7 @@ class SphereGeometry(GridGeometry):
     from_coeffs = to_coeffs
 
     def truncate(self, f):
-        """A copy, as the torus's truncate is new coefficients: no modes to drop."""
+        """A copy, as to_coeffs returns the field itself: no modes to drop."""
         return f.copy()
 
     def mixed_from_coeffs(self, f):

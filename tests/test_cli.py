@@ -184,12 +184,30 @@ def test_parse_rejects_invalid_values(snippet, key):
      MINIMAL_TORUS + "geometry.nx = 64.0", "geometry.nx"),
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=32.5, length=TWO_PI),
      MINIMAL_TORUS + "geometry.ny = 32.5", "geometry.ny"),
+    # a fractional wave number built sigma0 = 1.1 (int() of 0.5) or a phi0 with a
+    # jump across the seam; a NaN amplitude surfaced later as a ShapeError
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               sigma0_modes=((0.5, 0, 0.2),)),
+     MINIMAL_TORUS + "geometry.sigma0_modes = (0.5,0,0.2)", "geometry.sigma0_modes"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               sigma0_modes=((1, 0, np.inf),)),
+     MINIMAL_TORUS + "geometry.sigma0_modes = (1,0,inf)", "geometry.sigma0_modes"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               initial_modes=((0.5, 0, 0.01),)),
+     MINIMAL_TORUS + "initial.modes = (0.5,0,0.01)", "initial.modes"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               initial_modes=((1, 0.0, 0.01),)),
+     MINIMAL_TORUS + "initial.modes = (1,0.0,0.01)", "initial.modes"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               initial_modes=((1, 0, np.nan),)),
+     MINIMAL_TORUS + "initial.modes = (1,0,nan)", "initial.modes"),
 ], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
         "record_every_fraction", "scheme_string", "kind_string", "modes", "decay",
         "target_sup_f", "p_below", "p_above",
         "p_empty", "path_empty", "checkpoint_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
         "torus_nx_on_sphere", "sphere_poly_on_torus", "nmu_fraction", "nx_float",
-        "ny_fraction"])
+        "ny_fraction", "sigma0_wave_fraction", "sigma0_amp_inf", "modes_wave_fraction",
+        "modes_wave_float", "modes_amp_nan"])
 def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         build()

@@ -125,6 +125,83 @@ def test_rk4_matches_real_space_step_bitwise_on_sphere(flow_kind):
     assert np.array_equal(new.big_f, old.big_f)
 
 
+class MaskStepReference:
+    """The torus steps as the arithmetic was before the in-place truncation:
+    stage derivatives times the bool 2/3 mask, inverse transforms of products
+    with the real mixed symbol, and stage potentials phi_hat + c*k_hat."""
+
+    def __init__(self, geom):
+        self.geom = geom
+        mx = scipy.fft.fftfreq(geom.nx, d=1.0 / geom.nx)
+        my = scipy.fft.rfftfreq(geom.ny, d=1.0 / geom.ny)
+        kx = (TWO_PI / geom.length) * mx[:, None]
+        ky = (TWO_PI / geom.length) * my[None, :]
+        self.symbol = -0.25 * (kx * kx + ky * ky)
+        self.keep = (np.abs(mx[:, None]) <= geom.nx // 3) & (my[None, :] <= geom.ny // 3)
+
+    def state(self, phi_hat, t):
+        rho = scipy.fft.irfft2(self.symbol * phi_hat, s=self.geom.shape)
+        if self.geom.sigma0_modes:
+            rho /= self.geom.sigma0
+        rho += 1.0
+        return pf.MetricState(phi_hat, rho, np.log(rho), float(rho.min()),
+                              self.geom.from_coeffs, float(t))
+
+    def rhs(self, state):
+        if self.geom.ricci_flat:
+            return state.big_f
+        return state.big_f + pf.closed_form_P(self.geom, state)
+
+    def rk4_step(self, state, dt):
+        def truncated(s):
+            return scipy.fft.rfft2(self.rhs(s)) * self.keep
+
+        phi_hat, t = state.coeffs, state.time
+        k1 = truncated(state)
+        k2 = truncated(self.state(phi_hat + (0.5 * dt) * k1, t + 0.5 * dt))
+        k3 = truncated(self.state(phi_hat + (0.5 * dt) * k2, t + 0.5 * dt))
+        k4 = truncated(self.state(phi_hat + dt * k3, t + dt))
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 *= dt / 6.0
+        k2 += phi_hat
+        return self.state(k2, t + dt)
+
+    def semi_implicit_step(self, state, dt):
+        dt_c = dt * (1.0 / state.rho_min)
+        inverse = 1.0 - (dt_c / float(self.geom.sigma0.min())) * self.symbol
+        phi_hat_new = scipy.fft.rfft2(dt * self.rhs(state)) * (1.0 / inverse)
+        phi_hat_new += state.coeffs
+        return self.state(phi_hat_new, state.time + dt)
+
+
+@pytest.mark.parametrize("name", ["flat64", "bumpy64", "bumpy32x64", "pbound_torus.cfg"])
+def test_torus_steps_keep_the_mask_arithmetic_bitwise(name):
+    # the in-place truncation, the complex symbol table and the one-temporary
+    # stages are bit-for-bit the arithmetic they replaced
+    if name.endswith(".cfg"):
+        geom, state = preset_state(name)
+    else:
+        geom = {"flat64": flat64, "bumpy64": bumpy64,
+                "bumpy32x64": lambda: pf.TorusGeometry(32, 64, 3.0, [(1, 1, 0.2)])}[name]()
+        state = pf.validate_kahler(geom, 0.3 * np.cos(TWO_PI * geom.x / geom.length)
+                                   + 0.05 * np.sin(2.0 * TWO_PI * geom.y / geom.length))
+    reference = MaskStepReference(geom)
+    ref = reference.state(state.coeffs, state.time)
+    dt = pf.suggest_dt(geom, state)
+    pairs = [(pf.semi_implicit_step(geom, state, dt), reference.semi_implicit_step(ref, dt))]
+    new = state
+    for _ in range(3):
+        new, ref = pf.rk4_step(geom, new, dt), reference.rk4_step(ref, dt)
+    pairs.append((new, ref))
+    for got, want in pairs:
+        assert got.time == want.time and got.rho_min == want.rho_min
+        for a, b in ((got.coeffs, want.coeffs), (got.rho, want.rho), (got.big_f, want.big_f)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # transform budget
 # ---------------------------------------------------------------------------

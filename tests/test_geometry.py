@@ -70,6 +70,36 @@ def test_torus_rejects_non_finite_sigma0_amplitude(modes):
         pf.TorusGeometry(16, 16, TWO_PI, modes)
 
 
+@pytest.mark.parametrize("modes", [[(0.5, 0, 0.1)], [(1, 2.0, 0.1)], [(1, 0, 0.2), (0, 1.5, 0.1)]])
+def test_torus_rejects_fractional_sigma0_wave_number(modes):
+    # int() used to truncate 0.5 to 0, so sigma0 became the constant 1.1
+    with pytest.raises(pf.BadGrid, match="sigma0 modes"):
+        pf.TorusGeometry(16, 16, 1.0, modes)
+    pf.TorusGeometry(16, 16, 1.0, [(np.int64(1), 2, 0.1)])  # any integer type is a wave number
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (16, 64), (64, 16), (256, 256)])
+def test_truncation_keeps_the_two_thirds_block(shape):
+    # the 2/3 rule keeps exactly |m_x| <= nx//3 and m_y <= ny//3 of the rfft2
+    # layout, and zeroes the rest of the new array it is given, in place
+    nx, ny = shape
+    geom = pf.TorusGeometry(nx, ny, TWO_PI)
+    ones = np.ones(geom.coeffs_shape(shape), dtype=complex)
+    kept = geom.truncate(ones)
+    assert kept is ones
+    mx = np.rint(scipy.fft.fftfreq(nx, d=1.0 / nx)).astype(int)
+    my = np.arange(ny // 2 + 1)
+    support = (np.abs(mx)[:, None] <= nx // 3) & (my[None, :] <= ny // 3)
+    assert np.all(kept[support] == 1.0) and np.all(kept[~support] == 0.0)
+
+
+def test_sphere_truncate_copies():
+    geom = pf.SphereGeometry(32)
+    f = np.linspace(0.0, 1.0, 32)
+    kept = geom.truncate(geom.to_coeffs(f))
+    assert kept is not f and np.array_equal(kept, f)
+
+
 def test_sphere_build_and_volume():
     geom = pf.SphereGeometry(128)
     # quadrature of the constant 1 against omega0 equals 4 pi exactly
