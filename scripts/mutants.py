@@ -51,8 +51,8 @@ MUTANTS = (
      "rounding = 1000.0 * eps * config.t_end * (config.t_end / dt)",
      "t_end snap's rounding window x1000"),
     ("M4", "src/pcflow/geometry.py",
-     "return 2.0 * self.h * self.h * float((rho / -self._band[1]).min())",
-     "return 4.0 * self.h * self.h * float((rho / -self._band[1]).min())",
+     "return 2.0 * self.h * self.h * float((rho / self._diag).min())",
+     "return 4.0 * self.h * self.h * float((rho / self._diag).min())",
      "sphere heat_dt_scale x2"),
     ("M7", "src/pcflow/flow.py", "RECORD_EVERY_OFF_THREAD = 10",
      "RECORD_EVERY_OFF_THREAD = 1000",
@@ -85,6 +85,19 @@ MUTANTS = (
      "fh[:, self.ny // 3:] = 0.0", "column block starts one mode early"),
     ("B6", "src/pcflow/geometry.py", "fh[:, self.ny // 3 + 1:] = 0.0",
      "fh[:, self.ny // 3 + 2:] = 0.0", "column block starts one mode late"),
+    # the sphere's symmetric positive-definite tridiagonal solves
+    ("S1", "src/pcflow/geometry.py", "self._solve_spd(s * self._diag + 1.0, -s * self._off, b)",
+     "self._solve_spd(s * self._diag + 0.5, -s * self._off, b)",
+     "shifted solve's diagonal shift 1 -> 0.5"),
+    ("S2", "src/pcflow/geometry.py", "self._solve_spd(s * self._diag + 1.0, -s * self._off, b)",
+     "self._solve_spd(s * self._diag + 1.0, s * self._off, b)",
+     "shifted solve's off-diagonal sign flipped"),
+    ("S3", "src/pcflow/geometry.py", "s = 0.5 * dt_c / (self.h * self.h)",
+     "s = 1.0 * dt_c / (self.h * self.h)", "shift factor dt_c/(2 h^2) -> dt_c/h^2"),
+    ("S4", "src/pcflow/geometry.py", "m = self.nmu - 1", "m = self.nmu - 2",
+     "reference Poisson solve's pinned block one node smaller"),
+    ("S5", "src/pcflow/geometry.py", "-self._off[:m - 1],", "self._off[:m - 1],",
+     "reference Poisson solve's off-diagonal sign flipped"),
 )
 
 

@@ -9,7 +9,6 @@ dataclasses, so a config built in Python is checked exactly as a parsed file
 is. Unknown keys are rejected; print-config output re-parses to an equal config.
 """
 
-import numbers
 import re
 from dataclasses import dataclass, field, fields
 
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import ConfigParseError, ConfigValidationError, NotKahler
 from .flow import FlowConfig, FlowKind, Scheme
 from .functionals import DEFAULT_P_LIST, check_p_list
-from .geometry import BACKENDS, valid_modes
+from .geometry import BACKENDS, is_integer, valid_modes
 
 _BACKENDS = {backend.kind: backend for backend in BACKENDS}
 
@@ -34,9 +33,9 @@ class RandomInitial:
     target_sup_f: float = 0.05
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigValidationError("initial.random.seed", "must be an integer >= 0")
-        if not isinstance(self.modes, numbers.Integral) or self.modes < 1:
+        if not is_integer(self.modes) or self.modes < 1:
             raise ConfigValidationError("initial.random.modes", "must be an integer >= 1")
         if not 0.0 <= self.decay < np.inf:
             raise ConfigValidationError("initial.random.decay", "must be >= 0 and finite")
@@ -71,7 +70,7 @@ class ScenarioConfig:
             value = getattr(self, name)
             if backend not in (None, kind) and value != defaults[name]:
                 raise ConfigValidationError(key, f"not applicable to the {kind} backend")
-            if parse is _parse_int and not isinstance(value, numbers.Integral):
+            if parse is _parse_int and not is_integer(value):
                 raise ConfigValidationError(key, f"must be an integer, got {value!r}")
             if parse is _parse_modes and not valid_modes(value):
                 raise ConfigValidationError(key, f"needs (int, int, finite) triples: {value!r}")

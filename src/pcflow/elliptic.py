@@ -79,9 +79,10 @@ def _check_identity(geom, state):
     """Raise ToleranceNotMet where the defect sup|lambda*(rho - 1 -
     ref_laplacian(phi))/rho| of the identity that a closed form's lambda*phi
     part rests on exceeds _IDENTITY_TOL."""
-    rho = state.rho
-    phi_lap = geom.ref_laplacian_from_coeffs(state.coeffs)
-    defect_linf = float(np.abs(geom.lambda_ke * (rho - 1.0 - phi_lap) / rho).max())
+    defect = np.subtract(state.rho, 1.0)  # (rho - 1) - lap, times lambda, over rho, in place
+    defect -= geom.ref_laplacian_from_coeffs(state.coeffs)
+    np.divide(np.multiply(defect, geom.lambda_ke, out=defect), state.rho, out=defect)
+    defect_linf = float(np.abs(defect, out=defect).max())
     if not defect_linf <= _IDENTITY_TOL:
         raise ToleranceNotMet(
             f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
@@ -127,10 +128,11 @@ def solve_ricci_potential(geom, state):
     if geom.ricci_potential0 is not None:
         raise ValueError("Ricci potential needs an Einstein reference "
                          "(round sphere or flat torus)")
-    u = -state.big_f
+    u = np.negative(state.big_f)  # a new field: shifted in place
     if geom.lambda_ke != 0.0:
         _check_identity(geom, state)
-        u = u - geom.lambda_ke * state.phi
+        u -= geom.lambda_ke * state.phi
     peak = float(u.max())
-    mass = geom.integrate(np.exp(u - peak), weight=state.rho)
-    return u - (peak + np.log(mass / geom.integrate(state.rho)))
+    shifted = np.subtract(u, peak)
+    mass = geom.integrate(np.exp(shifted, out=shifted), weight=state.rho)
+    return np.subtract(u, peak + np.log(mass / geom.integrate(state.rho)), out=u)

@@ -26,7 +26,6 @@ may make it on a worker thread.
 
 import enum
 import logging
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ import numpy as np
 from .elliptic import closed_form_P, solve_ricci_potential
 from .errors import ConfigValidationError, NotKahler, ShapeError, ToleranceNotMet
 from .functionals import DEFAULT_P_LIST, check_p_list, make_trace_record
+from .geometry import is_integer
 from .kahler import state_from_coeffs, validate_kahler
 
 logger = logging.getLogger(__name__)
@@ -94,10 +94,10 @@ class FlowConfig:
         if not 0.0 < self.rho_floor < np.inf:
             raise ConfigValidationError("flow.rho_floor",
                                         f"must be > 0 and finite, got {self.rho_floor}")
-        if not isinstance(self.max_halvings, numbers.Integral) or self.max_halvings < 0:
+        if not is_integer(self.max_halvings) or self.max_halvings < 0:
             raise ConfigValidationError("flow.max_halvings",
                                         f"must be an integer >= 0, got {self.max_halvings}")
-        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+        if not is_integer(self.record_every) or self.record_every < 1:
             raise ConfigValidationError("output.record_every",
                                         f"must be an integer >= 1, got {self.record_every}")
 

@@ -27,20 +27,21 @@ import threading
 
 import numpy as np
 import scipy.fft
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .errors import BadGrid, NonPositiveDensity, ShapeError, SingularSolve
 
 TWO_PI = 2.0 * np.pi
 
 
-def _is_pow2(n):
-    return isinstance(n, numbers.Integral) and n >= 1 and (n & (n - 1)) == 0
+def is_integer(value):
+    """An integer of any integral type but bool, which format_config would write as True."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def valid_modes(modes):
     """Whether each mode is a (k_x, k_y, amplitude) triple: two integers, a finite number."""
-    return all(np.shape(mode) == (3,) and all(isinstance(k, numbers.Integral) for k in mode[:2])
+    return all(np.shape(mode) == (3,) and all(is_integer(k) for k in mode[:2])
                and isinstance(mode[2], numbers.Real) and math.isfinite(mode[2]) for mode in modes)
 
 
@@ -134,7 +135,7 @@ class TorusGeometry(GridGeometry):
         return scipy.fft.irfft2(fh, s=shape)
 
     def __init__(self, nx, ny, length, sigma0_modes=()):
-        if not (_is_pow2(nx) and _is_pow2(ny)) or nx < 16 or ny < 16:
+        if not all(is_integer(n) and n >= 16 and (n & (n - 1)) == 0 for n in (nx, ny)):
             raise BadGrid(f"torus sizes must be integer powers of two >= 16, got {nx} x {ny}")
         if not (0.0 < length < np.inf):
             raise BadGrid(f"torus length must be finite and > 0, got {length}")
@@ -329,7 +330,9 @@ class SphereGeometry(GridGeometry):
     Nodes mu_i = (i + 1/2)/nmu carry quadrature weight 4*pi/nmu. The chart
     density sigma0 = 2*mu*(1-mu) (cylinder chart) makes the torus formulas
     rho = 1 + mixed/sigma0 and Delta_phi = mixed/(sigma0*rho) hold verbatim.
-    Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi.
+    Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi. Each solve is one LAPACK dptsv
+    call: -h^2 * (flux divergence) is symmetric tridiagonal, with diagonal c[:-1] + c[1:]
+    and off-diagonal -c[1:-1] (c = face_coeff), positive definite once shifted or pinned.
 
     Usable range: R takes two second differences of phi, so its rounding
     error grows like eps*nmu^4 (max|R - 1| of a round metric pulled back by
@@ -346,7 +349,7 @@ class SphereGeometry(GridGeometry):
     checkpoint_layout = (1, "<f8")
 
     def __init__(self, nmu):
-        if not isinstance(nmu, numbers.Integral) or nmu < 32:
+        if not is_integer(nmu) or nmu < 32:
             raise BadGrid(f"nmu must be an integer >= 32, got {nmu}")
         self.nmu = int(nmu)
         self.lambda_ke = 1.0
@@ -362,12 +365,8 @@ class SphereGeometry(GridGeometry):
         # flux coefficient mu*(1-mu) vanishes exactly at the pole faces,
         # which is the zero-flux regularity closure
         self.face_coeff = mu_face * (1.0 - mu_face)
-        # h^2 * (flux divergence) as a banded (upper, diagonal, lower) matrix
-        c = self.face_coeff
-        self._band = np.zeros((3, self.nmu))
-        self._band[0, 1:] = c[1:-1]
-        self._band[1, :] = -(c[:-1] + c[1:])
-        self._band[2, :-1] = c[1:-1]
+        self._diag = self.face_coeff[:-1] + self.face_coeff[1:]
+        self._off = self.face_coeff[1:-1]
         self.sigma0 = 2.0 * self.mu * (1.0 - self.mu)
         self.volume = self.quad_weight * self.nmu
         self.ric0_density = self.lambda_ke * self.sigma0
@@ -394,7 +393,8 @@ class SphereGeometry(GridGeometry):
     def _flux_divergence(self, f):
         """d/dmu of mu*(1-mu)*df/dmu in conservative form, zero end fluxes."""
         flux = np.zeros(self.nmu + 1)
-        flux[1:-1] = self.face_coeff[1:-1] * (f[1:] - f[:-1]) / self.h
+        inner = np.subtract(f[1:], f[:-1], out=flux[1:-1])  # c*(df)/h, in place
+        np.divide(np.multiply(inner, self.face_coeff[1:-1], out=inner), self.h, out=inner)
         return (flux[1:] - flux[:-1]) / self.h
 
     def to_coeffs(self, f):
@@ -448,42 +448,41 @@ class SphereGeometry(GridGeometry):
 
     # -- solves and step control ---------------------------------------------
 
-    def _solve_band(self, ab, b):
-        """Tridiagonal solve of band ab (rows upper, diagonal, lower) by one LAPACK dgtsv
-        call, which factors ab in place and leaves b as it was; a zero pivot (info > 0)
-        or a non-finite u raises SingularSolve."""
-        u, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                        overwrite_dl=True, overwrite_d=True, overwrite_du=True)[3:]
+    @staticmethod
+    def _solve_spd(diag, off, b):
+        """One dptsv solve of the positive-definite tridiagonal (diag, off), new arrays it
+        factors in place (b is kept); info != 0 or a non-finite u raises SingularSolve."""
+        u, info = dptsv(diag, off, b, overwrite_d=True, overwrite_e=True)[2:]
         if info != 0 or not np.isfinite(u).all():
-            raise SingularSolve(f"tridiagonal solve failed (dgtsv info {info})")
+            raise SingularSolve(f"tridiagonal solve failed (dptsv info {info})")
         return u
 
     def solve_reference_poisson(self, g):
         """Solve ref_laplacian(u) = g with the last node pinned to zero; u is
         its own coefficient array.
 
-        One direct solve of the leading block of the flux-form band; the
-        dropped last equation is implied by the compatibility of g (sums to
-        zero). The caller, elliptic.solve_poisson_phi, checks the residual.
+        One dptsv solve (_solve_spd) of the leading block of -h^2 * (flux divergence)
+        for -2 h^2 g; the dropped last equation is implied by the compatibility of g
+        (sums to zero). The caller, elliptic.solve_poisson_phi, checks the residual.
         """
         m = self.nmu - 1
-        u = self._solve_band(self._band[:, :m].copy(), 2.0 * self.h * self.h * g[:m])
+        u = self._solve_spd(self._diag[:m].copy(), -self._off[:m - 1],
+                            -2.0 * self.h * self.h * g[:m])
         return np.append(u, 0.0)
 
     def solve_shifted(self, b, dt_c):
-        """Solve (Id - dt_c * L0) u = b, L0 = ref_laplacian, by one dgtsv call
-        on the shifted band (_solve_band); u is its own coefficient array.
+        """Solve (Id - dt_c * L0) u = b, L0 = ref_laplacian, by one dptsv call (_solve_spd)
+        on Id + s * (-h^2 * flux divergence), s = dt_c/(2 h^2); u is its own coefficient array.
 
         Direct, so no tolerance is checked: the forward defect sits at the
         rounding floor of the flux-form operator, which grows like dt_c/h^2.
         """
-        ab = -(0.5 * dt_c / (self.h * self.h)) * self._band
-        ab[1] += 1.0
-        return self._solve_band(ab, b)
+        s = 0.5 * dt_c / (self.h * self.h)
+        return self._solve_spd(s * self._diag + 1.0, -s * self._off, b)
 
     def heat_dt_scale(self, rho):
         """Explicit heat limit of the flux-form Delta_phi (Gershgorin bound)."""
-        return 2.0 * self.h * self.h * float((rho / -self._band[1]).min())
+        return 2.0 * self.h * self.h * float((rho / self._diag).min())
 
 
 BACKENDS = (TorusGeometry, SphereGeometry)

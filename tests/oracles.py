@@ -3,7 +3,7 @@
 J_chi for a general closed (1,1)-form chi, its dimension-1 closed form, the
 scalar curvature through the full chart density log, the defect of the
 Einstein identity the closed forms of P and h_phi rest on, the average against
-omega_phi, the sphere's tridiagonal solves through scipy.linalg.solve_banded,
+omega_phi, the sphere's tridiagonal solves through scipy.linalg.solveh_banded,
 a trace record built in real space, and the torus's random initial data as a
 sum of cosines on the grid. Only tests call these.
 """
@@ -93,29 +93,30 @@ def average_against_state(geom, state, f):
 
 
 def sphere_flux_band(geom):
-    """h^2 times the sphere's flux divergence in solve_banded layout (upper,
-    diagonal, lower rows), assembled from the face coefficients."""
+    """-h^2 times the sphere's flux divergence, a symmetric tridiagonal matrix,
+    in solveh_banded's upper form (off-diagonal row, then the diagonal),
+    assembled from the face coefficients."""
     c = geom.face_coeff
-    band = np.zeros((3, geom.nmu))
-    band[0, 1:] = c[1:-1]
-    band[1, :] = -(c[:-1] + c[1:])
-    band[2, :-1] = c[1:-1]
+    band = np.zeros((2, geom.nmu))
+    band[0, 1:] = -c[1:-1]
+    band[1, :] = c[:-1] + c[1:]
     return band
 
 
 def banded_solve_shifted(geom, b, dt_c):
-    """(Id - dt_c * ref_laplacian) u = b on the sphere by solve_banded."""
-    ab = -(0.5 * dt_c / (geom.h * geom.h)) * sphere_flux_band(geom)
+    """(Id - dt_c * ref_laplacian) u = b on the sphere by solveh_banded, which ends
+    in one ?ptsv call on Id + (dt_c/(2 h^2)) * sphere_flux_band."""
+    ab = (0.5 * dt_c / (geom.h * geom.h)) * sphere_flux_band(geom)
     ab[1] += 1.0
-    return scipy.linalg.solve_banded((1, 1), ab, b)
+    return scipy.linalg.solveh_banded(ab, b)
 
 
 def banded_solve_reference_poisson(geom, g):
     """ref_laplacian(u) = g on the sphere, last node pinned to zero, by
-    solve_banded on the leading (nmu - 1) block."""
+    solveh_banded on the leading (nmu - 1) block of sphere_flux_band for -2 h^2 g."""
     m = geom.nmu - 1
-    u = scipy.linalg.solve_banded((1, 1), sphere_flux_band(geom)[:, :m],
-                                  2.0 * geom.h * geom.h * g[:m])
+    u = scipy.linalg.solveh_banded(sphere_flux_band(geom)[:, :m],
+                                   -2.0 * geom.h * geom.h * g[:m])
     return np.append(u, 0.0)
 
 

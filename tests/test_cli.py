@@ -178,12 +178,13 @@ def test_parse_rejects_invalid_values(snippet, key):
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
                                initial_poly_mu=(0.0, 0.1)),
      MINIMAL_TORUS + "initial.poly_mu = 0 0.1", "initial.poly_mu"),
+    # each grid text replaces its key's line: appending would fail as a repeated key
     (lambda: pf.ScenarioConfig("sphere", nmu=100.7),
-     MINIMAL_SPHERE + "geometry.nmu = 100.7", "geometry.nmu"),
+     MINIMAL_SPHERE.replace("nmu = 64", "nmu = 100.7"), "geometry.nmu"),
     (lambda: pf.ScenarioConfig("torus", nx=64.0, ny=64, length=TWO_PI),
-     MINIMAL_TORUS + "geometry.nx = 64.0", "geometry.nx"),
+     MINIMAL_TORUS.replace("nx = 64", "nx = 64.0"), "geometry.nx"),
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=32.5, length=TWO_PI),
-     MINIMAL_TORUS + "geometry.ny = 32.5", "geometry.ny"),
+     MINIMAL_TORUS.replace("ny = 64", "ny = 32.5"), "geometry.ny"),
     # a fractional wave number built sigma0 = 1.1 (int() of 0.5) or a phi0 with a
     # jump across the seam; a NaN amplitude surfaced later as a ShapeError
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
@@ -201,13 +202,32 @@ def test_parse_rejects_invalid_values(snippet, key):
     (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
                                initial_modes=((1, 0, np.nan),)),
      MINIMAL_TORUS + "initial.modes = (1,0,nan)", "initial.modes"),
+    # a bool is a numbers.Integral, but print-config writes it as True, which
+    # the parser rejects: the library must reject it too
+    (lambda: pf.FlowConfig(record_every=True),
+     MINIMAL_TORUS + "output.record_every = True", "output.record_every"),
+    (lambda: pf.FlowConfig(max_halvings=False),
+     MINIMAL_TORUS + "flow.max_halvings = False", "flow.max_halvings"),
+    (lambda: pf.RandomInitial(seed=True),
+     MINIMAL_TORUS + "initial.random.seed = True", "initial.random.seed"),
+    (lambda: pf.RandomInitial(seed=1, modes=True),
+     MINIMAL_TORUS + "initial.random.seed = 1\ninitial.random.modes = True",
+     "initial.random.modes"),
+    (lambda: pf.ScenarioConfig("torus", nx=True),
+     MINIMAL_TORUS.replace("nx = 64", "nx = True"), "geometry.nx"),
+    (lambda: pf.ScenarioConfig("sphere", nmu=True),
+     MINIMAL_SPHERE.replace("nmu = 64", "nmu = True"), "geometry.nmu"),
+    (lambda: pf.ScenarioConfig("torus", nx=64, ny=64, length=TWO_PI,
+                               sigma0_modes=((True, 0, 0.2),)),
+     MINIMAL_TORUS + "geometry.sigma0_modes = (True,0,0.2)", "geometry.sigma0_modes"),
 ], ids=["seed", "seed_fraction", "modes_fraction", "max_halvings_fraction",
         "record_every_fraction", "scheme_string", "kind_string", "modes", "decay",
         "target_sup_f", "p_below", "p_above",
         "p_empty", "path_empty", "checkpoint_empty", "unknown_kind", "random_and_modes", "torus_modes_on_sphere",
         "torus_nx_on_sphere", "sphere_poly_on_torus", "nmu_fraction", "nx_float",
         "ny_fraction", "sigma0_wave_fraction", "sigma0_amp_inf", "modes_wave_fraction",
-        "modes_wave_float", "modes_amp_nan"])
+        "modes_wave_float", "modes_amp_nan", "record_every_bool", "max_halvings_bool",
+        "seed_bool", "modes_bool", "nx_bool", "nmu_bool", "sigma0_wave_bool"])
 def test_library_validates_like_parser(build, text, key):
     with pytest.raises(pf.ConfigValidationError) as err:
         build()

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 import pcflow as pf
 from conftest import TWO_PI, random_sphere_phi, random_torus_phi
@@ -58,6 +58,7 @@ def test_torus_density_extremes():
     (64, 64, np.nan),
     (64.0, 64, 1.0),  # not an integer
     (64, 64.5, 1.0),
+    (True, 64, 1.0),  # a bool is no grid size
 ])
 def test_torus_bad_grid(nx, ny, length):
     with pytest.raises(pf.BadGrid):
@@ -70,9 +71,11 @@ def test_torus_rejects_non_finite_sigma0_amplitude(modes):
         pf.TorusGeometry(16, 16, TWO_PI, modes)
 
 
-@pytest.mark.parametrize("modes", [[(0.5, 0, 0.1)], [(1, 2.0, 0.1)], [(1, 0, 0.2), (0, 1.5, 0.1)]])
+@pytest.mark.parametrize("modes", [[(0.5, 0, 0.1)], [(1, 2.0, 0.1)], [(1, 0, 0.2), (0, 1.5, 0.1)],
+                                   [(True, 0, 0.1)], [(1, False, 0.1)]])
 def test_torus_rejects_fractional_sigma0_wave_number(modes):
-    # int() used to truncate 0.5 to 0, so sigma0 became the constant 1.1
+    # int() used to truncate 0.5 to 0, so sigma0 became the constant 1.1; a bool
+    # was taken as 1 or 0
     with pytest.raises(pf.BadGrid, match="sigma0 modes"):
         pf.TorusGeometry(16, 16, 1.0, modes)
     pf.TorusGeometry(16, 16, 1.0, [(np.int64(1), 2, 0.1)])  # any integer type is a wave number
@@ -121,6 +124,8 @@ def test_sphere_min_grid():
         pf.SphereGeometry(31)
     with pytest.raises(pf.BadGrid):  # used to build 100 nodes
         pf.SphereGeometry(100.7)
+    with pytest.raises(pf.BadGrid, match="integer"):
+        pf.SphereGeometry(True)
     pf.SphereGeometry(32)
 
 
@@ -518,10 +523,10 @@ def test_sphere_solves_raise_singular_solve_on_nan():
 
 
 @pytest.mark.parametrize("nmu", [32, 128, 512, 4096])
-def test_sphere_solves_are_bitwise_solve_banded(nmu):
-    # one dgtsv call is the routine solve_banded((1, 1), ...) ends in, so both
-    # sphere solves return its bytes: smooth and rough right-hand sides, and
-    # dt_c = 0 (the identity) to 10 for the shifted solve
+def test_sphere_solves_are_bitwise_solveh_banded(nmu):
+    # one dptsv call is the routine solveh_banded ends in on a 2-row upper band,
+    # so both sphere solves return its bytes: smooth and rough right-hand sides,
+    # and dt_c = 0 (the identity) to 10 for the shifted solve
     geom = pf.SphereGeometry(nmu)
     rng = np.random.default_rng(nmu)
     for b in (random_sphere_phi(geom, rng, amp=1.0), rng.standard_normal(nmu)):
@@ -548,23 +553,28 @@ def test_torus_solve_shifted_is_bitwise_the_division(name):
 
 
 def test_sphere_solve_shifted_factors_only_its_own_band():
-    # the shifted band is made afresh on each call and factored in place; the
-    # stored band that solve_reference_poisson factors, and b, are left as they were
+    # the shifted tables are made afresh on each call and factored in place; the
+    # stored diagonal and off-diagonal, which solve_reference_poisson slices, and
+    # b are left as they were
     geom = pf.SphereGeometry(128)
     rng = np.random.default_rng(33)
     b = random_sphere_phi(geom, rng, amp=1.0)
     b_before = b.copy()
+    band = sphere_flux_band(geom)
+    tables = (band[1].tobytes(), (-band[0, 1:]).tobytes())
+    assert (geom._diag.tobytes(), geom._off.tobytes()) == tables
     for dt_c in (1e-3, 0.1, 1.0, 10.0):
-        ab = -(0.5 * dt_c / (geom.h * geom.h)) * sphere_flux_band(geom)
+        ab = (0.5 * dt_c / (geom.h * geom.h)) * band
         ab[1] += 1.0
-        expected = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)[3]  # copies every input
+        expected = dptsv(ab[1], ab[0, 1:], b)[2]  # copies every input
         assert geom.solve_shifted(b, dt_c).tobytes() == expected.tobytes()
     assert b.tobytes() == b_before.tobytes()
-    assert geom._band.tobytes() == sphere_flux_band(geom).tobytes()
+    assert (geom._diag.tobytes(), geom._off.tobytes()) == tables
     g = b - np.mean(b)
     first = geom.solve_reference_poisson(g)
     assert geom.solve_reference_poisson(g).tobytes() == first.tobytes()
     assert g.tobytes() == (b_before - np.mean(b_before)).tobytes()
+    assert (geom._diag.tobytes(), geom._off.tobytes()) == tables
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -580,12 +590,12 @@ def test_density_is_bitwise_one_plus_mixed_over_sigma0(name):
     assert geom.density_from_coeffs(fh).tobytes() == expected.tobytes()
 
 
-def test_sphere_band_solve_raises_singular_solve_on_zero_pivot():
+def test_sphere_spd_solve_raises_singular_solve_on_non_positive_pivot():
     geom = pf.SphereGeometry(64)
-    ab = np.ones((3, geom.nmu))
-    ab[1, 0] = ab[2, 0] = 0.0  # the first column is zero: dgtsv reports info = 1
+    diag = np.full(geom.nmu, 2.0)
+    diag[0] = -1.0  # not positive definite: dptsv reports info = 1
     with pytest.raises(pf.SingularSolve, match="info 1"):
-        geom._solve_band(ab, np.ones(geom.nmu))
+        geom._solve_spd(diag, np.ones(geom.nmu - 1), np.ones(geom.nmu))
 
 
 def test_solve_shifted_strongly_curved_torus_closed_form():
