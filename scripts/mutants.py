@@ -57,9 +57,8 @@ MUTANTS = (
     ("M7", "src/pcflow/flow.py", "RECORD_EVERY_OFF_THREAD = 10",
      "RECORD_EVERY_OFF_THREAD = 1000",
      "records off-thread up to every 1000 steps (equivalent for outputs by design)"),
-    # the six that tier-1 killed then
-    ("K1", "src/pcflow/elliptic.py", "_IDENTITY_TOL = 1e-10", "_IDENTITY_TOL = 1e-7",
-     "Einstein-identity tolerance x1000"),
+    # five of the six that tier-1 killed then (the sixth, K1, mutated the
+    # Einstein-identity tolerance, which went with the closed forms' check)
     ("K2", "src/pcflow/functionals.py", "inv_rho ** (p + 1.0)", "inv_rho ** p",
      "trace probe exponent p + 1 -> p"),
     ("K3", "src/pcflow/geometry.py", "kx_d[self.nx // 2, :] = 0.0",
@@ -98,6 +97,13 @@ MUTANTS = (
      "reference Poisson solve's pinned block one node smaller"),
     ("S5", "src/pcflow/geometry.py", "-self._off[:m - 1],", "self._off[:m - 1],",
      "reference Poisson solve's off-diagonal sign flipped"),
+    # rho's one coding: the closed forms read the same operator, so the PCF and
+    # NKRF crosscheck cannot see a consistent error in it
+    ("D1", "src/pcflow/geometry.py", "return 0.5 * self._flux_divergence(f)",
+     "return 0.5 * (1.0 + 1e-7) * self._flux_divergence(f)",
+     "sphere ref_laplacian scaled by 1 + 1e-7"),
+    ("D2", "src/pcflow/geometry.py", "return np.add(rho, 1.0, out=rho)",
+     "return np.add(rho, 1.0 + 1e-9, out=rho)", "density's 1 -> 1 + 1e-9, both backends"),
 )
 
 

@@ -64,6 +64,8 @@ def read_checkpoint(path):
         raise CheckpointError(f"{path}: truncated header "
                               f"({len(payload)} bytes, expected at least {off})")
     *values, time = struct.unpack_from(header_format, payload, 5)
+    if not math.isfinite(time):  # a resume from -inf would never reach t_end
+        raise CheckpointError(f"{path}: time {time} is not finite")
     # the integer params are the grid's axis lengths
     shape = tuple(v for v in values if isinstance(v, int))
     if 0 in shape:

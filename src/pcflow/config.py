@@ -244,9 +244,9 @@ def build_geometry(config):
 
 def _rescale_to_target(geom, phi, target):
     """Scale phi so sup|F| hits the target within 0.5% (bisection on the scale)."""
-    mixed_ratio = geom.mixed_second_derivative(phi) / geom.sigma0
-    # rho and log(rho) are monotone in mixed_ratio: their extremes sit at its own
-    extremes = np.array([mixed_ratio.min(), mixed_ratio.max()])
+    lap = geom.ref_laplacian(phi)  # rho - 1 at scale 1
+    # rho and log(rho) are monotone in lap: their extremes sit at its own
+    extremes = np.array([lap.min(), lap.max()])
 
     def sup_f(scale):
         rho = 1.0 + scale * extremes

@@ -15,12 +15,11 @@ In complex dimension 1, Ric(omega0) = lambda*omega0 + i d dbar(h0) on every
 reference (geom.lambda_ke and geom.ricci_potential0, None where omega0 is
 Einstein and h0 = 0). Since Delta_phi(phi) = 1 - tr_phi(omega0), P is
 lambda*phi - h0 up to a constant, and on an Einstein reference the Ricci
-potential is -F - lambda*phi. The discrete operators keep the lambda part up
-to rounding (rho - 1 = ref_laplacian(phi)) and the h0 part by construction
-(ric0_density is mixed(h0)), so closed_form_P and solve_ricci_potential solve
-nothing: they return the field, and check the lambda part's defect against
-_IDENTITY_TOL instead of a residual. solve_P, the solver, is left to trace
-records.
+potential is -F - lambda*phi. The discrete operators keep both parts by
+construction: rho is 1 + ref_laplacian(phi) (density_from_coeffs), to the one
+rounding of the sum, and ric0_density is mixed(h0). So closed_form_P and
+solve_ricci_potential solve nothing and check nothing: they return the field.
+solve_P, the solver, is left to trace records.
 """
 
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from .errors import ToleranceNotMet
 from .kahler import trace_ric0
 
 _BACKWARD_ERROR_BOUND = 16.0  # C; smooth sphere states up to nmu 16384 reach 1.08
-_IDENTITY_TOL = 1e-10  # fixed, as a step cannot afford |u|; defects reach 1e-15
 
 
 @dataclass(frozen=True)
@@ -75,19 +73,6 @@ def solve_poisson_phi(geom, state, rhs):
     return PoissonSolution(_mean_zero(geom, u, rho, vol_phi), residual_linf, u_hat)
 
 
-def _check_identity(geom, state):
-    """Raise ToleranceNotMet where the defect sup|lambda*(rho - 1 -
-    ref_laplacian(phi))/rho| of the identity that a closed form's lambda*phi
-    part rests on exceeds _IDENTITY_TOL."""
-    defect = np.subtract(state.rho, 1.0)  # (rho - 1) - lap, times lambda, over rho, in place
-    defect -= geom.ref_laplacian_from_coeffs(state.coeffs)
-    np.divide(np.multiply(defect, geom.lambda_ke, out=defect), state.rho, out=defect)
-    defect_linf = float(np.abs(defect, out=defect).max())
-    if not defect_linf <= _IDENTITY_TOL:
-        raise ToleranceNotMet(
-            f"Einstein identity defect {defect_linf:.3e} > tol {_IDENTITY_TOL:.3e}")
-
-
 def solve_P(geom, state):
     """PCF potential by a Poisson solve: Delta_phi(P) = lambda_ke - tr_phi Ric(omega0),
     mean-zero (lambda_ke is R-bar; on a flat torus the RHS is zero, and so is P).
@@ -103,8 +88,9 @@ def closed_form_P(geom, state):
 
     On a curved torus (lambda = 0) it is <h0>_phi - h0, its mean two dot
     products with rho, reading neither phi nor an operator; on a flat torus
-    the zero field, with no quadrature. On the sphere (h0 = 0) it checks the
-    identity's defect first.
+    the zero field, with no quadrature. On the sphere (h0 = 0) it is
+    lambda*(phi - <phi>_phi): rho is 1 + ref_laplacian(phi) by construction,
+    so the identity it rests on holds to the one rounding of that sum.
     """
     if geom.ricci_flat:
         return np.zeros(geom.shape)
@@ -113,7 +99,6 @@ def closed_form_P(geom, state):
         mean = (np.einsum("ij,ij", geom.ricci_potential0_density, state.rho)
                 / np.einsum("ij,ij", geom.sigma0, state.rho))
         return mean - geom.ricci_potential0
-    _check_identity(geom, state)
     return _mean_zero(geom, geom.lambda_ke * state.phi, state.rho, geom.integrate(state.rho))
 
 
@@ -123,14 +108,13 @@ def solve_ricci_potential(geom, state):
 
     Needs an Einstein reference: the round sphere (lambda = 1) or a flat torus
     (lambda = 0); curved-reference tori have no Ricci potential in this gauge.
-    Off a flat torus it checks the identity's defect first.
+    Its lambda*phi part holds by construction, as closed_form_P's does.
     """
     if geom.ricci_potential0 is not None:
         raise ValueError("Ricci potential needs an Einstein reference "
                          "(round sphere or flat torus)")
     u = np.negative(state.big_f)  # a new field: shifted in place
     if geom.lambda_ke != 0.0:
-        _check_identity(geom, state)
         u -= geom.lambda_ke * state.phi
     peak = float(u.max())
     shifted = np.subtract(u, peak)

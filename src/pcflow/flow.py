@@ -18,10 +18,11 @@ Checks: check_field and the cone check on the real phi that starts a fresh
 run (validate_kahler), the NaN-safe cone check on the coefficients of every
 RK4 stage and every state a step ends on, check_field on every right-hand
 side (one per semi-implicit step, four per RK4 step: the integrals inside the
-closed forms check only their sum), and the closed forms on the defect of the
-Einstein identity they rest on. run() halves the step on NotKahler and
-ToleranceNotMet. A trace record reads a state no step reads again, so run()
-may make it on a worker thread.
+closed forms check only their sum). The closed forms check nothing: the
+identities they rest on hold in the discrete operators by construction.
+run() halves the step on NotKahler and ToleranceNotMet, which a stepper given
+another right-hand side may raise. A trace record reads a state no step reads
+again, so run() may make it on a worker thread.
 """
 
 import enum
@@ -216,10 +217,10 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     """Advance from start_time to t_end, recording every record_every steps.
 
     Before any work it raises ConfigValidationError for NKRF off an Einstein
-    reference (flow.kind), for a start_time not before t_end (flow.t_end), for
-    a p_list that check_p_list rejects (output.p_list) and for an invalid
-    PCFLOW_THREADS, and ShapeError for start_coeffs not of the backend's
-    coefficient shape. Terminal conditions are reported on the Trajectory, never
+    reference (flow.kind), for a start_time not finite or not before t_end
+    (flow.t_end), for a p_list that check_p_list rejects (output.p_list) and
+    for an invalid PCFLOW_THREADS, and ShapeError for start_coeffs not of the
+    backend's coefficient shape. Terminal conditions are reported on the Trajectory, never
     raised: a non-Kahler initial state, a step floor hit after max_halvings
     halvings, or the end time reached. A record's solve_P is the only
     Poisson solve in a run, and its residual bound sits above the grid's
@@ -243,9 +244,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     if config.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
         raise ConfigValidationError(
             "flow.kind", "NKRF needs an Einstein reference (round sphere or flat torus)")
-    if not start_time < config.t_end:
-        raise ConfigValidationError(
-            "flow.t_end", f"start time {start_time:.6g} already at or past t_end")
+    if not (np.isfinite(start_time) and start_time < config.t_end):  # t + dt stays -inf
+        raise ConfigValidationError("flow.t_end", f"start time {start_time:.6g} not finite, "
+                                    "or already at or past t_end")
     expected = geom.shape if geom.coeffs_shape is None else geom.coeffs_shape(geom.shape)
     if start_coeffs is not None and np.shape(start_coeffs) != expected:
         raise ShapeError(f"start_coeffs shape {np.shape(start_coeffs)} != {expected}")
@@ -276,8 +277,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
             records.append(future.result())
 
     def record_under(err, call, current, dt_used):
-        # numpy's error state is per thread before numpy 2: the worker takes
-        # the caller's, so np.errstate(all="raise") raises there as inline
+        # numpy's error state is per thread (a new thread starts at the
+        # defaults): the worker takes the caller's, so np.errstate(all="raise")
+        # raises there as inline
         with np.errstate(call=call, **err):
             return make_trace_record(geom, current, dt_used, p_list)
 

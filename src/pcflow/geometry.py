@@ -58,12 +58,13 @@ class GridGeometry:
 
     The steppers work in coefficient space: to_coeffs/from_coeffs map a real
     field there and back, truncate filters to_coeffs's new array (in place on
-    the torus; the sphere copies), and the *_from_coeffs operators
-    (density_from_coeffs gives rho) return real fields or numbers. Sphere
-    coefficients are the field. The public real-field operators pass their
-    input through check_field (grid shape, finite entries); the integrals check
-    the shape and the finiteness of their sum, and the *_from_coeffs operators
-    check nothing. records_off_thread says whether a trace record on this grid
+    the torus; the sphere copies), and the *_from_coeffs operators return real
+    fields or numbers; density_from_coeffs, the one coding of rho on both
+    backends, is 1 + ref_laplacian_from_coeffs. Sphere coefficients are the
+    field. The public real-field operators pass their input through
+    check_field (grid shape, finite entries); the integrals check the shape
+    and the finiteness of their sum, and the *_from_coeffs operators check
+    nothing. records_off_thread says whether a trace record on this grid
     costs enough for flow.run to make it on a worker thread.
     """
 
@@ -74,6 +75,11 @@ class GridGeometry:
     def ref_laplacian(self, f):
         """Laplacian of the reference metric of a checked field, f_{z zbar}/sigma0."""
         return self.ref_laplacian_from_coeffs(self.to_coeffs(self.check_field(f)))
+
+    def density_from_coeffs(self, fh):
+        """rho = 1 + ref_laplacian(phi) as a new field (one inverse transform on the torus)."""
+        rho = self.ref_laplacian_from_coeffs(fh)  # a new field: 1 added in place
+        return np.add(rho, 1.0, out=rho)
 
     def check_field(self, f):
         f = self._check_shape(f)
@@ -262,11 +268,6 @@ class TorusGeometry(GridGeometry):
             lap /= self.sigma0
         return lap
 
-    def density_from_coeffs(self, fh):
-        """rho = 1 + f_{z zbar}/sigma0 as a new field: one inverse transform."""
-        rho = self.ref_laplacian_from_coeffs(fh)  # a new field: 1 added in place
-        return np.add(rho, 1.0, out=rho)
-
     def grad_chart_sq_from_coeffs(self, fh):
         """|f_z|^2 = (f_x^2 + f_y^2)/4, by two inverse transforms."""
         fx = self._inverse(fh, self._dx_symbol)
@@ -329,7 +330,8 @@ class SphereGeometry(GridGeometry):
 
     Nodes mu_i = (i + 1/2)/nmu carry quadrature weight 4*pi/nmu. The chart
     density sigma0 = 2*mu*(1-mu) (cylinder chart) makes the torus formulas
-    rho = 1 + mixed/sigma0 and Delta_phi = mixed/(sigma0*rho) hold verbatim.
+    hold verbatim: ref_laplacian = mixed/sigma0 is (1/2)*(flux divergence), coded
+    as such, so rho = 1 + ref_laplacian(phi) and Delta_phi = ref_laplacian/rho.
     Ric(omega0) = omega0 (lambda_ke = 1), volume 4*pi. Each solve is one LAPACK dptsv
     call: -h^2 * (flux divergence) is symmetric tridiagonal, with diagonal c[:-1] + c[1:]
     and off-diagonal -c[1:-1] (c = face_coeff), positive definite once shifted or pinned.
@@ -414,11 +416,6 @@ class SphereGeometry(GridGeometry):
     def ref_laplacian_from_coeffs(self, f):
         """Laplacian of the round reference metric: (1/2)*(flux divergence)."""
         return 0.5 * self._flux_divergence(f)
-
-    def density_from_coeffs(self, f):
-        """rho = 1 + f_{w wbar}/sigma0 as a new field."""
-        rho = self.mixed_from_coeffs(f)  # a new field: 1 + rho/sigma0 in place
-        return np.add(np.divide(rho, self.sigma0, out=rho), 1.0, out=rho)
 
     def grad_chart_sq_from_coeffs(self, f):
         """|f_w|^2 = (mu*(1-mu)*df/dmu)^2, centered differences inside."""

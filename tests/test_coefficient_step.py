@@ -335,43 +335,6 @@ def test_reference_solve_defect_raises_tolerance_not_met(monkeypatch):
         pf.make_trace_record(geom, state, 1e-3)
 
 
-def _defective_identity(geom, active):
-    """Wraps the backend's ref_laplacian_from_coeffs so that, while active[0]
-    holds, the sphere's closed forms see an Einstein-identity defect of 1e-8."""
-    direct = geom.ref_laplacian_from_coeffs
-
-    def apply(fh):
-        f = direct(fh)
-        return f + 1e-8 if active[0] else f
-
-    return apply
-
-
-def test_run_halves_step_on_einstein_identity_defect(monkeypatch):
-    # the first attempt at step 1 meets the defect in its closed-form P
-    geom = sphere128()
-    active = [False]
-    monkeypatch.setattr(geom, "ref_laplacian_from_coeffs", _defective_identity(geom, active))
-    real_step = flow_mod.semi_implicit_step
-    attempts = []
-
-    def first_attempt_defective(geom_, state_, dt, *args, **kwargs):
-        attempts.append(dt)
-        active[0] = len(attempts) == 1
-        try:
-            return real_step(geom_, state_, dt, *args, **kwargs)
-        finally:
-            active[0] = False
-
-    monkeypatch.setattr(flow_mod, "semi_implicit_step", first_attempt_defective)
-    config = pf.FlowConfig(scheme=pf.Scheme.SEMI_IMPLICIT, dt_init=DYADIC, t_end=DYADIC,
-                           record_every=1)
-    trajectory = pf.run(geom, 0.1 * geom.mu ** 2, config)
-    assert trajectory.terminated is pf.Termination.REACHED_T_END
-    assert attempts[:2] == [DYADIC, 0.5 * DYADIC]
-    assert trajectory.records[1].dt == 0.5 * DYADIC
-
-
 @pytest.mark.parametrize("name", TORUS_PRESETS)
 def test_coefficient_residual_matches_transform_residual(name):
     # the residual solve_poisson_phi checks is applied to the solve's

@@ -357,7 +357,9 @@ def test_run_rejects_initial_below_flow_floor():
     (flat64, pf.FlowKind.PCF, 1.0, "flow.t_end"),
     (flat64, pf.FlowKind.PCF, 1.5, "flow.t_end"),
     (flat64, pf.FlowKind.PCF, float("nan"), "flow.t_end"),
-], ids=["nkrf_on_curved_torus", "start_at_t_end", "start_past_t_end", "start_nan"])
+    (flat64, pf.FlowKind.PCF, -np.inf, "flow.t_end"),  # t + dt would stay -inf
+], ids=["nkrf_on_curved_torus", "start_at_t_end", "start_past_t_end", "start_nan",
+        "start_minus_inf"])
 def test_run_checks_preconditions_before_any_work(monkeypatch, build, flow_kind, start_time,
                                                   key):
     def no_work(*args, **kwargs):
@@ -707,6 +709,17 @@ def test_checkpoint_roundtrip(tmp_path):
     meta = pf.read_checkpoint(path2)
     assert meta["kind"] == "sphere"
     assert np.all(meta["phi"] == state.phi)
+
+
+@pytest.mark.parametrize("time", [-np.inf, np.nan], ids=["minus_inf", "nan"])
+def test_checkpoint_rejects_non_finite_time(tmp_path, time):
+    # a resume from such a time would never reach t_end
+    geom = flat64()
+    state = pf.validate_kahler(geom, 0.1 * np.cos(geom.x))
+    path = tmp_path / "state.ckpt"
+    pf.write_checkpoint(path, geom, replace(state, time=time))
+    with pytest.raises(pf.CheckpointError, match="not finite"):
+        pf.read_checkpoint(path)
 
 
 def pack_checkpoint(payload):

@@ -578,16 +578,25 @@ def test_sphere_solve_shifted_factors_only_its_own_band():
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-def test_density_is_bitwise_one_plus_mixed_over_sigma0(name):
-    # the flat torus skips the division by its all-ones sigma0: x/1.0 == x
+def test_density_is_bitwise_one_plus_ref_laplacian(name):
+    # rho has one coding on both backends, the one the closed forms' identity
+    # rho - 1 = ref_laplacian(phi) reads; mixed/sigma0 is the same operator in
+    # exact arithmetic (the flat torus skips the division by its all-ones
+    # sigma0, x/1.0 == x), and on the sphere it is (1/2)*(flux divergence) to
+    # a few ulps of rho
     geom = BACKENDS[name]()
     rng = np.random.default_rng(34)
     if geom.kind == "torus":
         fh = geom.to_coeffs(random_torus_phi(geom, rng))
     else:
         fh = geom.to_coeffs(random_sphere_phi(geom, rng))
-    expected = 1.0 + geom.mixed_from_coeffs(fh) / geom.sigma0
-    assert geom.density_from_coeffs(fh).tobytes() == expected.tobytes()
+    rho = geom.density_from_coeffs(fh)
+    assert rho.tobytes() == (1.0 + geom.ref_laplacian_from_coeffs(fh)).tobytes()
+    via_mixed = 1.0 + geom.mixed_from_coeffs(fh) / geom.sigma0
+    if geom.kind == "torus":
+        assert rho.tobytes() == via_mixed.tobytes()
+    else:
+        assert np.max(np.abs(rho - via_mixed) / np.spacing(rho)) <= 4.0
 
 
 def test_sphere_spd_solve_raises_singular_solve_on_non_positive_pivot():
