@@ -104,6 +104,11 @@ MUTANTS = (
      "sphere ref_laplacian scaled by 1 + 1e-7"),
     ("D2", "src/pcflow/geometry.py", "return np.add(rho, 1.0, out=rho)",
      "return np.add(rho, 1.0 + 1e-9, out=rho)", "density's 1 -> 1 + 1e-9, both backends"),
+    # recorded states keep phi's coefficients alone and form rho and F on read
+    ("R1", "src/pcflow/flow.py", "states.append(replace(current, held=None))",
+     "states.append(current)", "run() records the live state, which holds rho and F"),
+    ("R2", "src/pcflow/kahler.py", "return np.log(self.rho) if self.held is None",
+     "return np.log1p(self.rho - 1.0) if self.held is None", "F formed on read as log1p(rho - 1)"),
 )
 
 

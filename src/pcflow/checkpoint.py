@@ -26,6 +26,8 @@ MAGIC = b"PCF1"
 
 def write_checkpoint(path, geom, state):
     """Serialize (geometry dims, time, phi's coefficients) with a trailing CRC32."""
+    if not math.isfinite(state.time):  # read_checkpoint refuses it; no file is opened
+        raise CheckpointError(f"{path}: time {state.time} is not finite")
     version, dtype = geom.checkpoint_layout
     # one expression, so that the parts are freed before the file is written:
     # holding the 0.5 MB field part through the write changed the heap pattern

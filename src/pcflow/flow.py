@@ -239,7 +239,9 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
     A run steps phi's coefficients, which to_coeffs(phi) does not return
     bitwise on the torus: recorded states keep them, write_checkpoint stores
     them, and a resume passes them back as start_coeffs, phi0 unread, to
-    continue the run bitwise.
+    continue the run bitwise. A recorded state keeps them alone, not the rho
+    and F its record read, and forms those on each read, bitwise the same: one
+    inverse transform on the torus, and a log more for F.
     """
     if config.flow_kind is FlowKind.NKRF and geom.ricci_potential0 is not None:
         raise ConfigValidationError(
@@ -285,7 +287,7 @@ def run(geom, phi0, config, p_list=DEFAULT_P_LIST, start_time=0.0, start_coeffs=
 
     def record(current, dt_used):
         nonlocal pending
-        states.append(current)
+        states.append(replace(current, held=None))  # the record reads current's held pair
         if pool is None:
             records.append(make_trace_record(geom, current, dt_used, p_list))
             return

@@ -7,9 +7,10 @@ curvature identity R(omega_phi) = -Delta_phi F + tr_phi Ric(omega0). Its
 volume average Rbar is cohomological: the class constant geom.lambda_ke.
 
 A MetricState holds phi's backend coefficients, built from phi (validate_kahler)
-or from them (state_from_coeffs, what the steps use), and forms phi on read.
-Either way the cone check min(rho) > rho_floor is the one gate into the
-Kahler cone, and a NaN min(rho) fails it.
+or from them (state_from_coeffs, what the steps use), with the rho and F they
+give; the states run() records drop those two. Either way the cone check
+min(rho) > rho_floor is the one gate into the Kahler cone, and a NaN min(rho)
+fails it.
 """
 
 from dataclasses import dataclass, field
@@ -19,22 +20,32 @@ import numpy as np
 from .errors import NotKahler
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: rho_min and time do not identify it
 class MetricState:
     """A validated Kahler potential as phi's backend coefficients (phi itself on
-    the sphere), from which each read of phi forms it, with its cached pointwise
-    densities and rho_min, the min(rho) of the cone check."""
+    the sphere) with rho_min, the min(rho) of the cone check. phi is formed from
+    them through geom on each read. rho and F are held, the (rho, F) pair that
+    state_from_coeffs made, except in the states run() records (held is None),
+    which form them likewise on each read, bitwise the same: one inverse
+    transform on the torus, and a log more for F."""
 
-    coeffs: np.ndarray = field(repr=False, compare=False)
-    rho: np.ndarray
-    big_f: np.ndarray
+    coeffs: np.ndarray = field(repr=False)
     rho_min: float
-    from_coeffs: object = field(repr=False, compare=False)
+    geom: object = field(repr=False)
     time: float = 0.0
+    held: tuple = field(default=None, repr=False)
 
     @property
     def phi(self):
-        return self.from_coeffs(self.coeffs)
+        return self.geom.from_coeffs(self.coeffs)
+
+    @property
+    def rho(self):
+        return self.geom.density_from_coeffs(self.coeffs) if self.held is None else self.held[0]
+
+    @property
+    def big_f(self):
+        return np.log(self.rho) if self.held is None else self.held[1]
 
 
 def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06):
@@ -44,13 +55,13 @@ def validate_kahler(geom, phi, time=0.0, rho_floor=1e-06):
 
 
 def state_from_coeffs(geom, phi_hat, time=0.0, rho_floor=1e-06, stage=None):
-    """validate_kahler from coefficients, which the state holds. Non-finite
-    coefficients give a NaN min(rho), which fails the check too."""
+    """validate_kahler from coefficients, held with the rho and F they give.
+    Non-finite coefficients give a NaN min(rho), which fails the check too."""
     rho = geom.density_from_coeffs(phi_hat)
     min_rho = float(rho.min())
     if not min_rho > rho_floor:
         raise NotKahler(min_rho, stage=stage)
-    return MetricState(phi_hat, rho, np.log(rho), min_rho, geom.from_coeffs, float(time))
+    return MetricState(phi_hat, min_rho, geom, float(time), (rho, np.log(rho)))
 
 
 def laplacian_phi(geom, state, f):

@@ -3,6 +3,7 @@ predecessors, their transform budgets, the checks the step keeps, and steps
 that solve no Poisson equation on any reference: a record's P solve is the
 only one in a run."""
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -144,8 +145,8 @@ class MaskStepReference:
         if self.geom.sigma0_modes:
             rho /= self.geom.sigma0
         rho += 1.0
-        return pf.MetricState(phi_hat, rho, np.log(rho), float(rho.min()),
-                              self.geom.from_coeffs, float(t))
+        return pf.MetricState(phi_hat, float(rho.min()), self.geom, float(t),
+                              (rho, np.log(rho)))
 
     def rhs(self, state):
         if self.geom.ricci_flat:
@@ -480,18 +481,72 @@ def test_recorded_states_keep_coefficients(scheme):
 @pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
 @pytest.mark.parametrize("build", [bumpy64, flat64])
 def test_recorded_torus_states_retain_no_phi(build, scheme):
-    # a recorded torus state keeps phi_hat, rho and F, and no real phi:
-    # holding phi as well raised the peak RSS of a dense trace by 8%. It keeps
-    # min(rho) from the cone check, which the steps and the records read
+    # a recorded torus state keeps phi_hat alone, no real phi, rho or F:
+    # holding phi as well raised the peak RSS of a dense trace by 8%, and
+    # rho and F a further 15%. It keeps min(rho) from the cone check
     geom = build()
     config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=2.0 * DYADIC, record_every=1)
     trajectory = pf.run(geom, 0.3 * np.cos(geom.x), config)
     for state in trajectory.states:
         arrays = [value for value in vars(state).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 3 and arrays[0] is state.coeffs and state.coeffs.dtype == complex
-        assert arrays[1] is state.rho and arrays[2] is state.big_f
-        assert state.phi is not state.phi  # formed on each read, the first state's too
+        assert len(arrays) == 1 and arrays[0] is state.coeffs and state.coeffs.dtype == complex
+        assert state.held is None
+        for read in (lambda s: s.phi, lambda s: s.rho, lambda s: s.big_f):
+            assert read(state) is not read(state)  # formed on each read, the first state's too
         assert state.rho_min == float(state.rho.min())
+
+
+def bumpy128():
+    return pf.TorusGeometry(128, 128, TWO_PI, [(1, 0, 0.2)])
+
+
+def flat128():
+    return pf.TorusGeometry(128, 128, TWO_PI)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("scheme", [pf.Scheme.RK4, pf.Scheme.SEMI_IMPLICIT])
+@pytest.mark.parametrize("build", [bumpy128, flat128, sphere128])
+def test_recorded_states_reproduce_their_records(monkeypatch, build, scheme, threads):
+    # every state a step, an RK4 stage or a record reads holds rho and F, so
+    # none forms them again; a recorded state forms them on each read, bitwise
+    # the arrays its record read. At 2 threads the torus's records (128^2
+    # nodes) are made on the worker, at 1 inline. The initial rho spans about
+    # [0.3, 1.7] on the flat torus, [0.42, 1.9] on the curved one, [0.31, 1.23]
+    # on the sphere
+    monkeypatch.setenv("PCFLOW_THREADS", threads)
+    geom = build()
+    reads, live = [], []  # (function, held?, on the main thread?); the records' (rho, F)
+
+    def holding(name, fn):
+        def wrapper(geom, state, *args, **kwargs):
+            reads.append((name, state.held is not None,
+                          threading.current_thread() is threading.main_thread()))
+            if name == "make_trace_record":
+                live.append(state.held)
+            return fn(geom, state, *args, **kwargs)
+        return wrapper
+
+    for name in ("rk4_step", "semi_implicit_step", "pcf_rhs", "make_trace_record"):
+        monkeypatch.setattr(flow_mod, name, holding(name, getattr(flow_mod, name)))
+    phi0 = 2.8 * np.cos(geom.x) if geom.kind == "torus" else 0.7 * geom.mu ** 2
+    config = pf.FlowConfig(scheme=scheme, dt_init=DYADIC, t_end=2.0 * DYADIC, record_every=1)
+    trajectory = pf.run(geom, phi0, config)
+    assert trajectory.terminated is pf.Termination.REACHED_T_END
+    assert len(trajectory.states) == len(trajectory.records) == len(live) >= 3
+    assert trajectory.records[0].rho_min < 0.5
+    assert all(held for _, held, _ in reads)
+    on_worker = {name for name, _, main in reads if not main}
+    assert on_worker == ({"make_trace_record"} if threads == "2" and geom.records_off_thread
+                         else set())
+    for state, rec, (rho_read, big_f_read) in zip(trajectory.states, trajectory.records, live):
+        assert state.held is None and state.time == rec.time
+        rho, big_f = state.rho, state.big_f
+        assert rho.tobytes() == rho_read.tobytes() and big_f.tobytes() == big_f_read.tobytes()
+        assert rec.rho_min == float(rho.min()) == state.rho_min
+        assert rec.volume == geom.integrate(rho)
+        assert rec.sup_F == float(big_f.max()) and rec.inf_F == float(big_f.min())
+        assert rec.entropy == pf.entropy(geom, state)
 
 
 def test_semi_implicit_torus_records_keep_coefficients():

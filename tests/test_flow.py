@@ -713,13 +713,24 @@ def test_checkpoint_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("time", [-np.inf, np.nan], ids=["minus_inf", "nan"])
 def test_checkpoint_rejects_non_finite_time(tmp_path, time):
-    # a resume from such a time would never reach t_end
+    # a resume from such a time would never reach t_end: a CRC-valid file
+    # packed by hand, since write_checkpoint writes no such time
+    path = tmp_path / "state.ckpt"
+    path.write_bytes(pack_checkpoint(struct.pack("<IBQQdd", 3, 0, 64, 64, TWO_PI, time)
+                                     + bytes(16 * 64 * 33)))
+    with pytest.raises(pf.CheckpointError, match="not finite"):
+        pf.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("time", [-np.inf, np.inf, np.nan], ids=["minus_inf", "inf", "nan"])
+def test_write_checkpoint_refuses_non_finite_time(tmp_path, time):
+    # the writer refuses the time the reader would, before it opens the file
     geom = flat64()
     state = pf.validate_kahler(geom, 0.1 * np.cos(geom.x))
     path = tmp_path / "state.ckpt"
-    pf.write_checkpoint(path, geom, replace(state, time=time))
     with pytest.raises(pf.CheckpointError, match="not finite"):
-        pf.read_checkpoint(path)
+        pf.write_checkpoint(path, geom, replace(state, time=time))
+    assert not path.exists()
 
 
 def pack_checkpoint(payload):

@@ -262,6 +262,7 @@ def test_gauge_covariance_sphere_bitwise():
     assert np.all(a.rho == b.rho)
     assert np.all(a.big_f == b.big_f)
     assert np.all(pf.scalar_curvature(geom, a) == pf.scalar_curvature(geom, b))
+    assert a != b  # one rho_min and time, two potentials: a state is equal only to itself
 
 
 def test_gauge_covariance_torus():
